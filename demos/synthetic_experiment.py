@@ -35,9 +35,8 @@ traces = synthesize_twin_beams(params, cfg)
 #    (arm difference tuned so 20 MHz sidebands carry the phase quadrature)
 ifc = InterferometerConfig.matched(ANALYSIS_FREQ)
 print(f"arm length difference = {ifc.arm_length_difference:.4f} m")
-amp_chain = DetectionChain(detection_efficiency=1.0, mode_match=1.0, enl=ENL)
-phase_chain = DetectionChain(detection_efficiency=1.0, mode_match=0.90,
-                             enl=ENL, excess_phase_noise=0.04)
+amp_chain = DetectionChain(mode_match=1.0, enl=ENL)
+phase_chain = DetectionChain(mode_match=0.90, enl=ENL, excess_phase_noise=0.04)
 amp = mz_measure(traces, "amplitude", ifc, amp_chain, seed=cfg.seed)
 phase = mz_measure(traces, "phase", ifc, phase_chain, seed=cfg.seed)
 enl_trace = electronics_floor_series(ENL, NUM_SAMPLES, seed=cfg.seed)

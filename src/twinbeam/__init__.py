@@ -37,6 +37,7 @@ from .synth import (
     combine_channels,
     electronics_floor_series,
     mz_measure,
+    synthesize_measured_combinations,
     synthesize_twin_beams,
 )
 from .dsp import AnalyzerSettings, SpectrumEstimate, band_power_rel_snl, welch_psd

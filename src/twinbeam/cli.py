@@ -1,5 +1,11 @@
 """Command-line front end: spectra, synth, analyze, certify, fit.
 
+A trace file written by synth holds the four measured channels analyze
+reads (TRACE_CHANNELS): the amplitude and phase signal photocurrents, the
+shot-noise reference and the electronics floor.  The quadrature
+combinations and per-beam series behind them are not stored; the library's
+synthesize_twin_beams returns them.
+
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
 infeasibility.
@@ -9,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,8 +25,7 @@ from .config import SchemaError, load_config
 from .errors import TwinbeamError
 from .fit import FitProblem, fit_spectra
 
-TRACE_CHANNELS = ("xminus", "xplus", "yplus", "yminus",
-                  "amp_signal", "phase_signal", "snl", "enl")
+TRACE_CHANNELS = ("amp_signal", "phase_signal", "snl", "enl")
 
 
 class UsageError(TwinbeamError):
@@ -82,7 +88,7 @@ def _emit(payload, out_path, as_json):
     if out_path:
         fileio.write_json(out_path, payload)
     if as_json or not out_path:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _cmd_spectra(args):
@@ -99,39 +105,29 @@ def _cmd_spectra(args):
     fileio.write_spectrum_csv(args.out, freqs, amplitude=s_i, phase=s_p)
     if args.json:
         print(json.dumps({"out": args.out, "num_points": len(freqs),
-                          "config_hash": cfg.hash}, sort_keys=True))
+                          "config_hash": cfg.hash}, sort_keys=True, allow_nan=False))
     return 0
 
 
 def _synthesize_channels(cfg):
+    """The TRACE_CHANNELS series, drawn from the two measured combinations only."""
     params = cfg.nopo
     if cfg.eta_placement == "explicit":
         params = dataclasses.replace(params, detection_efficiency=1.0)
-    traces = synth.synthesize_twin_beams(params, cfg.synth)
+    traces = synth.synthesize_measured_combinations(params, cfg.synth)
     seed = cfg.synth.seed
     if cfg.eta_placement == "explicit":
         eta = cfg.explicit_detection_efficiency
-        detected = {
+        traces = dataclasses.replace(traces, **{
             name: synth.apply_detection(getattr(traces, name), eta, seed, source=f"detect:{name}")
-            for name in ("xminus", "xplus", "yplus", "yminus")
-        }
-        traces = synth.TraceSet(
-            sample_rate=traces.sample_rate,
-            x1=synth.combine_channels(detected["xplus"], detected["xminus"], "sum"),
-            x2=synth.combine_channels(detected["xplus"], detected["xminus"], "difference"),
-            y1=synth.combine_channels(detected["yplus"], detected["yminus"], "sum"),
-            y2=synth.combine_channels(detected["yplus"], detected["yminus"], "difference"),
-            snl_reference=traces.snl_reference,
-            **detected,
-        )
+            for name in ("xminus", "yplus")})
     amp = synth.mz_measure(traces, "amplitude", cfg.interferometer, cfg.amplitude_chain, seed)
     phase = synth.mz_measure(traces, "phase", cfg.interferometer, cfg.phase_chain, seed)
-    enl_trace = synth.electronics_floor_series(cfg.enl, cfg.synth.num_samples, seed)
+    del traces  # the readouts hold all that is left to write
     return {
-        "xminus": traces.xminus, "xplus": traces.xplus,
-        "yplus": traces.yplus, "yminus": traces.yminus,
         "amp_signal": amp.signal_channel, "phase_signal": phase.signal_channel,
-        "snl": amp.snl_channel, "enl": enl_trace,
+        "snl": amp.snl_channel,
+        "enl": synth.electronics_floor_series(cfg.enl, cfg.synth.num_samples, seed),
     }
 
 
@@ -147,7 +143,7 @@ def _cmd_synth(args):
                "channels": list(channels), "num_samples": cfg.synth.num_samples,
                "config_hash": cfg.hash}
     if args.json:
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(summary, sort_keys=True, allow_nan=False))
     else:
         print(f"seed {cfg.synth.seed}")
         print(f"sha256 {checksum}")
@@ -157,18 +153,18 @@ def _cmd_synth(args):
 def _cmd_analyze(args):
     cfg = load_config(args.config)
     f0 = args.f0 if args.f0 is not None else cfg.interferometer.analysis_frequency
-    sample_rate, channels = fileio.read_trace(args.trace)
+    trace = fileio.read_trace(args.trace)
+    sample_rate, channels = trace
     if not 0 < f0 < sample_rate / 2.0:
         raise UsageError(f"f0 {f0:.6g} Hz outside (0, Nyquist {sample_rate / 2:.6g} Hz)")
-    for name in ("amp_signal", "phase_signal", "snl", "enl"):
+    for name in TRACE_CHANNELS:
         if name not in channels:
             raise UsageError(f"trace file lacks required channel {name!r}")
     settings = dsp.AnalyzerSettings(**cfg.analyzer)
-    estimates = {name: dsp.welch_psd(channels[name], sample_rate, settings)
-                 for name in ("amp_signal", "phase_signal", "snl", "enl")}
+    # pop: each channel is freed once its estimate exists
+    estimates = {name: dsp.welch_psd(channels.pop(name), sample_rate, settings)
+                 for name in TRACE_CHANNELS}
     reference = estimates["snl"]
-    with open(args.trace, "rb") as handle:
-        trace_hash = hashlib.sha256(handle.read()).hexdigest()
     payload = {
         "f0_hz": f0,
         "amplitude_db": dsp.band_power_rel_snl(estimates["amp_signal"], reference, f0),
@@ -178,7 +174,7 @@ def _cmd_analyze(args):
         "rbw_hz": settings.rbw,
         "vbw_hz": settings.vbw,
         "config_hash": cfg.hash,
-        "trace_sha256": trace_hash,
+        "trace_sha256": trace.sha256,
     }
     _emit(payload, args.out, args.json)
     return 0
@@ -246,7 +242,8 @@ def _cmd_fit(args):
         "bandwidth_hz": result.bandwidth,
         "pump_ratio": result.pump_ratio,
         "residual_norm": result.residual_norm,
-        "covariance": np.asarray(result.covariance).tolist(),
+        "covariance": [[value if math.isfinite(value) else None for value in row]
+                       for row in np.asarray(result.covariance).tolist()],
         "converged": result.converged,
         "iterations": result.iterations,
         "unidentifiable": list(result.unidentifiable),

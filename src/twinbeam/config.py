@@ -161,7 +161,6 @@ def parse_config(document):
 
     def channel_chain(doc, with_excess):
         return DetectionChain(
-            detection_efficiency=explicit_eta if explicit_eta is not None else 1.0,
             mode_match=doc["mode_match"],
             enl=enl,
             excess_phase_noise=doc["excess_noise"] if with_excess else 0.0,

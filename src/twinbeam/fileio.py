@@ -3,10 +3,15 @@
 Trace file layout (all little-endian):
     magic "TWBM" | version u32 | sample_rate f64 | channel_count u32 |
     sample_count u64 | channel name table (u32 byte length + UTF-8, repeated) |
-    payload: channels sequential, samples as f32.
+    payload: channels sequential, samples as f32, every sample finite.
+
+The format takes any ordered set of named channels.  The CLI writes the four
+measured channels analyze reads (cli.TRACE_CHANNELS); the quadrature and
+per-beam series are not stored, and come from synth.synthesize_twin_beams.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -66,16 +71,23 @@ def write_trace(path, sample_rate, channels):
     atomic_write_bytes(path, encode_trace(sample_rate, channels))
 
 
-def _take(data, offset, count, what):
+def _require(data, offset, count, what):
     if offset + count > len(data):
         raise TraceFormatError(
             f"trace truncated while reading {what}: need {count} bytes at offset {offset}, "
             f"file has {len(data)}", byte_offset=offset)
+
+
+def _take(data, offset, count, what):
+    _require(data, offset, count, what)
     return data[offset:offset + count], offset + count
 
 
 def decode_trace(data):
-    """Parse trace-file bytes into (sample_rate, {name: float32 series})."""
+    """Parse trace-file bytes into (sample_rate, {name: float32 series}).
+
+    A non-finite sample is a format error; its byte_offset is the sample's.
+    """
     chunk, offset = _take(data, 0, 4, "magic")
     if chunk != TRACE_MAGIC:
         raise TraceFormatError(f"bad magic {chunk!r} at offset 0", byte_offset=0)
@@ -99,18 +111,37 @@ def decode_trace(data):
                 byte_offset=start) from exc
     channels = {}
     for name in names:
-        start = offset
-        chunk, offset = _take(data, offset, 4 * num_samples, f"samples of channel {name!r}")
-        channels[name] = np.frombuffer(chunk, dtype="<f4").astype(float)
+        _require(data, offset, 4 * num_samples, f"samples of channel {name!r}")
+        series = np.frombuffer(data, dtype="<f4", count=num_samples, offset=offset)
+        finite = np.isfinite(series)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise TraceFormatError(
+                f"channel {name!r} sample {bad} is {series[bad]}, not finite",
+                byte_offset=offset + 4 * bad)
+        channels[name] = series.astype(float)
+        offset += 4 * num_samples
     if offset != len(data):
         raise TraceFormatError(
             f"{len(data) - offset} trailing bytes after payload", byte_offset=offset)
     return sample_rate, channels
 
 
+class TraceFile(tuple):
+    """read_trace's result: unpacks as (sample_rate, channels), and carries
+    sha256, the hex digest of the file bytes they were decoded from."""
+
+    def __new__(cls, sample_rate, channels, sha256):
+        trace = super().__new__(cls, (sample_rate, channels))
+        trace.sha256 = sha256
+        return trace
+
+
 def read_trace(path):
+    """Read and decode a trace file in one pass over its bytes."""
     with open(path, "rb") as handle:
-        return decode_trace(handle.read())
+        data = handle.read()
+    return TraceFile(*decode_trace(data), hashlib.sha256(data).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -160,4 +191,4 @@ def read_spectrum_csv(path):
 
 
 def write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -5,6 +5,8 @@ amplitude-difference and/or phase-sum spectra.  Detection efficiency and
 output coupling enter the model only as their product, so they are never
 reported separately.  Bandwidth and (pump ratio - 1) are fitted in log
 space to stay positive / above threshold without explicit constraints.
+scipy.optimize is imported by fit_spectra itself, so importing this module
+(and with it the package and the CLI) does not load scipy.
 """
 
 import math
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import model
 from .errors import DomainError, IdentifiabilityError
@@ -37,8 +38,8 @@ class FitProblem:
             arr = getattr(self, name)
             if arr is not None and len(arr) != len(f):
                 raise DomainError(f"{name} length {len(arr)} does not match grid {len(f)}")
-        if np.any(f <= 0):
-            raise DomainError("frequencies must be positive")
+        if not np.all(np.isfinite(f)) or np.any(f < 0):
+            raise DomainError("frequencies must be finite and nonnegative")
         if self.weights is not None and np.any(np.asarray(self.weights) < 0):
             raise DomainError("weights must be nonnegative")
         if len(f) < 4 or f.max() < 2.0 * f.min():
@@ -139,6 +140,8 @@ def fit_spectra(problem, init=None, **opts):
     present the pump ratio is excluded from the fit and flagged
     unidentifiable (the amplitude model does not contain it).
     """
+    from scipy.optimize import least_squares
+
     options = dict(_DEFAULT_OPTS)
     for key, value in opts.items():
         if key not in options:

@@ -217,8 +217,9 @@ class QuadratureVariancePair:
     phase_sum_variance: float
 
     def __post_init__(self):
-        if self.amplitude_diff_variance <= 0 or self.phase_sum_variance <= 0:
-            raise DomainError("variances must be positive")
+        for value in (self.amplitude_diff_variance, self.phase_sum_variance):
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"variances must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

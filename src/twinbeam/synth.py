@@ -40,7 +40,6 @@ class SynthConfig:
     seed: int
     conjugate_mode: str = "minimum_uncertainty"  # or "explicit"
     conjugate_excess: float = 1.0  # used in "explicit" mode, >= 1
-    excess_phase_noise: float = 0.0  # additive white PSD on the phase path
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -51,21 +50,21 @@ class SynthConfig:
             raise DomainError(f"unknown conjugate mode {self.conjugate_mode!r}")
         if self.conjugate_mode == "explicit" and self.conjugate_excess < 1:
             raise DomainError("conjugate excess must be >= 1")
-        if self.excess_phase_noise < 0:
-            raise DomainError("excess phase noise must be nonnegative")
 
 
 @dataclass(frozen=True)
 class DetectionChain:
-    """Per-channel chain: efficiency, spatial overlap, electronics floor, excess noise."""
-    detection_efficiency: float = 1.0
+    """Per-channel chain: spatial overlap, electronics floor, excess noise.
+
+    Detection efficiency is not a chain stage: it enters either the analytic
+    spectra (NopoParams.detection_efficiency) or an explicit beamsplitter on
+    the combinations (apply_detection).
+    """
     mode_match: float = 1.0
     enl: float = 0.0  # linear PSD of the electronics floor, relative to SNL
     excess_phase_noise: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.detection_efficiency <= 1:
-            raise DomainError("detection efficiency must be in (0, 1]")
         if not 0 < self.mode_match <= 1:
             raise DomainError("mode-matching efficiency must be in (0, 1]")
         if not 0 <= self.enl < 1:
@@ -81,22 +80,22 @@ class TraceSet:
     xminus/xplus are the amplitude difference/sum combinations, yplus/yminus
     the phase sum/difference, all scaled so a shot-noise-limited combination
     is unit-variance white.  Per-beam series satisfy x1 = (xplus+xminus)/sqrt2,
-    x2 = (xplus-xminus)/sqrt2 and likewise for y.
+    x2 = (xplus-xminus)/sqrt2 and likewise for y.  The measurement chain
+    reads only xminus and yplus; every other series may be absent.
     """
     sample_rate: float
     xminus: np.ndarray
-    xplus: np.ndarray
-    yplus: np.ndarray
-    yminus: np.ndarray
+    xplus: Optional[np.ndarray] = None
+    yplus: Optional[np.ndarray] = None
+    yminus: Optional[np.ndarray] = None
     x1: Optional[np.ndarray] = None
     x2: Optional[np.ndarray] = None
     y1: Optional[np.ndarray] = None
     y2: Optional[np.ndarray] = None
-    snl_reference: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = len(self.xminus)
-        for name in ("xplus", "yplus", "yminus", "x1", "x2", "y1", "y2", "snl_reference"):
+        for name in ("xplus", "yplus", "yminus", "x1", "x2", "y1", "y2"):
             series = getattr(self, name)
             if series is not None and len(series) != n:
                 raise DomainError(f"series {name} has length {len(series)}, expected {n}")
@@ -137,26 +136,11 @@ def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored
     return np.fft.irfft(spectrum, n=num_samples)
 
 
-def synthesize_twin_beams(params, cfg):
-    """Generate a TraceSet whose combination PSDs match the analytic spectra.
-
-    xminus targets the amplitude-difference dip, yplus the phase-sum dip;
-    the conjugate combinations get the frequency-wise reciprocal (minimum
-    uncertainty) or reciprocal times an explicit excess factor.  The four
-    combinations are statistically independent; per-beam series are derived
-    algebraically; snl_reference is an independent unit-white calibration.
-    """
-    nyquist = cfg.sample_rate / 2.0
-    if nyquist < 2.0 * params.cavity_bandwidth:
-        warnings.warn(
-            f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
-            f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
-            stacklevel=2)
-
+def _combination_psds(params):
+    """Target PSDs of the measured combinations: amplitude difference, phase sum."""
     product = params.detection_efficiency * params.output_coupling
     bandwidth = params.cavity_bandwidth
     ratio = params.pump_ratio
-    excess = 1.0 if cfg.conjugate_mode == "minimum_uncertainty" else cfg.conjugate_excess
 
     def s_amp(f):
         return model.intensity_diff_psd(f, product, bandwidth)
@@ -164,12 +148,46 @@ def synthesize_twin_beams(params, cfg):
     def s_phase(f):
         return model.phase_sum_psd(f, product, bandwidth, ratio)
 
+    return s_amp, s_phase
+
+
+def synthesize_measured_combinations(params, cfg):
+    """A TraceSet holding only xminus and yplus, the combinations mz_measure reads.
+
+    The draws are those of synthesize_twin_beams, so both give bit-identical
+    xminus and yplus for one (params, cfg).
+    """
+    nyquist = cfg.sample_rate / 2.0
+    if nyquist < 2.0 * params.cavity_bandwidth:
+        warnings.warn(
+            f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
+            f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
+            stacklevel=2)
+    s_amp, s_phase = _combination_psds(params)
     fs, n, seed = cfg.sample_rate, cfg.num_samples, cfg.seed
-    xminus = colored_gaussian_series(s_amp, fs, n, seed, source="xminus")
-    yplus = colored_gaussian_series(s_phase, fs, n, seed, source="yplus")
+    return TraceSet(
+        sample_rate=fs,
+        xminus=colored_gaussian_series(s_amp, fs, n, seed, source="xminus"),
+        yplus=colored_gaussian_series(s_phase, fs, n, seed, source="yplus"),
+    )
+
+
+def synthesize_twin_beams(params, cfg):
+    """Generate a TraceSet whose combination PSDs match the analytic spectra.
+
+    xminus targets the amplitude-difference dip, yplus the phase-sum dip;
+    the conjugate combinations get the frequency-wise reciprocal (minimum
+    uncertainty) or reciprocal times an explicit excess factor.  The four
+    combinations are statistically independent; per-beam series are derived
+    algebraically.
+    """
+    measured = synthesize_measured_combinations(params, cfg)
+    s_amp, s_phase = _combination_psds(params)
+    excess = 1.0 if cfg.conjugate_mode == "minimum_uncertainty" else cfg.conjugate_excess
+    fs, n, seed = cfg.sample_rate, cfg.num_samples, cfg.seed
+    xminus, yplus = measured.xminus, measured.yplus
     xplus = colored_gaussian_series(lambda f: excess / s_amp(f), fs, n, seed, source="xplus")
     yminus = colored_gaussian_series(lambda f: excess / s_phase(f), fs, n, seed, source="yminus")
-    snl = white_series(n, _substream(seed, "snl_reference"))
 
     return TraceSet(
         sample_rate=fs,
@@ -178,7 +196,6 @@ def synthesize_twin_beams(params, cfg):
         x2=(xplus - xminus) / SQRT2,
         y1=(yplus + yminus) / SQRT2,
         y2=(yplus - yminus) / SQRT2,
-        snl_reference=snl,
     )
 
 
@@ -203,11 +220,30 @@ def combine_channels(a, b, op):
     raise DomainError(f"unknown combiner op {op!r}")
 
 
-@dataclass(frozen=True)
 class MzReadout:
-    """One interferometer measurement: signal photocurrent and its SNL calibration."""
-    signal_channel: np.ndarray
-    snl_channel: np.ndarray
+    """One interferometer measurement: signal photocurrent and its SNL calibration.
+
+    snl_channel is given either as a series or as a function of no arguments
+    that draws it; the function runs the first time snl_channel is read, so
+    a caller that takes its SNL from another readout never pays for it.
+    """
+
+    def __init__(self, signal_channel, snl_channel):
+        self.signal_channel = signal_channel
+        self._snl = snl_channel
+
+    @property
+    def snl_channel(self):
+        if callable(self._snl):
+            self._snl = self._snl()
+        return self._snl
+
+
+def _scaled_white(scale, n, seed, source):
+    """scale * white_series from the (seed, source) substream, scaled in place."""
+    series = white_series(n, _substream(seed, source))
+    series *= scale
+    return series
 
 
 def mz_measure(traces, mode, ifc, chain, seed):
@@ -218,7 +254,8 @@ def mz_measure(traces, mode, ifc, chain, seed):
     sin(theta/2), mixes in vacuum by the mode-match weight, adds the excess
     phase noise (phase mode only), and overlays the electronics floor; the
     returned snl_channel is an independent vacuum trace through the same
-    electronics, so its PSD defines the measured SNL.
+    electronics, so its PSD defines the measured SNL.  It is drawn when first
+    read.
     """
     ifc.validate()
     if mode == "amplitude":
@@ -230,29 +267,33 @@ def mz_measure(traces, mode, ifc, chain, seed):
     if series is None:
         raise ConfigurationError(f"trace set lacks the {mode} combination series")
 
+    # Each stage scales and adds in place: the same products and sums as
+    # a * signal + b * noise, without a full-length temporary per term.
     n = len(series)
-    sensitivity = math.sin(ifc.rf_sideband_phase / 2.0)
-    signal = sensitivity * series
+    signal = math.sin(ifc.rf_sideband_phase / 2.0) * series
 
     mu = chain.mode_match
     if mu < 1.0:
-        vac = white_series(n, _substream(seed, f"{mode}:mode_match_vacuum"))
-        signal = math.sqrt(mu) * signal + math.sqrt(1.0 - mu) * vac
+        signal *= math.sqrt(mu)
+        signal += _scaled_white(math.sqrt(1.0 - mu), n, seed, f"{mode}:mode_match_vacuum")
     if mode == "phase" and chain.excess_phase_noise > 0:
-        extra = white_series(n, _substream(seed, "phase:excess_noise"))
-        signal = signal + math.sqrt(chain.excess_phase_noise) * extra
+        signal += _scaled_white(math.sqrt(chain.excess_phase_noise), n, seed,
+                                "phase:excess_noise")
 
     enl = chain.enl
-    w_sig = white_series(n, _substream(seed, f"{mode}:electronics_signal"))
-    w_ref = white_series(n, _substream(seed, f"{mode}:electronics_reference"))
-    vac_ref = white_series(n, _substream(seed, f"{mode}:snl_vacuum"))
-    signal_out = math.sqrt(1.0 - enl) * signal + math.sqrt(enl) * w_sig
-    snl_out = math.sqrt(1.0 - enl) * vac_ref + math.sqrt(enl) * w_ref
-    return MzReadout(signal_channel=signal_out, snl_channel=snl_out)
+    signal *= math.sqrt(1.0 - enl)
+    signal += _scaled_white(math.sqrt(enl), n, seed, f"{mode}:electronics_signal")
+
+    def draw_snl():
+        snl = _scaled_white(math.sqrt(1.0 - enl), n, seed, f"{mode}:snl_vacuum")
+        snl += _scaled_white(math.sqrt(enl), n, seed, f"{mode}:electronics_reference")
+        return snl
+
+    return MzReadout(signal_channel=signal, snl_channel=draw_snl)
 
 
 def electronics_floor_series(enl, n, seed, source="enl"):
     """Electronics noise alone, at PSD enl relative to the measured SNL."""
     if not 0 <= enl < 1:
         raise DomainError("electronics noise level must be in [0, 1)")
-    return math.sqrt(enl) * white_series(n, _substream(seed, source))
+    return _scaled_white(math.sqrt(enl), n, seed, source)

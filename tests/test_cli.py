@@ -2,11 +2,15 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from twinbeam import fileio, model
+import twinbeam
+from twinbeam import fileio, model, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
 
@@ -104,6 +108,16 @@ class TestSpectraCommand:
         np.testing.assert_allclose(s_i, 1.0, atol=1e-8)
         np.testing.assert_allclose(s_p, 1.0, atol=1e-8)
 
+    def test_readme_chain_default_grid_then_fit(self, config_path, tmp_path, capsys):
+        # spectra with its default --f-min 0 writes a DC row; fit must take it
+        out = tmp_path / "spectra.csv"
+        assert main(["spectra", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["fit", str(out), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"]
+        assert report["efficiency_product"] == pytest.approx(0.88 * 0.84, rel=1e-6)
+        assert report["bandwidth_hz"] == pytest.approx(24.7e6, rel=1e-6)
+
     def test_invalid_range_is_usage_error(self, config_path, tmp_path):
         assert main(["spectra", "--config", config_path, "--f-min", "5e6",
                      "--f-max", "1e6", "--out", str(tmp_path / "o.csv")]) == 1
@@ -116,14 +130,34 @@ class TestSynthCommand:
         first = json.loads(capsys.readouterr().out)
         assert main(["synth", "--config", config_path, "--out", str(out2), "--json"]) == 0
         second = json.loads(capsys.readouterr().out)
-        assert len(first["channels"]) == 8
+        assert first["channels"] == ["amp_signal", "phase_signal", "snl", "enl"]
         assert first["sha256"] == second["sha256"]
         assert (hashlib.sha256(out1.read_bytes()).hexdigest()
                 == hashlib.sha256(out2.read_bytes()).hexdigest())
         rate, channels = fileio.read_trace(out1)
         assert rate == 1e8
-        assert set(channels) == {"xminus", "xplus", "yplus", "yminus",
-                                 "amp_signal", "phase_signal", "snl", "enl"}
+        assert list(channels) == ["amp_signal", "phase_signal", "snl", "enl"]
+
+    def test_channels_equal_the_library_path(self, tmp_path, capsys):
+        # the CLI's lean draw must not fork the physics: same bits as the
+        # full library chain, after the trace's float32 rounding
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        out = tmp_path / "lean.twbm"
+        assert main(["synth", "--config", path, "--out", str(out)]) == 0
+        _, channels = fileio.read_trace(out)
+
+        cfg = parse_config(json.loads(open(path).read()))
+        seed, n = cfg.synth.seed, cfg.synth.num_samples
+        traces = synth.synthesize_twin_beams(cfg.nopo, cfg.synth)
+        amp = synth.mz_measure(traces, "amplitude", cfg.interferometer,
+                               cfg.amplitude_chain, seed)
+        phase = synth.mz_measure(traces, "phase", cfg.interferometer, cfg.phase_chain, seed)
+        library = {"amp_signal": amp.signal_channel, "phase_signal": phase.signal_channel,
+                   "snl": amp.snl_channel,
+                   "enl": synth.electronics_floor_series(cfg.enl, n, seed)}
+        assert list(channels) == list(library)
+        for name, series in library.items():
+            np.testing.assert_array_equal(channels[name], series.astype(np.float32))
 
     def test_seed_override_changes_output(self, config_path, tmp_path, capsys):
         out = tmp_path / "c.twbm"
@@ -179,6 +213,19 @@ class TestAnalyzeCertifyPipeline:
         assert main(["analyze", str(trace), "--config", config_path,
                      "--f0", "60e6"]) == 1
 
+    def test_nonfinite_sample_is_infeasible(self, config_path, tmp_path, capsys):
+        trace = tmp_path / "run4.twbm"
+        assert main(["synth", "--config", config_path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        data = bytearray(trace.read_bytes())
+        offset = len(data) - 4 * 1000  # a sample of the last channel
+        data[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        trace.write_bytes(bytes(data))
+        assert main(["analyze", str(trace), "--config", config_path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert f"byte offset {offset}" in captured.err
+        assert captured.out == ""
+
     def test_corrupt_trace_reports_offset(self, config_path, tmp_path, capsys):
         trace = tmp_path / "run3.twbm"
         assert main(["synth", "--config", config_path, "--out", str(trace)]) == 0
@@ -223,6 +270,17 @@ class TestCertifyCommand:
         path.write_text(json.dumps(analysis))
         assert main(["certify", str(path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_variance_is_infeasible(self, value, capsys):
+        assert main(["certify", "--vx", "0.5", "--vy", value, "--json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_nonfinite_reading_is_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"amplitude_db": NaN, "phase_db": -0.6}')
+        assert main(["certify", str(path), "--json"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_mode_match_deembedding(self, capsys):
         penalized = model.mode_match_penalty(0.7113, 0.90)
         assert main(["certify", "--vx", "0.5535", "--vy", str(penalized),
@@ -245,6 +303,17 @@ class TestFitCommand:
         assert report["pump_ratio"] == pytest.approx(1.38, rel=1e-6)
         assert report["converged"]
 
+    def test_unavailable_covariance_is_null(self, tmp_path, capsys):
+        # two points for two parameters leave no residual degrees of freedom
+        freqs = np.array([1e6, 40e6])
+        csv_path = tmp_path / "two.csv"
+        fileio.write_spectrum_csv(csv_path, freqs,
+                                  amplitude=model.intensity_diff_psd(freqs, 0.7, 24.7e6))
+        with pytest.warns(UserWarning, match="octave"):
+            assert main(["fit", str(csv_path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["covariance"] == [[None, None], [None, None]]
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["fit", "/nonexistent/spec.csv"]) == 1
 
@@ -255,3 +324,18 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["spectra"]) == 1
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinbeam.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only fit_spectra needs scipy; every other subcommand starts without it
+    code = ("import sys, twinbeam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -43,9 +46,32 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError):
             fileio.decode_trace(data + b"\x00")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sample_reports_its_offset(self, bad):
+        channels = sample_channels()
+        channels["ch1"][5] = bad
+        data = fileio.encode_trace(1e8, channels)
+        with pytest.raises(TraceFormatError) as err:
+            fileio.decode_trace(data)
+        payload_start = len(data) - 3 * 4 * 64
+        assert err.value.byte_offset == payload_start + 4 * (64 + 5)
+
+    def test_read_trace_digest_is_of_the_file(self, tmp_path):
+        path = tmp_path / "t.twbm"
+        fileio.write_trace(path, 1e8, sample_channels())
+        trace = fileio.read_trace(path)
+        assert trace.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_mixed_lengths_rejected(self):
         with pytest.raises(TraceFormatError):
             fileio.encode_trace(1e8, {"a": np.zeros(4), "b": np.zeros(5)})
+
+
+def test_write_json_rejects_nonfinite(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        fileio.write_json(path, {"x": math.nan})
+    assert not path.exists()
 
 
 class TestSpectrumCsv:

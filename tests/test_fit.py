@@ -122,6 +122,20 @@ class TestValidation:
         with pytest.raises(DomainError):
             FitProblem(FREQS, S_I[:-1], None)
 
+    def test_dc_row_accepted(self):
+        f = np.linspace(0.0, 100e6, 101)
+        result = fit_spectra(FitProblem(f, model.intensity_diff_psd(f, 0.7392, 24.7e6),
+                                        model.phase_sum_psd(f, 0.7392, 24.7e6, 1.38)))
+        assert result.converged
+        assert result.bandwidth == pytest.approx(24.7e6, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [-1e6, np.nan, np.inf])
+    def test_negative_or_nonfinite_frequency_rejected(self, bad):
+        f = FREQS.copy()
+        f[3] = bad
+        with pytest.raises(DomainError):
+            FitProblem(f, S_I, S_P)
+
     def test_narrow_coverage_warns(self):
         f = np.linspace(10e6, 15e6, 8)
         with pytest.warns(UserWarning, match="octave"):

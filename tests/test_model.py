@@ -192,6 +192,13 @@ class TestDuanCertification:
         assert verdict.total == pytest.approx(1.2648, abs=1e-4)
         assert verdict.entangled
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_nonfinite_or_nonpositive_variance_rejected(self, bad):
+        with pytest.raises(DomainError):
+            model.QuadratureVariancePair(0.5, bad)
+        with pytest.raises(DomainError):
+            model.QuadratureVariancePair(bad, 0.5)
+
     @given(st.floats(min_value=1e-3, max_value=3.0),
            st.floats(min_value=1e-3, max_value=3.0))
     def test_swap_invariance(self, vx, vy):
