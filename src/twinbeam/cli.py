@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dsp, fileio, model, synth
 from .config import SchemaError, load_config
-from .errors import TwinbeamError
+from .errors import DomainError, TwinbeamError
 from .fit import FitProblem, fit_spectra
 
 TRACE_CHANNELS = ("amp_signal", "phase_signal", "snl", "enl")
@@ -165,11 +165,19 @@ def _cmd_analyze(args):
     estimates = {name: dsp.welch_psd(channels.pop(name), sample_rate, settings)
                  for name in TRACE_CHANNELS}
     reference = estimates["snl"]
+    amplitude_db = dsp.band_power_rel_snl(estimates["amp_signal"], reference, f0)
+    # The reading above accepted the grid and the reference, so a DomainError
+    # here means the electronics floor reads zero power (chain.enl 0): there
+    # is no floor to correct for, which certify takes from a null enl_db.
+    try:
+        enl_db = dsp.band_power_rel_snl(estimates["enl"], reference, f0)
+    except DomainError:
+        enl_db = None
     payload = {
         "f0_hz": f0,
-        "amplitude_db": dsp.band_power_rel_snl(estimates["amp_signal"], reference, f0),
+        "amplitude_db": amplitude_db,
         "phase_db": dsp.band_power_rel_snl(estimates["phase_signal"], reference, f0),
-        "enl_db": dsp.band_power_rel_snl(estimates["enl"], reference, f0),
+        "enl_db": enl_db,
         "num_averages": reference.num_averages,
         "rbw_hz": settings.rbw,
         "vbw_hz": settings.vbw,

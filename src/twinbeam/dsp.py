@@ -5,6 +5,11 @@ of 1.0, matching the SNL-relative convention used everywhere else.  RBW
 fixes the segment length through the window's equivalent noise bandwidth;
 VBW is emulated as a single-pole low-pass over the stream of segment
 periodograms, mirroring an analyzer's video filter on a noise-like trace.
+That filter is linear in the periodograms, so its output is one weighted
+sum with exponential segment weights (the newest segment weighs 1), equal
+to the single-pole recursion.  The segments are windowed, transformed and
+summed one block of about _BLOCK_SAMPLES samples at a time, so the memory
+beyond the input series is bounded by one block, whatever the series length.
 """
 
 import math
@@ -16,6 +21,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 
 _ENBW_BINS = {"hann": 1.5, "rectangular": 1.0}
+_BLOCK_SAMPLES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,19 @@ def welch_psd(series, sample_rate, settings):
 
     Hann (or rectangular) window, 50% overlap; the per-segment periodogram
     stream is smoothed by a single-pole filter whose time constant is
-    1/(2 pi vbw) against the segment update rate.  The reported
-    num_averages is the effective count 1/sum(weights^2) of that filter.
+    1/(2 pi vbw) against the segment update rate.  That filter is evaluated
+    as the weighted sum sum_k w_k p_k / sum_k w_k with w_k = decay**(K-1-k)
+    over the K segment periodograms p_k, which equals the recursion
+    accum = decay * accum + p.  Segments are processed in blocks of about
+    _BLOCK_SAMPLES samples, so memory beyond the series is one block.  A
+    float32 series is read as is: the window multiply up-casts each block
+    to float64 exactly, and any other input is converted to float64.  The
+    reported num_averages is the effective count 1/sum(weights^2) of the
+    filter.
     """
-    series = np.asarray(series, dtype=float)
+    series = np.asarray(series)
+    if series.dtype != np.float32:
+        series = np.asarray(series, dtype=float)
     length = segment_length(sample_rate, settings)
     hop = max(1, length // 2)
     if len(series) < length + hop:
@@ -88,25 +103,22 @@ def welch_psd(series, sample_rate, settings):
     power_norm = np.sum(win ** 2)
 
     segments = np.lib.stride_tricks.sliding_window_view(series, length)[::hop]
-    spectra = np.fft.rfft(segments * win, axis=1)
-    periodograms = (spectra.real ** 2 + spectra.imag ** 2) / power_norm
-    periodograms[:, 0] *= 0.5   # DC and Nyquist carry no one-sided doubling
-    periodograms[:, -1] *= 0.5
-
-    # Video filter: normalized exponential average over the segment stream,
-    # decay per update set by the VBW time constant 1/(2 pi vbw).
+    num_segments = segments.shape[0]
+    # Video filter: decay per update set by the VBW time constant 1/(2 pi vbw).
     dt = hop / sample_rate
     tau = 1.0 / (2.0 * math.pi * settings.vbw)
     decay = tau / (tau + dt)
-    accum = np.zeros(periodograms.shape[1])
-    norm = 0.0
-    for p in periodograms:
-        accum = decay * accum + p
-        norm = decay * norm + 1.0
-    psd = accum / norm
+    weights = decay ** np.arange(num_segments - 1, -1, -1, dtype=float)
+    block = max(1, _BLOCK_SAMPLES // length)
+    accum = np.zeros(length // 2 + 1)
+    for start in range(0, num_segments, block):
+        spectra = np.fft.rfft(segments[start:start + block] * win, axis=1)
+        accum += weights[start:start + block] @ (spectra.real ** 2 + spectra.imag ** 2)
+    psd = accum / (power_norm * weights.sum())
+    psd[0] *= 0.5   # DC and Nyquist carry no one-sided doubling
+    psd[-1] *= 0.5
 
-    # Segment k (0 = newest) carries weight decay^k / norm.
-    num_segments = periodograms.shape[0]
+    # Closed forms of sum(w) and sum(w^2) over the weights decay^k, k = 0 newest.
     if decay < 1.0:
         sum_w = (1.0 - decay ** num_segments) / (1.0 - decay)
         sum_w2 = (1.0 - decay ** (2 * num_segments)) / (1.0 - decay ** 2)
@@ -125,7 +137,11 @@ def welch_psd(series, sample_rate, settings):
 
 
 def band_power_rel_snl(measured, reference, f0):
-    """Nearest-bin reading of 10 log10(measured/reference) at f0, in dB."""
+    """Nearest-bin reading of 10 log10(measured/reference) at f0, in dB.
+
+    Raises DomainError if the two estimates differ in settings or grid, or
+    if either reads zero power in that bin (the reading would be -inf).
+    """
     if measured.settings != reference.settings:
         raise DomainError("measured and reference estimates use different analyzer settings")
     if len(measured.frequencies) != len(reference.frequencies) or \
@@ -140,4 +156,6 @@ def band_power_rel_snl(measured, reference, f0):
     ref_power = reference.psd[idx]
     if ref_power <= 0:
         raise DomainError(f"reference power is zero at {measured.frequencies[idx]:.6g} Hz")
+    if measured.psd[idx] <= 0:
+        raise DomainError(f"measured power is zero at {measured.frequencies[idx]:.6g} Hz")
     return 10.0 * math.log10(measured.psd[idx] / ref_power)

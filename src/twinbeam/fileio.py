@@ -86,7 +86,10 @@ def _take(data, offset, count, what):
 def decode_trace(data):
     """Parse trace-file bytes into (sample_rate, {name: float32 series}).
 
-    A non-finite sample is a format error; its byte_offset is the sample's.
+    Each series is a float32 view into `data` (np.frombuffer), not a copy:
+    it keeps `data` alive, and it is writable only if `data` is (a bytearray,
+    as read_trace passes; a bytes object gives read-only views).  A
+    non-finite sample is a format error; its byte_offset is the sample's.
     """
     chunk, offset = _take(data, 0, 4, "magic")
     if chunk != TRACE_MAGIC:
@@ -119,7 +122,7 @@ def decode_trace(data):
             raise TraceFormatError(
                 f"channel {name!r} sample {bad} is {series[bad]}, not finite",
                 byte_offset=offset + 4 * bad)
-        channels[name] = series.astype(float)
+        channels[name] = series
         offset += 4 * num_samples
     if offset != len(data):
         raise TraceFormatError(
@@ -138,9 +141,14 @@ class TraceFile(tuple):
 
 
 def read_trace(path):
-    """Read and decode a trace file in one pass over its bytes."""
+    """Read and decode a trace file in one pass over its bytes.
+
+    The file is read into one bytearray, and the channels are writable
+    float32 views into it (see decode_trace): no sample is copied.
+    """
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = bytearray(os.fstat(handle.fileno()).st_size)
+        del data[handle.readinto(data):]
     return TraceFile(*decode_trace(data), hashlib.sha256(data).hexdigest())
 
 

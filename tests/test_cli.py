@@ -206,6 +206,23 @@ class TestAnalyzeCertifyPipeline:
         assert report["duan_sum"] < 2.0
         assert len(report["corrections"]) == 2
 
+    def test_zero_electronics_floor_reads_null(self, tmp_path, capsys):
+        def mutate(doc):
+            doc["synth"]["num_samples"] = 2 ** 16
+            doc["chain"]["enl"] = 0.0
+        path = write_config(tmp_path, mutate)
+        trace, analysis = tmp_path / "quiet.twbm", tmp_path / "quiet.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--config", path, "--out", str(analysis)]) == 0
+        capsys.readouterr()
+        reading = json.loads(analysis.read_text(), parse_constant=pytest.fail)
+        assert reading["enl_db"] is None
+        assert math.isfinite(reading["amplitude_db"]) and math.isfinite(reading["phase_db"])
+        assert main(["certify", str(analysis), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert "electronic_noise" not in {c["correction"] for c in report["corrections"]}
+        assert report["amplitude_diff_variance"] == report["raw"]["amplitude"]
+
     def test_f0_outside_nyquist_is_usage_error(self, config_path, tmp_path, capsys):
         trace = tmp_path / "run2.twbm"
         assert main(["synth", "--config", config_path, "--out", str(trace)]) == 0

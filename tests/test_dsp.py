@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,42 @@ NARROW_SETTINGS = dsp.AnalyzerSettings(rbw=10e3, vbw=30.0)
 
 def psd_at(estimate, f0):
     return estimate.psd[np.argmin(np.abs(estimate.frequencies - f0))]
+
+
+def reference_welch(series, sample_rate, settings):
+    """The per-segment video-filter recursion welch_psd's weighted sum replaces:
+    every periodogram held at once, then accum = decay * accum + p per segment."""
+    series = np.asarray(series, dtype=float)
+    length = dsp.segment_length(sample_rate, settings)
+    hop = max(1, length // 2)
+    win = np.hanning(length) if settings.window == "hann" else np.ones(length)
+    segments = np.lib.stride_tricks.sliding_window_view(series, length)[::hop]
+    spectra = np.fft.rfft(segments * win, axis=1)
+    periodograms = (spectra.real ** 2 + spectra.imag ** 2) / np.sum(win ** 2)
+    periodograms[:, 0] *= 0.5
+    periodograms[:, -1] *= 0.5
+    dt = hop / sample_rate
+    tau = 1.0 / (2.0 * math.pi * settings.vbw)
+    decay = tau / (tau + dt)
+    accum = np.zeros(periodograms.shape[1])
+    norm = 0.0
+    for p in periodograms:
+        accum = decay * accum + p
+        norm = decay * norm + 1.0
+    num_segments = periodograms.shape[0]
+    if decay < 1.0:
+        sum_w = (1.0 - decay ** num_segments) / (1.0 - decay)
+        sum_w2 = (1.0 - decay ** (2 * num_segments)) / (1.0 - decay ** 2)
+    else:
+        sum_w, sum_w2 = num_segments, num_segments
+    freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
+    psd = accum / norm
+    if settings.span is not None:
+        lo = settings.center_frequency - settings.span / 2.0
+        hi = settings.center_frequency + settings.span / 2.0
+        keep = (freqs >= lo) & (freqs <= hi)
+        freqs, psd = freqs[keep], psd[keep]
+    return freqs, psd, max(1, int(round(sum_w ** 2 / sum_w2)))
 
 
 class TestAnalyzerSettings:
@@ -85,6 +122,40 @@ class TestWelchPsd:
         assert est.frequencies.min() >= 15e6
         assert est.frequencies.max() <= 25e6
 
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    @pytest.mark.parametrize("rbw, vbw, span", [
+        (150e3, 2.0, None),
+        (150e3, 3e3, None),
+        (150e3, 150e3, None),        # decay^K underflows: most weights are 0
+        (1.5e6, 40.0, None),         # many segments per block
+        (15e3, 2.0, (20e6, 10e6)),   # few segments per block, cropped span
+        (7e3, 500.0, None),          # odd segment length, blocks of 3
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_recursion(self, window, rbw, vbw, span, dtype):
+        center, width = span if span else (None, None)
+        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw, window=window,
+                                        center_frequency=center, span=width)
+        # not a whole number of segments, nor of blocks
+        series = np.random.default_rng(4).standard_normal(2 ** 18 + 1234).astype(dtype)
+        est = dsp.welch_psd(series, FS, settings)
+        freqs, psd, num_averages = reference_welch(series, FS, settings)
+        np.testing.assert_array_equal(est.frequencies, freqs)
+        np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0)
+        assert est.num_averages == num_averages
+
+    def test_float32_input_is_not_copied_whole(self):
+        # 2^22 float32 samples are 16 MiB; today's blocks need well under 1 MiB,
+        # where all segments at once took about 128 MiB
+        series = np.random.default_rng(5).standard_normal(2 ** 22).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dsp.welch_psd(series, FS, SETTINGS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     def test_vbw_controls_effective_averaging(self):
         series = np.random.default_rng(1).standard_normal(2 ** 20)
         slow = dsp.welch_psd(series, FS, dsp.AnalyzerSettings(rbw=150e3, vbw=2.0))
@@ -113,6 +184,12 @@ class TestBandPowerRelSnl:
         ref = dsp.welch_psd(
             synth.colored_gaussian_series(np.ones_like, FS, 2 ** 22, seed=31), FS, SETTINGS)
         assert dsp.band_power_rel_snl(meas, ref, 20e6) == pytest.approx(-1.33, abs=0.2)
+
+    def test_zero_measured_power_is_domain_error(self):
+        _, ref = self.estimates()
+        silent = dsp.welch_psd(np.zeros(2 ** 19), FS, SETTINGS)
+        with pytest.raises(DomainError, match="measured power is zero"):
+            dsp.band_power_rel_snl(silent, ref, 20e6)
 
     def test_grid_mismatch_rejected(self):
         meas, _ = self.estimates()

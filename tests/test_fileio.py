@@ -1,11 +1,23 @@
 import hashlib
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinbeam import fileio
 from twinbeam.errors import TraceFormatError
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY_SUBNORMAL = float(np.finfo(np.float32).smallest_subnormal)
+# the edge values are drawn often, not left to chance
+float32_samples = st.one_of(
+    st.sampled_from([-0.0, 0.0, F32_TINY_SUBNORMAL, -F32_TINY_SUBNORMAL,
+                     F32_TINY_SUBNORMAL * 1000, F32_MAX, -F32_MAX]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False))
+channel_names = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
 
 
 def sample_channels(n=64, count=3, seed=0):
@@ -62,9 +74,54 @@ class TestTraceFormat:
         trace = fileio.read_trace(path)
         assert trace.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_read_trace_views_are_writable_float32(self, tmp_path):
+        path = tmp_path / "t.twbm"
+        fileio.write_trace(path, 1e8, sample_channels())
+        _, channels = fileio.read_trace(path)
+        for series in channels.values():
+            assert series.dtype == np.float32
+            assert series.flags.writeable
+            series[0] = 1.0
+
     def test_mixed_lengths_rejected(self):
         with pytest.raises(TraceFormatError):
             fileio.encode_trace(1e8, {"a": np.zeros(4), "b": np.zeros(5)})
+
+
+class TestTraceProperties:
+    @settings(deadline=None)
+    @given(names=st.lists(channel_names, min_size=1, max_size=4, unique=True),
+           sample_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           samples=st.lists(float32_samples, max_size=40))
+    def test_round_trip_is_bit_exact(self, names, sample_rate, samples):
+        base = np.array(samples, dtype=np.float32)
+        channels = {name: np.roll(base, i) for i, name in enumerate(names)}
+        rate, back = fileio.decode_trace(fileio.encode_trace(sample_rate, channels))
+        assert rate == sample_rate
+        assert list(back) == names
+        for name in names:
+            assert back[name].dtype == np.float32
+            assert back[name].tobytes() == channels[name].tobytes()
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_corrupt_bytes_raise_only_trace_format_error(self, data):
+        channels = {"amp_signal": np.linspace(-1.0, 1.0, 6),
+                    "snl": np.array([0.0, -0.0, F32_MAX, -F32_MAX, 1e-40, 3.5])}
+        encoded = fileio.encode_trace(1e8, channels)
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = encoded[:data.draw(st.integers(0, len(encoded) - 1), label="keep")]
+        else:
+            position = data.draw(st.integers(0, len(encoded) - 1), label="position")
+            flip = data.draw(st.integers(1, 255), label="xor")
+            corrupt = bytearray(encoded)
+            corrupt[position] ^= flip
+            corrupt = bytes(corrupt)
+        try:
+            fileio.decode_trace(corrupt)
+        except TraceFormatError as exc:
+            assert exc.byte_offset is not None
+            assert 0 <= exc.byte_offset <= len(corrupt)
 
 
 def test_write_json_rejects_nonfinite(tmp_path):
@@ -86,6 +143,21 @@ class TestSpectrumCsv:
         np.testing.assert_array_equal(f2, freqs)
         np.testing.assert_array_equal(i2, s_i)
         np.testing.assert_array_equal(p2, s_p)
+
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        min_size=1, max_size=20))
+    def test_round_trip_is_exact_for_any_double(self, rows):
+        freqs, s_i, s_p = (np.array(col) for col in zip(*rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            fileio.write_spectrum_csv(path, freqs, amplitude=s_i, phase=s_p)
+            back = fileio.read_spectrum_csv(path)
+        for written, read in zip((freqs, s_i, s_p), back):
+            assert read.tobytes() == written.tobytes()
 
     def test_single_channel(self, tmp_path):
         path = tmp_path / "s.csv"
