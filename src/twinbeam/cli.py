@@ -6,6 +6,12 @@ shot-noise reference and the electronics floor.  The quadrature
 combinations and per-beam series behind them are not stored; the library's
 synthesize_twin_beams returns them.
 
+synth and analyze use up to two threads; their output does not depend on
+how many run.  synth shapes the two combinations on the calling thread
+while a worker streams the channels into the trace file as float32 blocks;
+analyze runs the four Welch estimates and the trace's sha256 on two
+workers.
+
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
 infeasibility.
@@ -13,7 +19,6 @@ infeasibility.
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -109,44 +114,76 @@ def _cmd_spectra(args):
     return 0
 
 
-def _synthesize_channels(cfg):
-    """The TRACE_CHANNELS series, drawn from the two measured combinations only."""
+def _channel_streams(cfg):
+    """Yield (name, synth.BlockSeries) for each of TRACE_CHANNELS.
+
+    The noise-only channels come first.  The signal channels follow, each
+    as soon as its combination is shaped: advancing the generator past the
+    amplitude channel shapes yplus.  xminus comes first: its chain is the
+    shorter one, so xminus is freed before yplus's inverse FFT peaks.
+    """
     params = cfg.nopo
-    if cfg.eta_placement == "explicit":
+    explicit = cfg.eta_placement == "explicit"
+    if explicit:
         params = dataclasses.replace(params, detection_efficiency=1.0)
-    traces = synth.synthesize_measured_combinations(params, cfg.synth)
-    seed = cfg.synth.seed
-    if cfg.eta_placement == "explicit":
-        eta = cfg.explicit_detection_efficiency
-        traces = dataclasses.replace(traces, **{
-            name: synth.apply_detection(getattr(traces, name), eta, seed, source=f"detect:{name}")
-            for name in ("xminus", "yplus")})
-    amp = synth.mz_measure(traces, "amplitude", cfg.interferometer, cfg.amplitude_chain, seed)
-    phase = synth.mz_measure(traces, "phase", cfg.interferometer, cfg.phase_chain, seed)
-    del traces  # the readouts hold all that is left to write
-    return {
-        "amp_signal": amp.signal_channel, "phase_signal": phase.signal_channel,
-        "snl": amp.snl_channel,
-        "enl": synth.electronics_floor_series(cfg.enl, cfg.synth.num_samples, seed),
-    }
+    seed, n = cfg.synth.seed, cfg.synth.num_samples
+    combinations = synth.measured_combinations(params, cfg.synth)  # checks before any draw
+    yield "snl", synth.mz_reference(n, "amplitude", cfg.amplitude_chain, seed)
+    yield "enl", synth.electronics_floor(cfg.enl, n, seed)
+    measured = {"xminus": ("amp_signal", "amplitude", cfg.amplitude_chain),
+                "yplus": ("phase_signal", "phase", cfg.phase_chain)}
+    for combination, series in combinations:
+        name, mode, chain = measured[combination]
+        stream = synth.BlockSeries.of(series)
+        if explicit:
+            stream = synth.detected(stream, cfg.explicit_detection_efficiency, seed,
+                                    source=f"detect:{combination}")
+        yield name, synth.mz_signal(stream, mode, cfg.interferometer, chain, seed)
+        # Only the consumer holds the combination while the next is shaped.
+        del series, stream
+
+
+def _write_channels(cfg, writer):
+    """Write every trace channel through writer, on two threads.
+
+    The calling thread shapes the coloured combinations, one after the
+    other: each inverse FFT holds about 130 MiB at 2^22 samples, so two at
+    once would raise the peak.  A worker thread streams each channel's
+    blocks into the trace as soon as the channel can be made.  A failure on
+    either thread cancels what is queued and is raised here.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here: only synth and analyze use it
+
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = []
+        for name, stream in _channel_streams(cfg):
+            pending.append(pool.submit(writer.write_channel, name, stream.blocks()))
+            del stream  # the worker's task holds it until the channel is written
+            for future in pending:
+                if future.done():
+                    future.result()  # raise a worker's failure before shaping more
+        for future in pending:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cmd_synth(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, seed=args.seed))
-    channels = _synthesize_channels(cfg)
-    payload = fileio.encode_trace(cfg.synth.sample_rate, channels)
-    fileio.atomic_write_bytes(args.out, payload)
-    checksum = hashlib.sha256(payload).hexdigest()
-    summary = {"out": args.out, "seed": cfg.synth.seed, "sha256": checksum,
-               "channels": list(channels), "num_samples": cfg.synth.num_samples,
+    with fileio.trace_writer(args.out, cfg.synth.sample_rate, TRACE_CHANNELS,
+                             cfg.synth.num_samples) as writer:
+        _write_channels(cfg, writer)
+    summary = {"out": args.out, "seed": cfg.synth.seed, "sha256": writer.sha256,
+               "channels": list(TRACE_CHANNELS), "num_samples": cfg.synth.num_samples,
                "config_hash": cfg.hash}
     if args.json:
         print(json.dumps(summary, sort_keys=True, allow_nan=False))
     else:
         print(f"seed {cfg.synth.seed}")
-        print(f"sha256 {checksum}")
+        print(f"sha256 {writer.sha256}")
     return 0
 
 
@@ -161,9 +198,14 @@ def _cmd_analyze(args):
         if name not in channels:
             raise UsageError(f"trace file lacks required channel {name!r}")
     settings = dsp.AnalyzerSettings(**cfg.analyzer)
-    # pop: each channel is freed once its estimate exists
-    estimates = {name: dsp.welch_psd(channels.pop(name), sample_rate, settings)
-                 for name in TRACE_CHANNELS}
+    from concurrent.futures import ThreadPoolExecutor  # here: only synth and analyze use it
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        digest = pool.submit(lambda: trace.sha256)
+        futures = {name: pool.submit(dsp.welch_psd, channels[name], sample_rate, settings)
+                   for name in TRACE_CHANNELS}
+        estimates = {name: future.result() for name, future in futures.items()}
+        digest.result()
     reference = estimates["snl"]
     amplitude_db = dsp.band_power_rel_snl(estimates["amp_signal"], reference, f0)
     # The reading above accepted the grid and the reference, so a DomainError

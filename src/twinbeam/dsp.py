@@ -8,8 +8,9 @@ periodograms, mirroring an analyzer's video filter on a noise-like trace.
 That filter is linear in the periodograms, so its output is one weighted
 sum with exponential segment weights (the newest segment weighs 1), equal
 to the single-pole recursion.  The segments are windowed, transformed and
-summed one block of about _BLOCK_SAMPLES samples at a time, so the memory
-beyond the input series is bounded by one block, whatever the series length.
+summed one block of about _BLOCK_SAMPLES samples at a time, in buffers made
+once per call (only each block's transform is new), so the memory beyond
+the input series is bounded by one block, whatever the series length.
 """
 
 import math
@@ -79,11 +80,14 @@ def welch_psd(series, sample_rate, settings):
     as the weighted sum sum_k w_k p_k / sum_k w_k with w_k = decay**(K-1-k)
     over the K segment periodograms p_k, which equals the recursion
     accum = decay * accum + p.  Segments are processed in blocks of about
-    _BLOCK_SAMPLES samples, so memory beyond the series is one block.  A
-    float32 series is read as is: the window multiply up-casts each block
-    to float64 exactly, and any other input is converted to float64.  The
-    reported num_averages is the effective count 1/sum(weights^2) of the
-    filter.
+    _BLOCK_SAMPLES samples, so memory beyond the series is one block; the
+    leading blocks whose weights all underflow to 0.0 (a fast video filter
+    over a long series) add exactly 0 and are skipped.  A float32 series is
+    read as is: each block is up-cast to float64 exactly before the window
+    multiply, and any other input is converted to float64.  DC, and the
+    last bin when the segment length is even (the Nyquist bin), carry no
+    one-sided doubling.  The reported num_averages is the effective count
+    1/sum(weights^2) of the filter.
     """
     series = np.asarray(series)
     if series.dtype != np.float32:
@@ -110,13 +114,28 @@ def welch_psd(series, sample_rate, settings):
     decay = tau / (tau + dt)
     weights = decay ** np.arange(num_segments - 1, -1, -1, dtype=float)
     block = max(1, _BLOCK_SAMPLES // length)
+    # Leading blocks whose weights all underflowed to 0.0 add exactly 0.
+    first = int(np.argmax(weights > 0)) // block * block
+    rows = min(block, num_segments - first)
+    windowed = np.empty((rows, length))
+    power = np.empty((rows, length // 2 + 1))
+    imag_power = np.empty(power.shape)
     accum = np.zeros(length // 2 + 1)
-    for start in range(0, num_segments, block):
-        spectra = np.fft.rfft(segments[start:start + block] * win, axis=1)
-        accum += weights[start:start + block] @ (spectra.real ** 2 + spectra.imag ** 2)
+    for start in range(first, num_segments, block):
+        count = min(block, num_segments - start)
+        # Up-cast first, then window in place: the same products as a
+        # mixed-type multiply, without its buffered casting loop.
+        np.copyto(windowed[:count], segments[start:start + count])
+        windowed[:count] *= win
+        spectra = np.fft.rfft(windowed[:count], axis=1)
+        np.square(spectra.real, out=power[:count])
+        np.square(spectra.imag, out=imag_power[:count])
+        power[:count] += imag_power[:count]
+        accum += weights[start:start + count] @ power[:count]
     psd = accum / (power_norm * weights.sum())
-    psd[0] *= 0.5   # DC and Nyquist carry no one-sided doubling
-    psd[-1] *= 0.5
+    psd[0] *= 0.5   # DC carries no one-sided doubling, nor does Nyquist,
+    if length % 2 == 0:
+        psd[-1] *= 0.5  # which is the last bin only for an even length
 
     # Closed forms of sum(w) and sum(w^2) over the weights decay^k, k = 0 newest.
     if decay < 1.0:

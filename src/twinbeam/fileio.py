@@ -8,9 +8,14 @@ Trace file layout (all little-endian):
 The format takes any ordered set of named channels.  The CLI writes the four
 measured channels analyze reads (cli.TRACE_CHANNELS); the quadrature and
 per-beam series are not stored, and come from synth.synthesize_twin_beams.
+Each channel sits at a fixed offset, so a TraceWriter fills the payload as
+the channels are produced, block by block and from more than one thread,
+and trace_writer hashes the finished file and renames it into place.
 """
 
+import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -18,6 +23,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 
 import numpy as np
 
@@ -27,18 +33,27 @@ TRACE_MAGIC = b"TWBM"
 TRACE_VERSION = 1
 
 
-def atomic_write_bytes(path, data):
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A sibling temp file, opened for reading and writing, that is renamed
+    onto path if the block succeeds and removed if it does not, so readers
+    never see partial output."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twinbeam-")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w+b") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data):
+    """Write via a sibling temp file and rename, so readers never see partial output."""
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path, text):
@@ -48,6 +63,48 @@ def atomic_write_text(path, text):
 # ---------------------------------------------------------------------------
 # binary trace format
 
+class TraceWriter:
+    """A trace being written to a seekable binary handle, channel by channel.
+
+    The header goes out at once.  write_channel puts a channel's samples at
+    that channel's fixed offset, in the order its blocks come, so channels
+    can be written in any order and from several threads at once.
+    check_complete raises unless every channel got exactly num_samples.
+    """
+
+    def __init__(self, handle, sample_rate, names, num_samples):
+        self._handle = handle
+        self._num_samples = num_samples
+        self._lock = threading.Lock()
+        handle.write(TRACE_MAGIC)
+        handle.write(struct.pack("<IdIQ", TRACE_VERSION, sample_rate, len(names), num_samples))
+        for name in names:
+            raw = name.encode("utf-8")
+            handle.write(struct.pack("<I", len(raw)))
+            handle.write(raw)
+        payload = handle.tell()
+        self._offsets = {name: payload + 4 * num_samples * i for i, name in enumerate(names)}
+        self._written = dict.fromkeys(names, 0)
+
+    def write_channel(self, name, blocks):
+        """Write the float series `blocks`, in order, as channel `name`'s samples."""
+        count = 0
+        for block in blocks:
+            data = np.ascontiguousarray(block, dtype="<f4")
+            with self._lock:
+                self._handle.seek(self._offsets[name] + 4 * count)
+                self._handle.write(data)
+            count += len(data)
+        self._written[name] = count
+
+    def check_complete(self):
+        short = {name: count for name, count in self._written.items()
+                 if count != self._num_samples}
+        if short:
+            raise TraceFormatError(
+                f"channels {short} written, expected {self._num_samples} samples each")
+
+
 def encode_trace(sample_rate, channels):
     """Serialize an ordered {name: series} mapping to trace-file bytes."""
     names = list(channels)
@@ -56,15 +113,33 @@ def encode_trace(sample_rate, channels):
         raise TraceFormatError(f"channels have mixed lengths {sorted(lengths)}")
     (num_samples,) = lengths
     buf = io.BytesIO()
-    buf.write(TRACE_MAGIC)
-    buf.write(struct.pack("<IdIQ", TRACE_VERSION, sample_rate, len(names), num_samples))
+    writer = TraceWriter(buf, sample_rate, names, num_samples)
     for name in names:
-        raw = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(raw)))
-        buf.write(raw)
-    for name in names:
-        buf.write(np.asarray(channels[name], dtype="<f4").tobytes())
+        writer.write_channel(name, [channels[name]])
     return buf.getvalue()
+
+
+@contextlib.contextmanager
+def trace_writer(path, sample_rate, names, num_samples):
+    """A TraceWriter for a new trace file at path.
+
+    The file appears at path only if the block succeeds and every channel
+    is complete; the writer's sha256 then holds the hex digest of its bytes,
+    read back from the temp file before the rename.  On failure no file is
+    left behind.
+    """
+    with _atomic_file(path) as handle:
+        writer = TraceWriter(handle, sample_rate, names, num_samples)
+        yield writer
+        writer.check_complete()
+        handle.flush()
+        handle.seek(0)
+        digest = hashlib.sha256()
+        chunk = bytearray(2 ** 22)
+        view = memoryview(chunk)
+        while count := handle.readinto(chunk):
+            digest.update(view[:count])
+        writer.sha256 = digest.hexdigest()
 
 
 def write_trace(path, sample_rate, channels):
@@ -132,12 +207,17 @@ def decode_trace(data):
 
 class TraceFile(tuple):
     """read_trace's result: unpacks as (sample_rate, channels), and carries
-    sha256, the hex digest of the file bytes they were decoded from."""
+    sha256, the hex digest of the file bytes they were decoded from.  The
+    digest is computed when first read, so it can run beside other work."""
 
-    def __new__(cls, sample_rate, channels, sha256):
+    def __new__(cls, sample_rate, channels, data):
         trace = super().__new__(cls, (sample_rate, channels))
-        trace.sha256 = sha256
+        trace._data = data
         return trace
+
+    @functools.cached_property
+    def sha256(self):
+        return hashlib.sha256(self._data).hexdigest()
 
 
 def read_trace(path):
@@ -149,7 +229,7 @@ def read_trace(path):
     with open(path, "rb") as handle:
         data = bytearray(os.fstat(handle.fileno()).st_size)
         del data[handle.readinto(data):]
-    return TraceFile(*decode_trace(data), hashlib.sha256(data).hexdigest())
+    return TraceFile(*decode_trace(data), data)
 
 
 # ---------------------------------------------------------------------------

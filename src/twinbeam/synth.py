@@ -6,6 +6,14 @@ the modeled measurement chain (interferometer sensitivity, mode matching,
 optional excess phase noise, electronics floor).  Every random draw comes
 from a sub-stream deterministically derived from (seed, source name), so
 results are bit-reproducible and independent sources never share a stream.
+
+Because each source has its own stream, the work can be cut into blocks
+without moving a bit.  The shaping draws its normals block by block into
+the spectrum, and the chain is a BlockSeries: each block takes its samples
+from every source's stream in turn, with the products and sums of the
+whole-series arithmetic, so a channel comes out whole (BlockSeries.array)
+or one block at a time (BlockSeries.blocks) with the same bits.  The
+coloured shaping itself is one global inverse FFT per series.
 """
 
 import hashlib
@@ -20,6 +28,7 @@ from . import model
 from .errors import ConfigurationError, DomainError
 
 SQRT2 = math.sqrt(2.0)
+_BLOCK_SAMPLES = 2 ** 16
 
 
 def _substream(seed, source):
@@ -112,7 +121,9 @@ def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored
     psd maps an array of frequencies in [0, sample_rate/2] to a positive
     linear PSD relative to the unit white level.  Shaping happens on the
     rfft grid with Hermitian symmetry implied, so the output is exactly real
-    and bit-reproducible for a fixed (seed, source).
+    and bit-reproducible for a fixed (seed, source).  The normals are drawn
+    block by block straight into the complex spectrum, so the memory beyond
+    the spectrum and the output is one float64 array on the rfft grid.
     """
     if not _is_power_of_two(num_samples):
         raise DomainError(f"num_samples must be a power of two, got {num_samples}")
@@ -124,15 +135,40 @@ def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored
         bad = freqs[~(np.isfinite(target) & (target > 0))][0]
         raise DomainError(f"target PSD must be finite and positive; fails at f={bad:.6g} Hz")
 
-    rng = _substream(seed, source)
+    size = freqs.size
+    del freqs
     # E|X_k|^2 = psd_k * n makes the one-sided periodogram (|X|^2 / n for
-    # interior bins in SNL-relative units) land on the target.
-    spectrum = np.empty(freqs.shape, dtype=complex)
-    gauss = rng.standard_normal((2, freqs.size))
-    spectrum[:] = (gauss[0] + 1j * gauss[1]) * np.sqrt(target * num_samples / 2.0)
-    # DC and Nyquist bins are their own conjugates: real, full variance.
-    spectrum[0] = gauss[0, 0] * math.sqrt(target[0] * num_samples)
-    spectrum[-1] = gauss[0, -1] * math.sqrt(target[-1] * num_samples)
+    # interior bins in SNL-relative units) land on the target.  DC and
+    # Nyquist bins are their own conjugates: real, full variance.
+    dc_scale = math.sqrt(target[0] * num_samples)
+    nyquist_scale = math.sqrt(target[-1] * num_samples)
+    scale = target * num_samples
+    del target
+    scale /= 2.0
+    np.sqrt(scale, out=scale)
+
+    # The 2 * size normals fill the real parts, then the imaginary parts, in
+    # draw order, one block at a time; each part is normal * scale, as the
+    # complex product (re + 1j * im) * scale rounds it.
+    rng = _substream(seed, source)
+    spectrum = np.empty(size, dtype=complex)
+    gauss = np.empty(min(size, _BLOCK_SAMPLES))
+
+    def fill(part):
+        """part = normals * scale; returns the first and the last normal."""
+        for start in range(0, size, gauss.size):
+            stop = min(size, start + gauss.size)
+            draw = rng.standard_normal(out=gauss[:stop - start])
+            np.multiply(draw, scale[start:stop], out=part[start:stop])
+            if start == 0:
+                first = draw[0]
+        return first, draw[-1]
+
+    dc, nyquist = fill(spectrum.real)
+    fill(spectrum.imag)
+    del scale
+    spectrum[0] = dc * dc_scale
+    spectrum[-1] = nyquist * nyquist_scale
     return np.fft.irfft(spectrum, n=num_samples)
 
 
@@ -151,25 +187,47 @@ def _combination_psds(params):
     return s_amp, s_phase
 
 
+def measured_combinations(params, cfg):
+    """Yield ("xminus", series), then ("yplus", series): the combinations mz_measure reads.
+
+    The Nyquist check runs at once, so a truncated spectrum warns at this
+    call, before any shaping.  Each series is shaped when the returned
+    generator is advanced to it, so a caller can put the first to work
+    while the second is shaped, and never holds two inverse FFTs at once.
+    The draws are those of synthesize_twin_beams.
+    """
+    return _measured_combinations(params, cfg)
+
+
 def synthesize_measured_combinations(params, cfg):
     """A TraceSet holding only xminus and yplus, the combinations mz_measure reads.
 
     The draws are those of synthesize_twin_beams, so both give bit-identical
     xminus and yplus for one (params, cfg).
     """
+    return TraceSet(sample_rate=cfg.sample_rate, **dict(_measured_combinations(params, cfg)))
+
+
+def _measured_combinations(params, cfg):
+    """Check, then return the generator of the two shapings.
+
+    Only the two functions above call this, so stacklevel 3 points the
+    warning at their caller.
+    """
     nyquist = cfg.sample_rate / 2.0
     if nyquist < 2.0 * params.cavity_bandwidth:
         warnings.warn(
             f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
             f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
-            stacklevel=2)
+            stacklevel=3)
     s_amp, s_phase = _combination_psds(params)
     fs, n, seed = cfg.sample_rate, cfg.num_samples, cfg.seed
-    return TraceSet(
-        sample_rate=fs,
-        xminus=colored_gaussian_series(s_amp, fs, n, seed, source="xminus"),
-        yplus=colored_gaussian_series(s_phase, fs, n, seed, source="yplus"),
-    )
+
+    def shaped():
+        yield "xminus", colored_gaussian_series(s_amp, fs, n, seed, source="xminus")
+        yield "yplus", colored_gaussian_series(s_phase, fs, n, seed, source="yplus")
+
+    return shaped()
 
 
 def synthesize_twin_beams(params, cfg):
@@ -199,14 +257,72 @@ def synthesize_twin_beams(params, cfg):
     )
 
 
-def apply_detection(series, efficiency, seed, source="detection"):
-    """Lossy detection as a beamsplitter: sqrt(eta) signal + sqrt(1-eta) vacuum."""
+class BlockSeries:
+    """A series of `length` samples, computed one block at a time.
+
+    block(start, stop) returns samples [start, stop) as a float64 array that
+    the caller must not write into.  A series made by this module's chain
+    functions draws each block of every noise term from that term's own
+    (seed, source) stream, in turn, so its blocks must be taken once and in
+    order from 0, by blocks() or by array(); they then hold the bits of the
+    same arithmetic done on whole series, whatever the block size.
+    """
+
+    def __init__(self, length, block):
+        self.length = length
+        self.block = block
+
+    @classmethod
+    def of(cls, series):
+        """An existing array, read as views of its blocks."""
+        return cls(len(series), lambda start, stop: series[start:stop])
+
+    def blocks(self):
+        """The consecutive blocks of about _BLOCK_SAMPLES samples, in order."""
+        for start in range(0, self.length, _BLOCK_SAMPLES):
+            yield self.block(start, min(self.length, start + _BLOCK_SAMPLES))
+
+    def array(self):
+        """The whole series as one new float64 array."""
+        out = np.empty(self.length)
+        start = 0
+        for block in self.blocks():
+            out[start:start + len(block)] = block
+            start += len(block)
+        return out
+
+
+class _WhiteNoise:
+    """scale * white_series from the (seed, source) substream, drawn block by block."""
+
+    def __init__(self, scale, seed, source):
+        self.scale = scale
+        self._rng = _substream(seed, source)
+
+    def draw(self, count):
+        block = white_series(count, self._rng)
+        block *= self.scale
+        return block
+
+
+def detected(series, efficiency, seed, source="detection"):
+    """A BlockSeries through lossy detection, a beamsplitter:
+    sqrt(eta) signal + sqrt(1-eta) vacuum.  Efficiency 1 returns series."""
     if not 0 < efficiency <= 1:
         raise DomainError(f"detection efficiency must be in (0, 1], got {efficiency}")
     if efficiency == 1.0:
         return series
-    vacuum = white_series(len(series), _substream(seed, source))
-    return math.sqrt(efficiency) * series + math.sqrt(1.0 - efficiency) * vacuum
+    gain = math.sqrt(efficiency)
+    vacuum = _WhiteNoise(math.sqrt(1.0 - efficiency), seed, source)
+    return BlockSeries(series.length,
+                       lambda start, stop: gain * series.block(start, stop)
+                       + vacuum.draw(stop - start))
+
+
+def apply_detection(series, efficiency, seed, source="detection"):
+    """Lossy detection of an array (see detected); efficiency 1 returns series."""
+    out = detected(BlockSeries.of(series), efficiency, seed, source)
+    return series if efficiency == 1.0 else out.array()
 
 
 def combine_channels(a, b, op):
@@ -239,11 +355,53 @@ class MzReadout:
         return self._snl
 
 
-def _scaled_white(scale, n, seed, source):
-    """scale * white_series from the (seed, source) substream, scaled in place."""
-    series = white_series(n, _substream(seed, source))
-    series *= scale
-    return series
+_MEASURED = {"amplitude": "xminus", "phase": "yplus"}
+
+
+def mz_signal(series, mode, ifc, chain, seed):
+    """The signal photocurrent of one combination, a BlockSeries (see mz_measure).
+
+    Each stage scales and adds in place, block by block: the same products
+    and sums as a * signal + b * noise on whole series.
+    """
+    ifc.validate()
+    if mode not in _MEASURED:
+        raise DomainError(f"unknown measurement mode {mode!r}")
+    sensitivity = math.sin(ifc.rf_sideband_phase / 2.0)
+    stages = []  # (gain, noise): signal *= gain, then signal += noise
+    mu = chain.mode_match
+    if mu < 1.0:
+        stages.append((math.sqrt(mu),
+                       _WhiteNoise(math.sqrt(1.0 - mu), seed, f"{mode}:mode_match_vacuum")))
+    if mode == "phase" and chain.excess_phase_noise > 0:
+        stages.append((1.0, _WhiteNoise(math.sqrt(chain.excess_phase_noise), seed,
+                                        "phase:excess_noise")))
+    enl = chain.enl
+    stages.append((math.sqrt(1.0 - enl),
+                   _WhiteNoise(math.sqrt(enl), seed, f"{mode}:electronics_signal")))
+
+    def block(start, stop):
+        signal = sensitivity * series.block(start, stop)
+        for gain, noise in stages:
+            signal *= gain
+            signal += noise.draw(stop - start)
+        return signal
+
+    return BlockSeries(series.length, block)
+
+
+def mz_reference(length, mode, chain, seed):
+    """The SNL calibration photocurrent of one mode, a BlockSeries: an
+    independent vacuum trace through the chain's electronics."""
+    vacuum = _WhiteNoise(math.sqrt(1.0 - chain.enl), seed, f"{mode}:snl_vacuum")
+    electronics = _WhiteNoise(math.sqrt(chain.enl), seed, f"{mode}:electronics_reference")
+
+    def block(start, stop):
+        snl = vacuum.draw(stop - start)
+        snl += electronics.draw(stop - start)
+        return snl
+
+    return BlockSeries(length, block)
 
 
 def mz_measure(traces, mode, ifc, chain, seed):
@@ -255,45 +413,27 @@ def mz_measure(traces, mode, ifc, chain, seed):
     phase noise (phase mode only), and overlays the electronics floor; the
     returned snl_channel is an independent vacuum trace through the same
     electronics, so its PSD defines the measured SNL.  It is drawn when first
-    read.
+    read.  Both are the arrays of mz_signal and mz_reference.
     """
-    ifc.validate()
-    if mode == "amplitude":
-        series = traces.xminus
-    elif mode == "phase":
-        series = traces.yplus
-    else:
+    if mode not in _MEASURED:
         raise DomainError(f"unknown measurement mode {mode!r}")
+    series = getattr(traces, _MEASURED[mode])
     if series is None:
         raise ConfigurationError(f"trace set lacks the {mode} combination series")
-
-    # Each stage scales and adds in place: the same products and sums as
-    # a * signal + b * noise, without a full-length temporary per term.
+    signal = mz_signal(BlockSeries.of(series), mode, ifc, chain, seed).array()
     n = len(series)
-    signal = math.sin(ifc.rf_sideband_phase / 2.0) * series
+    return MzReadout(signal_channel=signal,
+                     snl_channel=lambda: mz_reference(n, mode, chain, seed).array())
 
-    mu = chain.mode_match
-    if mu < 1.0:
-        signal *= math.sqrt(mu)
-        signal += _scaled_white(math.sqrt(1.0 - mu), n, seed, f"{mode}:mode_match_vacuum")
-    if mode == "phase" and chain.excess_phase_noise > 0:
-        signal += _scaled_white(math.sqrt(chain.excess_phase_noise), n, seed,
-                                "phase:excess_noise")
 
-    enl = chain.enl
-    signal *= math.sqrt(1.0 - enl)
-    signal += _scaled_white(math.sqrt(enl), n, seed, f"{mode}:electronics_signal")
-
-    def draw_snl():
-        snl = _scaled_white(math.sqrt(1.0 - enl), n, seed, f"{mode}:snl_vacuum")
-        snl += _scaled_white(math.sqrt(enl), n, seed, f"{mode}:electronics_reference")
-        return snl
-
-    return MzReadout(signal_channel=signal, snl_channel=draw_snl)
+def electronics_floor(enl, length, seed, source="enl"):
+    """Electronics noise alone, at PSD enl relative to the measured SNL, a BlockSeries."""
+    if not 0 <= enl < 1:
+        raise DomainError("electronics noise level must be in [0, 1)")
+    noise = _WhiteNoise(math.sqrt(enl), seed, source)
+    return BlockSeries(length, lambda start, stop: noise.draw(stop - start))
 
 
 def electronics_floor_series(enl, n, seed, source="enl"):
     """Electronics noise alone, at PSD enl relative to the measured SNL."""
-    if not 0 <= enl < 1:
-        raise DomainError("electronics noise level must be in [0, 1)")
-    return _scaled_white(math.sqrt(enl), n, seed, source)
+    return electronics_floor(enl, n, seed, source).array()

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import twinbeam
 from twinbeam import fileio, model, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
+from twinbeam.errors import DomainError
 
 # small but statistically usable synthesis for CLI round trips
 BASE_CONFIG = {
@@ -158,6 +160,64 @@ class TestSynthCommand:
         assert list(channels) == list(library)
         for name, series in library.items():
             np.testing.assert_array_equal(channels[name], series.astype(np.float32))
+
+    def test_explicit_eta_channels_equal_the_library_path(self, tmp_path, capsys):
+        def mutate(doc):
+            doc["synth"].update(num_samples=2 ** 16, eta_placement="explicit")
+            doc["nopo"]["detection_efficiency"] = 1.0
+            doc["chain"]["detection_efficiency"] = 0.88
+        path = write_config(tmp_path, mutate)
+        out = tmp_path / "eta.twbm"
+        assert main(["synth", "--config", path, "--out", str(out)]) == 0
+        _, channels = fileio.read_trace(out)
+
+        with open(path) as handle:
+            cfg = parse_config(json.load(handle))
+        seed = cfg.synth.seed
+        traces = synth.synthesize_twin_beams(cfg.nopo, cfg.synth)
+        traces = synth.TraceSet(
+            sample_rate=traces.sample_rate,
+            xminus=synth.apply_detection(traces.xminus, 0.88, seed, source="detect:xminus"),
+            yplus=synth.apply_detection(traces.yplus, 0.88, seed, source="detect:yplus"))
+        amp = synth.mz_measure(traces, "amplitude", cfg.interferometer,
+                               cfg.amplitude_chain, seed)
+        phase = synth.mz_measure(traces, "phase", cfg.interferometer, cfg.phase_chain, seed)
+        np.testing.assert_array_equal(channels["amp_signal"],
+                                      amp.signal_channel.astype(np.float32))
+        np.testing.assert_array_equal(channels["phase_signal"],
+                                      phase.signal_channel.astype(np.float32))
+
+    def test_worker_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # a chain stage raising on the worker thread, a few blocks into the
+        # electronics floor, while the calling thread shapes the combinations
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 18))
+        out = tmp_path / "fail.twbm"
+        electronics_floor = synth.electronics_floor
+        raised_on = []
+
+        def failing_floor(*args, **kwargs):
+            floor = electronics_floor(*args, **kwargs)
+            block = floor.block
+
+            def failing_block(start, stop):
+                if start >= 2 * synth._BLOCK_SAMPLES:
+                    raised_on.append(threading.get_ident())
+                    raise DomainError("electronics stage failed")
+                return block(start, stop)
+
+            return synth.BlockSeries(floor.length, failing_block)
+
+        monkeypatch.setattr(synth, "electronics_floor", failing_floor)
+        status = []
+        caller = threading.Thread(
+            target=lambda: status.append(main(["synth", "--config", path, "--out", str(out)])))
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+        assert status == [2]
+        assert "electronics stage failed" in capsys.readouterr().err
+        assert raised_on and raised_on[0] != caller.ident
+        assert os.listdir(tmp_path) == ["mut.json"]
 
     def test_seed_override_changes_output(self, config_path, tmp_path, capsys):
         out = tmp_path / "c.twbm"
@@ -350,9 +410,32 @@ def _src_env():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only fit_spectra needs scipy; every other subcommand starts without it
+    # only fit_spectra needs scipy, and only synth and analyze start a thread
+    # pool; every other subcommand starts without either
     code = ("import sys, twinbeam.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_output_does_not_depend_on_the_core_count(tmp_path):
+    # synth and analyze in a child process pinned to one CPU, then unpinned
+    path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 18))
+    code = ("import os, sys; from twinbeam.cli import main; cpus = sys.argv[1]; "
+            "cpus != 'all' and os.sched_setaffinity(0, {int(cpus)}); "
+            "out = sys.argv[2]; "
+            "sys.exit(main(['synth', '--config', sys.argv[3], '--out', out + '.twbm']) or "
+            "main(['analyze', out + '.twbm', '--config', sys.argv[3], '--out', out + '.json']))")
+    one_cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for cpus in (str(one_cpu), "all"):
+        out = str(tmp_path / f"cpus-{cpus}")
+        subprocess.run([sys.executable, "-c", code, cpus, out, path], env=_src_env(),
+                       capture_output=True, text=True, check=True, timeout=300)
+        with open(out + ".twbm", "rb") as trace, open(out + ".json", "rb") as analysis:
+            outputs.append((hashlib.sha256(trace.read()).hexdigest(), analysis.read()))
+    assert outputs[0] == outputs[1]

@@ -27,7 +27,8 @@ def reference_welch(series, sample_rate, settings):
     spectra = np.fft.rfft(segments * win, axis=1)
     periodograms = (spectra.real ** 2 + spectra.imag ** 2) / np.sum(win ** 2)
     periodograms[:, 0] *= 0.5
-    periodograms[:, -1] *= 0.5
+    if length % 2 == 0:  # the last bin is the Nyquist bin only for even lengths
+        periodograms[:, -1] *= 0.5
     dt = hop / sample_rate
     tau = 1.0 / (2.0 * math.pi * settings.vbw)
     decay = tau / (tau + dt)
@@ -143,6 +144,45 @@ class TestWelchPsd:
         np.testing.assert_array_equal(est.frequencies, freqs)
         np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0)
         assert est.num_averages == num_averages
+
+    def test_zero_weight_blocks_are_not_transformed(self, monkeypatch):
+        # At VBW = RBW the video filter's weights underflow to exactly 0.0 for
+        # all but the last few hundred segments; those add exactly 0, so only
+        # the blocks from the first nonzero weight on are transformed.
+        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=150e3)
+        series = np.random.default_rng(9).standard_normal(2 ** 20)
+        transformed = []
+        rfft = np.fft.rfft
+
+        def counting_rfft(a, *args, **kwargs):
+            transformed.append(len(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(dsp.np.fft, "rfft", counting_rfft)
+        est = dsp.welch_psd(series, FS, settings)
+        monkeypatch.undo()
+        length = dsp.segment_length(FS, settings)
+        num_segments = (len(series) - length) // (length // 2) + 1
+        block = dsp._BLOCK_SAMPLES // length
+        # 428 of the 2096 weights are nonzero; one partial block may precede them
+        assert 0 < sum(transformed) < block + 428 < num_segments
+        freqs, psd, num_averages = reference_welch(series, FS, settings)
+        np.testing.assert_array_equal(est.frequencies, freqs)
+        np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0)
+        assert est.num_averages == num_averages
+
+    def test_odd_length_top_bin_is_not_halved(self):
+        # 7 kHz RBW gives L = 21429: the last rfft bin is an ordinary bin,
+        # not the Nyquist bin, so white noise reads 1 there as everywhere
+        settings = dsp.AnalyzerSettings(rbw=7e3, vbw=2.0)
+        length = dsp.segment_length(FS, settings)
+        assert length == 21429
+        series = np.random.default_rng(10).standard_normal(2 ** 22)
+        est = dsp.welch_psd(series, FS, settings)
+        # 381 averages: one bin reads 1 within about 0.05 (1 sigma); halved, 0.5
+        assert est.num_averages > 300
+        assert est.psd[-1] == pytest.approx(1.0, abs=0.25)
+        assert np.mean(est.psd[-50:]) == pytest.approx(1.0, abs=0.05)
 
     def test_float32_input_is_not_copied_whole(self):
         # 2^22 float32 samples are 16 MiB; today's blocks need well under 1 MiB,

@@ -1,7 +1,9 @@
 import hashlib
 import math
 import os
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +88,60 @@ class TestTraceFormat:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(TraceFormatError):
             fileio.encode_trace(1e8, {"a": np.zeros(4), "b": np.zeros(5)})
+
+
+class TestTraceWriter:
+    def blocks(self, series, size):
+        return (series[start:start + size] for start in range(0, len(series), size))
+
+    def test_channels_in_any_order_and_blocks_give_the_encoded_bytes(self, tmp_path):
+        channels = sample_channels(n=1000)
+        path = tmp_path / "t.twbm"
+        with fileio.trace_writer(path, 1e8, list(channels), 1000) as writer:
+            for name, size in (("ch2", 7), ("ch0", 1000), ("ch1", 333)):
+                writer.write_channel(name, self.blocks(channels[name], size))
+        data = path.read_bytes()
+        assert data == fileio.encode_trace(1e8, channels)
+        assert writer.sha256 == hashlib.sha256(data).hexdigest()
+
+    def test_concurrent_channel_writes_lose_nothing(self, tmp_path):
+        # more writer threads than cores, switching as often as possible: an
+        # unlocked seek-then-write would put blocks at another thread's offset
+        channels = sample_channels(n=5000, count=6, seed=3)
+        path = tmp_path / "t.twbm"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fileio.trace_writer(path, 1e8, list(channels), 5000) as writer:
+                threads = [threading.Thread(target=writer.write_channel,
+                                            args=(name, self.blocks(series, 7)))
+                           for name, series in channels.items()]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert path.read_bytes() == fileio.encode_trace(1e8, channels)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_short_or_long_channel_leaves_no_file(self, tmp_path, extra):
+        channels = sample_channels(n=1000)
+        channels["ch1"] = np.resize(channels["ch1"], 1000 + extra)
+        with pytest.raises(TraceFormatError, match="ch1"):
+            with fileio.trace_writer(tmp_path / "t.twbm", 1e8, list(channels), 1000) as writer:
+                for name, series in channels.items():
+                    writer.write_channel(name, [series])
+        assert os.listdir(tmp_path) == []
+
+    def test_failure_inside_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.twbm"
+        with pytest.raises(RuntimeError):
+            with fileio.trace_writer(path, 1e8, ["a"], 10) as writer:
+                writer.write_channel("a", [np.zeros(5)])
+                raise RuntimeError("stop")
+        assert os.listdir(tmp_path) == []
 
 
 class TestTraceProperties:

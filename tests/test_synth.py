@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ class TestColoredGaussianSeries:
         series = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 16, seed=1)
         assert series.dtype == float
         assert abs(np.mean(series)) < 0.05
+
+    def test_peak_memory_is_spectrum_output_and_one_grid_array(self):
+        # the normals go straight into the complex spectrum, block by block
+        n = 2 ** 20
+        size = n // 2 + 1
+        budget = 1.25 * (16 * size + 8 * n + 8 * size)
+        psd = lambda f: model.intensity_diff_psd(f, 0.88 * 0.84, 24.7e6)
+        tracemalloc.start()
+        try:
+            synth.colored_gaussian_series(psd, FS, n, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+
+    def test_block_size_moves_no_bit(self, monkeypatch):
+        psd = lambda f: model.phase_sum_psd(f, 0.88 * 0.84, 24.7e6, 1.38)
+        whole = synth.colored_gaussian_series(psd, FS, 2 ** 17, seed=4)
+        monkeypatch.setattr(synth, "_BLOCK_SAMPLES", 1000)
+        blocked = synth.colored_gaussian_series(psd, FS, 2 ** 17, seed=4)
+        assert whole.tobytes() == blocked.tobytes()
 
     def test_nonpositive_psd_rejected(self):
         with pytest.raises(DomainError):
@@ -115,6 +137,15 @@ class TestSynthesizeTwinBeams:
         cfg = synth.SynthConfig(sample_rate=4e6, num_samples=2 ** 16, seed=1)
         with pytest.warns(UserWarning, match="Nyquist"):
             synth.synthesize_twin_beams(REF_PARAMS, cfg)
+
+    def test_undersampled_bandwidth_warns_at_the_call(self):
+        # the check runs when measured_combinations is called, before any
+        # shaping, and the warning names the caller's line, not synth.py
+        cfg = synth.SynthConfig(sample_rate=4e6, num_samples=2 ** 16, seed=1)
+        for make in (synth.measured_combinations, synth.synthesize_measured_combinations):
+            with pytest.warns(UserWarning, match="Nyquist") as record:
+                make(REF_PARAMS, cfg)
+            assert [w.filename for w in record] == [__file__]
 
     def test_target_uncertainty_product_exact(self):
         freqs = np.linspace(0.0, FS / 2, 101)
@@ -215,6 +246,56 @@ class TestMzMeasure:
         b = synth.mz_measure(traces, "phase", self.ifc, chain, seed=77)
         assert np.array_equal(a.signal_channel, b.signal_channel)
         assert np.array_equal(a.snl_channel, b.snl_channel)
+
+
+class TestBlockSeries:
+    ifc = model.InterferometerConfig.matched(20e6)
+
+    def test_blocks_join_into_the_array(self):
+        series = np.arange(2 ** 16 + 123, dtype=float)
+        stream = synth.BlockSeries.of(series)
+        blocks = list(stream.blocks())
+        assert [len(b) for b in blocks] == [2 ** 16, 123]
+        np.testing.assert_array_equal(np.concatenate(blocks), series)
+        np.testing.assert_array_equal(synth.BlockSeries.of(series).array(), series)
+
+    @pytest.mark.parametrize("mode", ["amplitude", "phase"])
+    def test_chain_block_size_moves_no_bit(self, monkeypatch, mode):
+        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 17, seed=6)
+        traces = synth.synthesize_measured_combinations(REF_PARAMS, cfg)
+        chain = synth.DetectionChain(mode_match=0.8, enl=0.3, excess_phase_noise=0.04)
+
+        def measure():
+            readout = synth.mz_measure(traces, mode, self.ifc, chain, seed=6)
+            detected = synth.apply_detection(traces.xminus, 0.88, seed=6)
+            return [readout.signal_channel.tobytes(), readout.snl_channel.tobytes(),
+                    detected.tobytes(), synth.electronics_floor_series(0.3, 2 ** 17, 6).tobytes()]
+
+        whole = measure()
+        monkeypatch.setattr(synth, "_BLOCK_SAMPLES", 999)
+        assert measure() == whole
+
+    def test_chain_equals_the_whole_series_arithmetic(self):
+        # the chain as mz_measure applied it to whole series before it ran in blocks
+        n, seed = 2 ** 17, 8
+        cfg = synth.SynthConfig(sample_rate=FS, num_samples=n, seed=seed)
+        traces = synth.synthesize_measured_combinations(REF_PARAMS, cfg)
+        mu, excess, enl = 0.9, 0.04, 0.4074
+        chain = synth.DetectionChain(mode_match=mu, enl=enl, excess_phase_noise=excess)
+        readout = synth.mz_measure(traces, "phase", self.ifc, chain, seed)
+
+        def white(scale, source):
+            return scale * synth.white_series(n, synth._substream(seed, source))
+
+        expected = math.sin(self.ifc.rf_sideband_phase / 2.0) * traces.yplus
+        expected = math.sqrt(mu) * expected + white(math.sqrt(1 - mu), "phase:mode_match_vacuum")
+        expected = expected + white(math.sqrt(excess), "phase:excess_noise")
+        expected = (math.sqrt(1 - enl) * expected
+                    + white(math.sqrt(enl), "phase:electronics_signal"))
+        snl = (white(math.sqrt(1 - enl), "phase:snl_vacuum")
+               + white(math.sqrt(enl), "phase:electronics_reference"))
+        assert readout.signal_channel.tobytes() == expected.tobytes()
+        assert readout.snl_channel.tobytes() == snl.tobytes()
 
 
 class TestSynthConfigValidation:
