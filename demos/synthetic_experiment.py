@@ -1,64 +1,68 @@
 """End-to-end synthetic twin-beam experiment, library edition.
 
-Synthesizes quadrature time series for both beams, pushes them through
-the self-homodyne / Mach-Zehnder detection chains with a realistic
-electronics floor, reads the dips off an emulated spectrum analyzer,
-corrects for the electronics, and certifies entanglement.
+Synthesizes the amplitude-difference and phase-sum noise of the two beams,
+pushes them through the self-homodyne / Mach-Zehnder detection chains with
+a realistic electronics floor, reads the dips off an emulated spectrum
+analyzer, corrects for the electronics, and certifies entanglement.
 
-The same pipeline is available from the command line as
-``twinbeam synth`` / ``twinbeam analyze`` / ``twinbeam certify``.
+The chain is twinbeam.pipeline, the one the command line runs as
+``twinbeam synth`` / ``twinbeam analyze`` / ``twinbeam certify``, set up
+from the same config document; this script keeps the channels in float64
+instead of writing a float32 trace file.
 """
 
-import numpy as np
-
 from twinbeam import (
-    AnalyzerSettings, DetectionChain, InterferometerConfig, NopoParams,
-    QuadratureVariancePair, SynthConfig, band_power_rel_snl,
-    correct_for_electronic_noise, duan_certify, electronics_floor_series,
-    from_db, mz_measure, synthesize_twin_beams, welch_psd,
+    AnalyzerSettings, QuadratureVariancePair, correct_for_electronic_noise,
+    duan_certify, from_db, pipeline, welch_psd,
 )
+from twinbeam.config import parse_config
 
-SAMPLE_RATE = 100e6
-NUM_SAMPLES = 2 ** 22
-ANALYSIS_FREQ = 20e6
-ENL = 0.4074  # electronics floor, -3.9 dB below the shot-noise limit
-
-params = NopoParams.from_derived(
-    output_coupling=0.84, pump_ratio=1.38,
-    cavity_bandwidth=24.7e6, detection_efficiency=0.88)
-
-# 1. synthesize correlated quadrature series for the two beams
-cfg = SynthConfig(sample_rate=SAMPLE_RATE, num_samples=NUM_SAMPLES, seed=7)
-traces = synthesize_twin_beams(params, cfg)
-
-# 2. detect: direct difference for amplitude, unbalanced Mach-Zehnder
-#    (arm difference tuned so 20 MHz sidebands carry the phase quadrature)
-ifc = InterferometerConfig.matched(ANALYSIS_FREQ)
-print(f"arm length difference = {ifc.arm_length_difference:.4f} m")
-amp_chain = DetectionChain(mode_match=1.0, enl=ENL)
-phase_chain = DetectionChain(mode_match=0.90, enl=ENL, excess_phase_noise=0.04)
-amp = mz_measure(traces, "amplitude", ifc, amp_chain, seed=cfg.seed)
-phase = mz_measure(traces, "phase", ifc, phase_chain, seed=cfg.seed)
-enl_trace = electronics_floor_series(ENL, NUM_SAMPLES, seed=cfg.seed)
-
-# 3. spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
-settings = AnalyzerSettings(rbw=150e3, vbw=2.0)
-reference = welch_psd(amp.snl_channel, SAMPLE_RATE, settings)
-readings = {
-    name: band_power_rel_snl(welch_psd(series, SAMPLE_RATE, settings),
-                             reference, ANALYSIS_FREQ)
-    for name, series in [("amplitude", amp.signal_channel),
-                         ("phase", phase.signal_channel),
-                         ("electronics", enl_trace)]
+# output coupling 0.84, pump at 1.38x threshold, 24.7 MHz cavity bandwidth,
+# detection efficiency 0.88; electronics floor 0.4074 (-3.9 dB rel SNL)
+CONFIG = {
+    "version": "twinbeam-config/1",
+    "nopo": {
+        "transmission": 0.84, "intracavity_loss": 0.16,
+        "cavity_bandwidth_hz": 24.7e6,
+        "pump_power": 1.9044, "threshold_power": 1.0,
+        "detection_efficiency": 0.88,
+    },
+    "synth": {
+        "sample_rate_hz": 1e8, "num_samples": 2 ** 22,
+        "seed": 7, "conjugate_mode": "minimum_uncertainty",
+    },
+    "chain": {
+        "enl": 0.4074,
+        "amplitude": {"mode_match": 1.0, "excess_noise": 0.0},
+        "phase": {"mode_match": 0.90, "excess_noise": 0.04},
+    },
+    "analyzer": {"rbw_hz": 150e3, "vbw_hz": 2.0},
+    # the arm difference is tuned so 20 MHz sidebands carry the phase quadrature
+    "interferometer": {"analysis_frequency_hz": 20e6},
 }
-print(f"averaged segments     = {reference.num_averages}")
-for name, db in readings.items():
-    print(f"raw {name:<11} reading = {db:+.2f} dB rel SNL")
+
+run = parse_config(CONFIG)
+sample_rate = run.synth.sample_rate
+f0 = run.interferometer.analysis_frequency
+print(f"arm length difference = {run.interferometer.arm_length_difference:.4f} m")
+
+# 1-2. synthesize the two combinations and detect them: direct difference
+#      for amplitude, unbalanced Mach-Zehnder for phase, plus the shot-noise
+#      reference and the electronics floor
+# 3.   spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
+settings = AnalyzerSettings(**run.analyzer)
+estimates = {name: welch_psd(channel.array(), sample_rate, settings)
+             for name, channel in pipeline.trace_channels(run)}
+readings = pipeline.readings(estimates, f0)
+print(f"averaged segments     = {readings['num_averages']}")
+for name, key in (("amplitude", "amplitude_db"), ("phase", "phase_db"),
+                  ("electronics", "enl_db")):
+    print(f"raw {name:<11} reading = {readings[key]:+.2f} dB rel SNL")
 
 # 4. remove the electronics floor and certify
-enl = from_db(readings["electronics"])
-vx = correct_for_electronic_noise(from_db(readings["amplitude"]), enl)
-vy = correct_for_electronic_noise(from_db(readings["phase"]), enl)
+enl = from_db(readings["enl_db"])
+vx = correct_for_electronic_noise(from_db(readings["amplitude_db"]), enl)
+vy = correct_for_electronic_noise(from_db(readings["phase_db"]), enl)
 verdict = duan_certify(QuadratureVariancePair(vx, vy))
 print(f"corrected variances   = ({vx:.3f}, {vy:.3f})")
 print(f"Duan sum              = {verdict.total:.3f}  "

@@ -29,15 +29,9 @@ from .model import (
 )
 from .synth import (
     DetectionChain,
-    MzReadout,
     SynthConfig,
     TraceSet,
-    apply_detection,
     colored_gaussian_series,
-    combine_channels,
-    electronics_floor_series,
-    mz_measure,
-    synthesize_measured_combinations,
     synthesize_twin_beams,
 )
 from .dsp import AnalyzerSettings, SpectrumEstimate, band_power_rel_snl, welch_psd

@@ -1,9 +1,11 @@
 """Command-line front end: spectra, synth, analyze, certify, fit.
 
 A trace file written by synth holds the four measured channels analyze
-reads (TRACE_CHANNELS): the amplitude and phase signal photocurrents, the
-shot-noise reference and the electronics floor.  The quadrature
-combinations and per-beam series behind them are not stored; the library's
+reads (pipeline.TRACE_CHANNELS): the amplitude and phase signal
+photocurrents, the shot-noise reference and the electronics floor.
+pipeline makes them and reads them; this module schedules that work and
+handles files, flags and exit codes.  The quadrature combinations and
+per-beam series behind the channels are not stored; the library's
 synthesize_twin_beams returns them.
 
 synth and analyze use up to two threads; their output does not depend on
@@ -25,12 +27,11 @@ import sys
 
 import numpy as np
 
-from . import dsp, fileio, model, synth
+from . import dsp, fileio, model, pipeline
 from .config import SchemaError, load_config
-from .errors import DomainError, TwinbeamError
+from .errors import TwinbeamError
 from .fit import FitProblem, fit_spectra
-
-TRACE_CHANNELS = ("amp_signal", "phase_signal", "snl", "enl")
+from .pipeline import TRACE_CHANNELS
 
 
 class UsageError(TwinbeamError):
@@ -114,35 +115,6 @@ def _cmd_spectra(args):
     return 0
 
 
-def _channel_streams(cfg):
-    """Yield (name, synth.BlockSeries) for each of TRACE_CHANNELS.
-
-    The noise-only channels come first.  The signal channels follow, each
-    as soon as its combination is shaped: advancing the generator past the
-    amplitude channel shapes yplus.  xminus comes first: its chain is the
-    shorter one, so xminus is freed before yplus's inverse FFT peaks.
-    """
-    params = cfg.nopo
-    explicit = cfg.eta_placement == "explicit"
-    if explicit:
-        params = dataclasses.replace(params, detection_efficiency=1.0)
-    seed, n = cfg.synth.seed, cfg.synth.num_samples
-    combinations = synth.measured_combinations(params, cfg.synth)  # checks before any draw
-    yield "snl", synth.mz_reference(n, "amplitude", cfg.amplitude_chain, seed)
-    yield "enl", synth.electronics_floor(cfg.enl, n, seed)
-    measured = {"xminus": ("amp_signal", "amplitude", cfg.amplitude_chain),
-                "yplus": ("phase_signal", "phase", cfg.phase_chain)}
-    for combination, series in combinations:
-        name, mode, chain = measured[combination]
-        stream = synth.BlockSeries.of(series)
-        if explicit:
-            stream = synth.detected(stream, cfg.explicit_detection_efficiency, seed,
-                                    source=f"detect:{combination}")
-        yield name, synth.mz_signal(stream, mode, cfg.interferometer, chain, seed)
-        # Only the consumer holds the combination while the next is shaped.
-        del series, stream
-
-
 def _write_channels(cfg, writer):
     """Write every trace channel through writer, on two threads.
 
@@ -157,7 +129,7 @@ def _write_channels(cfg, writer):
     pool = ThreadPoolExecutor(max_workers=1)
     try:
         pending = []
-        for name, stream in _channel_streams(cfg):
+        for name, stream in pipeline.trace_channels(cfg):
             pending.append(pool.submit(writer.write_channel, name, stream.blocks()))
             del stream  # the worker's task holds it until the channel is written
             for future in pending:
@@ -206,21 +178,9 @@ def _cmd_analyze(args):
                    for name in TRACE_CHANNELS}
         estimates = {name: future.result() for name, future in futures.items()}
         digest.result()
-    reference = estimates["snl"]
-    amplitude_db = dsp.band_power_rel_snl(estimates["amp_signal"], reference, f0)
-    # The reading above accepted the grid and the reference, so a DomainError
-    # here means the electronics floor reads zero power (chain.enl 0): there
-    # is no floor to correct for, which certify takes from a null enl_db.
-    try:
-        enl_db = dsp.band_power_rel_snl(estimates["enl"], reference, f0)
-    except DomainError:
-        enl_db = None
     payload = {
         "f0_hz": f0,
-        "amplitude_db": amplitude_db,
-        "phase_db": dsp.band_power_rel_snl(estimates["phase_signal"], reference, f0),
-        "enl_db": enl_db,
-        "num_averages": reference.num_averages,
+        **pipeline.readings(estimates, f0),
         "rbw_hz": settings.rbw,
         "vbw_hz": settings.vbw,
         "config_hash": cfg.hash,
@@ -228,6 +188,32 @@ def _cmd_analyze(args):
     }
     _emit(payload, args.out, args.json)
     return 0
+
+
+def _read_analysis(path):
+    """(amplitude_db, phase_db, enl_db) from an analysis JSON written by analyze.
+
+    Each reading must be a number or null.  A null, NaN or overflowing
+    signal reading gives a non-finite variance, which the Duan test rejects
+    as infeasible; a null enl_db means there is no floor to correct for.
+    """
+    with open(path) as handle:
+        try:
+            # integers read as floats, so one too large for a float reads as inf
+            analysis = json.load(handle, parse_int=float)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise UsageError(f"analysis JSON cannot be read: {exc}") from exc
+    if not isinstance(analysis, dict):
+        raise UsageError("analysis JSON must be an object")
+    for key in ("amplitude_db", "phase_db"):
+        if key not in analysis:
+            raise UsageError(f"analysis JSON lacks {key!r}")
+    keys = ("amplitude_db", "phase_db", "enl_db")
+    for key in keys:
+        value = analysis.get(key)
+        if value is not None and not isinstance(value, float):
+            raise UsageError(f"analysis JSON {key} must be a number or null, got {value!r}")
+    return tuple(analysis.get(key) for key in keys)
 
 
 def _cmd_certify(args):
@@ -245,15 +231,11 @@ def _cmd_certify(args):
     else:
         if args.analysis is None:
             raise UsageError("provide an analysis JSON or --vx/--vy")
-        with open(args.analysis) as handle:
-            analysis = json.load(handle)
-        for key in ("amplitude_db", "phase_db"):
-            if key not in analysis:
-                raise UsageError(f"analysis JSON lacks {key!r}")
-        amp = model.from_db(analysis["amplitude_db"])
-        phase = model.from_db(analysis["phase_db"])
+        amp_db, phase_db, enl_db = _read_analysis(args.analysis)
+        amp, phase = model.from_db(amp_db), model.from_db(phase_db)
         raw = {"amplitude": amp, "phase": phase}
-        enl_db = args.enl_db if args.enl_db is not None else analysis.get("enl_db")
+        if args.enl_db is not None:
+            enl_db = args.enl_db
         if enl_db is not None:
             enl = model.from_db(enl_db)
             corrected = model.correct_for_electronic_noise(amp, enl)

@@ -40,11 +40,9 @@ _SCHEMA = {
         "seed": int,
         "conjugate_mode": str,
         "conjugate_excess": (float, None),
-        "eta_placement": (str, None),
     },
     "chain": {
         "enl": float,
-        "detection_efficiency": (float, None),
         "amplitude": _CHANNEL_KEYS,
         "phase": _CHANNEL_KEYS,
     },
@@ -105,8 +103,6 @@ class RunConfig:
     """Validated configuration: physics, synthesis, chains, analyzer, geometry."""
     nopo: NopoParams
     synth: SynthConfig
-    eta_placement: str
-    explicit_detection_efficiency: float
     enl: float
     amplitude_chain: DetectionChain
     phase_chain: DetectionChain
@@ -142,29 +138,14 @@ def parse_config(document):
         conjugate_excess=synth_doc.get("conjugate_excess") or 1.0,
     )
 
-    eta_placement = synth_doc.get("eta_placement") or "analytic"
-    if eta_placement not in ("analytic", "explicit"):
-        raise SchemaError(f"synth.eta_placement must be 'analytic' or 'explicit'")
     chain_doc = document["chain"]
-    explicit_eta = chain_doc.get("detection_efficiency")
-    if eta_placement == "analytic" and explicit_eta is not None:
-        raise ConfigurationError(
-            "chain.detection_efficiency set while eta_placement is 'analytic': "
-            "detection efficiency would be applied twice")
-    if eta_placement == "explicit" and explicit_eta is None:
-        raise ConfigurationError(
-            "eta_placement 'explicit' requires chain.detection_efficiency")
-
     enl = chain_doc["enl"]
     if not 0 <= enl < 1:
         raise ConfigurationError(f"chain.enl must be in [0, 1), got {enl}")
 
-    def channel_chain(doc, with_excess):
-        return DetectionChain(
-            mode_match=doc["mode_match"],
-            enl=enl,
-            excess_phase_noise=doc["excess_noise"] if with_excess else 0.0,
-        )
+    def channel_chain(doc):
+        return DetectionChain(mode_match=doc["mode_match"], enl=enl,
+                              excess_noise=doc["excess_noise"])
 
     ana = document["analyzer"]
     analyzer = {
@@ -195,11 +176,9 @@ def parse_config(document):
     return RunConfig(
         nopo=params,
         synth=synth_cfg,
-        eta_placement=eta_placement,
-        explicit_detection_efficiency=explicit_eta if explicit_eta is not None else 1.0,
         enl=enl,
-        amplitude_chain=channel_chain(chain_doc["amplitude"], with_excess=False),
-        phase_chain=channel_chain(chain_doc["phase"], with_excess=True),
+        amplitude_chain=channel_chain(chain_doc["amplitude"]),
+        phase_chain=channel_chain(chain_doc["phase"]),
         analyzer=analyzer,
         interferometer=interferometer,
         hash=config_hash(document),

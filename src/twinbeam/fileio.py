@@ -6,8 +6,8 @@ Trace file layout (all little-endian):
     payload: channels sequential, samples as f32, every sample finite.
 
 The format takes any ordered set of named channels.  The CLI writes the four
-measured channels analyze reads (cli.TRACE_CHANNELS); the quadrature and
-per-beam series are not stored, and come from synth.synthesize_twin_beams.
+measured channels analyze reads (pipeline.TRACE_CHANNELS); the quadrature
+and per-beam series are not stored, and come from synth.synthesize_twin_beams.
 Each channel sits at a fixed offset, so a TraceWriter fills the payload as
 the channels are produced, block by block and from more than one thread,
 and trace_writer hashes the finished file and renames it into place.
@@ -258,17 +258,31 @@ def write_spectrum_csv(path, frequencies, amplitude=None, phase=None):
 
 
 def read_spectrum_csv(path):
-    """Read the spectrum CSV back into (frequencies, amplitude|None, phase|None)."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(SPECTRUM_COLUMNS[:3]) - set(reader.fieldnames or ())
-        if missing:
-            raise TraceFormatError(f"spectrum CSV missing columns {sorted(missing)}")
-        freqs, s_i, s_p = [], [], []
-        for row in reader:
+    """Read the spectrum CSV back into (frequencies, amplitude|None, phase|None).
+
+    Text that is not UTF-8 or a cell that is not a number raises
+    TraceFormatError, naming the byte offset or the row.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError("spectrum CSV is not UTF-8 text", byte_offset=exc.start) from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = set(SPECTRUM_COLUMNS[:3]) - set(reader.fieldnames or ())
+    if missing:
+        raise TraceFormatError(f"spectrum CSV missing columns {sorted(missing)}")
+    freqs, s_i, s_p = [], [], []
+    for row in reader:
+        try:
             freqs.append(float(row["f_hz"]))
             s_i.append(float(row["s_i"]) if row["s_i"] else None)
             s_p.append(float(row["s_p"]) if row["s_p"] else None)
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"spectrum CSV line {reader.line_num} holds a cell that is not a number: {exc}"
+            ) from exc
     def collapse(col):
         if all(v is None for v in col):
             return None

@@ -40,6 +40,10 @@ class FitProblem:
                 raise DomainError(f"{name} length {len(arr)} does not match grid {len(f)}")
         if not np.all(np.isfinite(f)) or np.any(f < 0):
             raise DomainError("frequencies must be finite and nonnegative")
+        for name in ("amplitude_observed", "phase_observed"):
+            arr = getattr(self, name)
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
         if self.weights is not None and np.any(np.asarray(self.weights) < 0):
             raise DomainError("weights must be nonnegative")
         if len(f) < 4 or f.max() < 2.0 * f.min():

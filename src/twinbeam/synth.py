@@ -3,7 +3,7 @@
 Sampled zero-mean Gaussian series are shaped in the frequency domain so
 their expected periodograms match the analytic targets, then pushed through
 the modeled measurement chain (interferometer sensitivity, mode matching,
-optional excess phase noise, electronics floor).  Every random draw comes
+optional excess noise, electronics floor).  Every random draw comes
 from a sub-stream deterministically derived from (seed, source name), so
 results are bit-reproducible and independent sources never share a stream.
 
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 SQRT2 = math.sqrt(2.0)
 _BLOCK_SAMPLES = 2 ** 16
@@ -65,21 +65,20 @@ class SynthConfig:
 class DetectionChain:
     """Per-channel chain: spatial overlap, electronics floor, excess noise.
 
-    Detection efficiency is not a chain stage: it enters either the analytic
-    spectra (NopoParams.detection_efficiency) or an explicit beamsplitter on
-    the combinations (apply_detection).
+    Detection efficiency is not a chain stage: it enters the analytic
+    spectra (NopoParams.detection_efficiency).
     """
     mode_match: float = 1.0
     enl: float = 0.0  # linear PSD of the electronics floor, relative to SNL
-    excess_phase_noise: float = 0.0
+    excess_noise: float = 0.0  # white PSD added after the mode-match vacuum
 
     def __post_init__(self):
         if not 0 < self.mode_match <= 1:
             raise DomainError("mode-matching efficiency must be in (0, 1]")
         if not 0 <= self.enl < 1:
             raise DomainError("electronics noise level must be in [0, 1)")
-        if self.excess_phase_noise < 0:
-            raise DomainError("excess phase noise must be nonnegative")
+        if self.excess_noise < 0:
+            raise DomainError("excess noise must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,6 @@ class TraceSet:
             series = getattr(self, name)
             if series is not None and len(series) != n:
                 raise DomainError(f"series {name} has length {len(series)}, expected {n}")
-
-
-def white_series(n, rng):
-    """Unit-variance Gaussian white noise: flat PSD of 1 in SNL-relative units."""
-    return rng.standard_normal(n)
 
 
 def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored"):
@@ -188,7 +182,7 @@ def _combination_psds(params):
 
 
 def measured_combinations(params, cfg):
-    """Yield ("xminus", series), then ("yplus", series): the combinations mz_measure reads.
+    """Yield ("xminus", series), then ("yplus", series): the combinations the chain reads.
 
     The Nyquist check runs at once, so a truncated spectrum warns at this
     call, before any shaping.  Each series is shaped when the returned
@@ -196,30 +190,12 @@ def measured_combinations(params, cfg):
     while the second is shaped, and never holds two inverse FFTs at once.
     The draws are those of synthesize_twin_beams.
     """
-    return _measured_combinations(params, cfg)
-
-
-def synthesize_measured_combinations(params, cfg):
-    """A TraceSet holding only xminus and yplus, the combinations mz_measure reads.
-
-    The draws are those of synthesize_twin_beams, so both give bit-identical
-    xminus and yplus for one (params, cfg).
-    """
-    return TraceSet(sample_rate=cfg.sample_rate, **dict(_measured_combinations(params, cfg)))
-
-
-def _measured_combinations(params, cfg):
-    """Check, then return the generator of the two shapings.
-
-    Only the two functions above call this, so stacklevel 3 points the
-    warning at their caller.
-    """
     nyquist = cfg.sample_rate / 2.0
     if nyquist < 2.0 * params.cavity_bandwidth:
         warnings.warn(
             f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
             f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
-            stacklevel=3)
+            stacklevel=2)
     s_amp, s_phase = _combination_psds(params)
     fs, n, seed = cfg.sample_rate, cfg.num_samples, cfg.seed
 
@@ -239,11 +215,10 @@ def synthesize_twin_beams(params, cfg):
     combinations are statistically independent; per-beam series are derived
     algebraically.
     """
-    measured = synthesize_measured_combinations(params, cfg)
+    (_, xminus), (_, yplus) = measured_combinations(params, cfg)
     s_amp, s_phase = _combination_psds(params)
     excess = 1.0 if cfg.conjugate_mode == "minimum_uncertainty" else cfg.conjugate_excess
     fs, n, seed = cfg.sample_rate, cfg.num_samples, cfg.seed
-    xminus, yplus = measured.xminus, measured.yplus
     xplus = colored_gaussian_series(lambda f: excess / s_amp(f), fs, n, seed, source="xplus")
     yminus = colored_gaussian_series(lambda f: excess / s_phase(f), fs, n, seed, source="yminus")
 
@@ -293,79 +268,31 @@ class BlockSeries:
 
 
 class _WhiteNoise:
-    """scale * white_series from the (seed, source) substream, drawn block by block."""
+    """scale * unit white noise from the (seed, source) substream, drawn block by block."""
 
     def __init__(self, scale, seed, source):
         self.scale = scale
         self._rng = _substream(seed, source)
 
     def draw(self, count):
-        block = white_series(count, self._rng)
+        block = self._rng.standard_normal(count)
         block *= self.scale
         return block
 
 
-def detected(series, efficiency, seed, source="detection"):
-    """A BlockSeries through lossy detection, a beamsplitter:
-    sqrt(eta) signal + sqrt(1-eta) vacuum.  Efficiency 1 returns series."""
-    if not 0 < efficiency <= 1:
-        raise DomainError(f"detection efficiency must be in (0, 1], got {efficiency}")
-    if efficiency == 1.0:
-        return series
-    gain = math.sqrt(efficiency)
-    vacuum = _WhiteNoise(math.sqrt(1.0 - efficiency), seed, source)
-    return BlockSeries(series.length,
-                       lambda start, stop: gain * series.block(start, stop)
-                       + vacuum.draw(stop - start))
-
-
-def apply_detection(series, efficiency, seed, source="detection"):
-    """Lossy detection of an array (see detected); efficiency 1 returns series."""
-    out = detected(BlockSeries.of(series), efficiency, seed, source)
-    return series if efficiency == 1.0 else out.array()
-
-
-def combine_channels(a, b, op):
-    """Power-combiner output (a +/- b)/sqrt2, preserving the SNL normalization."""
-    if len(a) != len(b):
-        raise DomainError(f"length mismatch: {len(a)} vs {len(b)}")
-    if op == "sum":
-        return (a + b) / SQRT2
-    if op == "difference":
-        return (a - b) / SQRT2
-    raise DomainError(f"unknown combiner op {op!r}")
-
-
-class MzReadout:
-    """One interferometer measurement: signal photocurrent and its SNL calibration.
-
-    snl_channel is given either as a series or as a function of no arguments
-    that draws it; the function runs the first time snl_channel is read, so
-    a caller that takes its SNL from another readout never pays for it.
-    """
-
-    def __init__(self, signal_channel, snl_channel):
-        self.signal_channel = signal_channel
-        self._snl = snl_channel
-
-    @property
-    def snl_channel(self):
-        if callable(self._snl):
-            self._snl = self._snl()
-        return self._snl
-
-
-_MEASURED = {"amplitude": "xminus", "phase": "yplus"}
-
-
 def mz_signal(series, mode, ifc, chain, seed):
-    """The signal photocurrent of one combination, a BlockSeries (see mz_measure).
+    """The signal photocurrent of one combination, a BlockSeries.
 
-    Each stage scales and adds in place, block by block: the same products
-    and sums as a * signal + b * noise on whole series.
+    mode 'amplitude' reads the amplitude-difference combination xminus,
+    'phase' the phase-sum combination yplus.  The chain applies the
+    interferometer sensitivity sin(theta/2), mixes in vacuum by the
+    mode-match weight, adds the chain's excess noise, and overlays the
+    electronics floor.  Each stage scales and adds in place, block by
+    block: the same products and sums as a * signal + b * noise on whole
+    series.
     """
     ifc.validate()
-    if mode not in _MEASURED:
+    if mode not in ("amplitude", "phase"):
         raise DomainError(f"unknown measurement mode {mode!r}")
     sensitivity = math.sin(ifc.rf_sideband_phase / 2.0)
     stages = []  # (gain, noise): signal *= gain, then signal += noise
@@ -373,9 +300,9 @@ def mz_signal(series, mode, ifc, chain, seed):
     if mu < 1.0:
         stages.append((math.sqrt(mu),
                        _WhiteNoise(math.sqrt(1.0 - mu), seed, f"{mode}:mode_match_vacuum")))
-    if mode == "phase" and chain.excess_phase_noise > 0:
-        stages.append((1.0, _WhiteNoise(math.sqrt(chain.excess_phase_noise), seed,
-                                        "phase:excess_noise")))
+    if chain.excess_noise > 0:
+        stages.append((1.0, _WhiteNoise(math.sqrt(chain.excess_noise), seed,
+                                        f"{mode}:excess_noise")))
     enl = chain.enl
     stages.append((math.sqrt(1.0 - enl),
                    _WhiteNoise(math.sqrt(enl), seed, f"{mode}:electronics_signal")))
@@ -392,7 +319,8 @@ def mz_signal(series, mode, ifc, chain, seed):
 
 def mz_reference(length, mode, chain, seed):
     """The SNL calibration photocurrent of one mode, a BlockSeries: an
-    independent vacuum trace through the chain's electronics."""
+    independent vacuum trace through the chain's electronics, so its PSD
+    defines the measured SNL."""
     vacuum = _WhiteNoise(math.sqrt(1.0 - chain.enl), seed, f"{mode}:snl_vacuum")
     electronics = _WhiteNoise(math.sqrt(chain.enl), seed, f"{mode}:electronics_reference")
 
@@ -404,28 +332,6 @@ def mz_reference(length, mode, chain, seed):
     return BlockSeries(length, block)
 
 
-def mz_measure(traces, mode, ifc, chain, seed):
-    """Push one joint combination through the modeled measurement chain.
-
-    mode 'amplitude' reads the amplitude-difference combination, 'phase' the
-    phase-sum combination.  The chain applies the interferometer sensitivity
-    sin(theta/2), mixes in vacuum by the mode-match weight, adds the excess
-    phase noise (phase mode only), and overlays the electronics floor; the
-    returned snl_channel is an independent vacuum trace through the same
-    electronics, so its PSD defines the measured SNL.  It is drawn when first
-    read.  Both are the arrays of mz_signal and mz_reference.
-    """
-    if mode not in _MEASURED:
-        raise DomainError(f"unknown measurement mode {mode!r}")
-    series = getattr(traces, _MEASURED[mode])
-    if series is None:
-        raise ConfigurationError(f"trace set lacks the {mode} combination series")
-    signal = mz_signal(BlockSeries.of(series), mode, ifc, chain, seed).array()
-    n = len(series)
-    return MzReadout(signal_channel=signal,
-                     snl_channel=lambda: mz_reference(n, mode, chain, seed).array())
-
-
 def electronics_floor(enl, length, seed, source="enl"):
     """Electronics noise alone, at PSD enl relative to the measured SNL, a BlockSeries."""
     if not 0 <= enl < 1:
@@ -433,7 +339,3 @@ def electronics_floor(enl, length, seed, source="enl"):
     noise = _WhiteNoise(math.sqrt(enl), seed, source)
     return BlockSeries(length, lambda start, stop: noise.draw(stop - start))
 
-
-def electronics_floor_series(enl, n, seed, source="enl"):
-    """Electronics noise alone, at PSD enl relative to the measured SNL."""
-    return electronics_floor(enl, n, seed, source).array()

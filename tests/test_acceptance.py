@@ -9,6 +9,8 @@ import functools
 import hashlib
 import json
 import math
+import pathlib
+import re
 import time
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 from twinbeam import dsp, model, synth
 from twinbeam.cli import main
+from twinbeam.config import parse_config
 from twinbeam.fit import FitProblem, _jacobian, _residuals, fit_spectra
 
 FS = 1e8
@@ -248,3 +251,13 @@ def test_pipeline_closure_invariant(tmp_path, capsys):
     _, report = run_pipeline(tmp_path, config)
     assert report["duan_sum"] == pytest.approx(1.2648, abs=0.03)
     assert report["entangled"]
+
+
+def test_readme_config_is_the_reference_config():
+    # the README's minimal config is the one this gate (and the benchmark) runs
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.DOTALL)
+    assert block is not None, "README lacks the minimal config block"
+    document = json.loads(block.group(1))
+    parse_config(document)
+    assert document == REFERENCE_CONFIG

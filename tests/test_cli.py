@@ -73,9 +73,14 @@ class TestConfigSchema:
         path = write_config(tmp_path, lambda d: d.pop("version"))
         assert main(["spectra", "--config", path, "--out", str(tmp_path / "o.csv")]) == 1
 
-    def test_double_eta_application_is_infeasible(self, tmp_path):
-        path = write_config(tmp_path, lambda d: d["chain"].update(detection_efficiency=0.88))
-        assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
+    def test_explicit_eta_keys_are_unknown(self, tmp_path, capsys):
+        # detection efficiency enters only through nopo.detection_efficiency
+        for section, key, value in (("chain", "detection_efficiency", 0.88),
+                                    ("synth", "eta_placement", "explicit")):
+            path = write_config(tmp_path, lambda d: d[section].update({key: value}))
+            assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "t.twbm").exists()
 
     def test_non_power_of_two_is_infeasible(self, tmp_path):
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=3000))
@@ -142,50 +147,31 @@ class TestSynthCommand:
 
     def test_channels_equal_the_library_path(self, tmp_path, capsys):
         # the CLI's lean draw must not fork the physics: same bits as the
-        # full library chain, after the trace's float32 rounding
+        # library's full twin-beam synthesis through the chain functions,
+        # after the trace's float32 rounding
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
         out = tmp_path / "lean.twbm"
         assert main(["synth", "--config", path, "--out", str(out)]) == 0
         _, channels = fileio.read_trace(out)
 
-        cfg = parse_config(json.loads(open(path).read()))
+        with open(path) as handle:
+            cfg = parse_config(json.load(handle))
         seed, n = cfg.synth.seed, cfg.synth.num_samples
         traces = synth.synthesize_twin_beams(cfg.nopo, cfg.synth)
-        amp = synth.mz_measure(traces, "amplitude", cfg.interferometer,
-                               cfg.amplitude_chain, seed)
-        phase = synth.mz_measure(traces, "phase", cfg.interferometer, cfg.phase_chain, seed)
-        library = {"amp_signal": amp.signal_channel, "phase_signal": phase.signal_channel,
-                   "snl": amp.snl_channel,
-                   "enl": synth.electronics_floor_series(cfg.enl, n, seed)}
+
+        def signal(series, mode, chain):
+            return synth.mz_signal(synth.BlockSeries.of(series), mode, cfg.interferometer,
+                                   chain, seed).array()
+
+        library = {
+            "amp_signal": signal(traces.xminus, "amplitude", cfg.amplitude_chain),
+            "phase_signal": signal(traces.yplus, "phase", cfg.phase_chain),
+            "snl": synth.mz_reference(n, "amplitude", cfg.amplitude_chain, seed).array(),
+            "enl": synth.electronics_floor(cfg.enl, n, seed).array(),
+        }
         assert list(channels) == list(library)
         for name, series in library.items():
             np.testing.assert_array_equal(channels[name], series.astype(np.float32))
-
-    def test_explicit_eta_channels_equal_the_library_path(self, tmp_path, capsys):
-        def mutate(doc):
-            doc["synth"].update(num_samples=2 ** 16, eta_placement="explicit")
-            doc["nopo"]["detection_efficiency"] = 1.0
-            doc["chain"]["detection_efficiency"] = 0.88
-        path = write_config(tmp_path, mutate)
-        out = tmp_path / "eta.twbm"
-        assert main(["synth", "--config", path, "--out", str(out)]) == 0
-        _, channels = fileio.read_trace(out)
-
-        with open(path) as handle:
-            cfg = parse_config(json.load(handle))
-        seed = cfg.synth.seed
-        traces = synth.synthesize_twin_beams(cfg.nopo, cfg.synth)
-        traces = synth.TraceSet(
-            sample_rate=traces.sample_rate,
-            xminus=synth.apply_detection(traces.xminus, 0.88, seed, source="detect:xminus"),
-            yplus=synth.apply_detection(traces.yplus, 0.88, seed, source="detect:yplus"))
-        amp = synth.mz_measure(traces, "amplitude", cfg.interferometer,
-                               cfg.amplitude_chain, seed)
-        phase = synth.mz_measure(traces, "phase", cfg.interferometer, cfg.phase_chain, seed)
-        np.testing.assert_array_equal(channels["amp_signal"],
-                                      amp.signal_channel.astype(np.float32))
-        np.testing.assert_array_equal(channels["phase_signal"],
-                                      phase.signal_channel.astype(np.float32))
 
     def test_worker_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # a chain stage raising on the worker thread, a few blocks into the
@@ -228,14 +214,6 @@ class TestSynthCommand:
         other = json.loads(capsys.readouterr().out)
         assert other["seed"] == 99
         assert other["sha256"] != base["sha256"]
-
-    def test_explicit_eta_pipeline_runs(self, tmp_path, capsys):
-        def mutate(doc):
-            doc["synth"]["eta_placement"] = "explicit"
-            doc["nopo"]["detection_efficiency"] = 1.0
-            doc["chain"]["detection_efficiency"] = 0.88
-        path = write_config(tmp_path, mutate)
-        assert main(["synth", "--config", path, "--out", str(tmp_path / "e.twbm")]) == 0
 
 
 class TestAnalyzeCertifyPipeline:
@@ -282,6 +260,27 @@ class TestAnalyzeCertifyPipeline:
         report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert "electronic_noise" not in {c["correction"] for c in report["corrections"]}
         assert report["amplitude_diff_variance"] == report["raw"]["amplitude"]
+
+    def test_amplitude_excess_noise_is_applied(self, tmp_path, capsys):
+        # the closed-form chain at f0, within 5 sigma of the averaged reading
+        path = write_config(tmp_path, lambda d: (
+            d["synth"].update(num_samples=2 ** 18),
+            d["chain"]["amplitude"].update(excess_noise=0.5)))
+        trace, out = tmp_path / "excess.twbm", tmp_path / "excess.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 0
+        reading = json.loads(out.read_text())
+        with open(path) as handle:
+            cfg = parse_config(json.load(handle))
+        f0 = cfg.interferometer.analysis_frequency
+        sensitivity = math.sin(cfg.interferometer.rf_sideband_phase / 2.0) ** 2
+        expected = model.with_electronic_noise(
+            model.mode_match_penalty(
+                sensitivity * model.intensity_diff_spectrum(cfg.nopo, f0),
+                cfg.amplitude_chain.mode_match) + 0.5,
+            cfg.enl)
+        sigma_db = 4.343 * math.sqrt(2.0 / reading["num_averages"])
+        assert abs(reading["amplitude_db"] - model.db_rel_snl(expected)) < 5 * sigma_db
 
     def test_f0_outside_nyquist_is_usage_error(self, config_path, tmp_path, capsys):
         trace = tmp_path / "run2.twbm"
@@ -352,9 +351,35 @@ class TestCertifyCommand:
         assert main(["certify", "--vx", "0.5", "--vy", value, "--json"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b'{"amplitude_db": -1.2, "phase_db": -0.6, "enl_db": "\xff"}',
+        b'{"amplitude_db": "abc", "phase_db": -0.6}',
+        b'{"amplitude_db": -1.2, "phase_db": -0.6, "enl_db": "x"}',
+        b'{"amplitude_db": true, "phase_db": -0.6}',
+        b'{"amplitude_db": -1.2, "phase_db": [-0.6]}',
+        b"-1.2",
+        b"[]",
+    ], ids=["not-json", "not-utf8", "text-reading", "text-enl", "bool-reading",
+            "list-reading", "number", "list"])
+    def test_malformed_analysis_is_usage_error(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["certify", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: error: analysis JSON")
+        assert captured.out == ""
+
     def test_nonfinite_reading_is_infeasible(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"amplitude_db": NaN, "phase_db": -0.6}')
+        assert main(["certify", str(path), "--json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("reading", ["null", "9" * 400], ids=["null", "huge-integer"])
+    def test_null_or_overflowing_reading_is_infeasible(self, reading, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"amplitude_db": {reading}, "phase_db": -0.6}}')
         assert main(["certify", str(path), "--json"]) == 2
         assert capsys.readouterr().out == ""
 
@@ -393,6 +418,20 @@ class TestFitCommand:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["fit", "/nonexistent/spec.csv"]) == 1
+
+    @pytest.mark.parametrize("row, message", [
+        (b"1e6,abc,0.5,,", "line 3 holds a cell that is not a number"),
+        (b"1e6,0.5,\xff\xfe,,", "not UTF-8 text (byte offset 49)"),
+        (b"1e6,nan,0.5,,", "amplitude_observed must be finite"),
+    ], ids=["non-numeric", "non-utf8", "nan-observation"])
+    def test_malformed_spectrum_is_infeasible(self, row, message, tmp_path, capsys):
+        header = b"f_hz,s_i,s_p,s_i_db,s_p_db\n2e6,0.6,0.7,,\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(header + row + b"\n4e6,0.6,0.7,,\n8e6,0.7,0.8,,\n")
+        assert main(["fit", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestUsage:

@@ -1,10 +1,13 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from twinbeam import model, synth
+from twinbeam import fileio, model, synth
+from twinbeam.cli import main
+from twinbeam.config import parse_config
 from twinbeam.dsp import AnalyzerSettings, band_power_rel_snl, welch_psd
 from twinbeam.errors import ConfigurationError, DomainError
 
@@ -126,12 +129,11 @@ class TestSynthesizeTwinBeams:
     def test_beam_reconstruction_identity(self):
         cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 18, seed=9)
         traces = synth.synthesize_twin_beams(REF_PARAMS, cfg)
-        np.testing.assert_allclose(
-            synth.combine_channels(traces.x1, traces.x2, "difference"),
-            traces.xminus, atol=1e-12)
-        np.testing.assert_allclose(
-            synth.combine_channels(traces.y1, traces.y2, "sum"),
-            traces.yplus, atol=1e-12)
+        # the power combiner's difference and sum, (a -/+ b)/sqrt2
+        np.testing.assert_allclose((traces.x1 - traces.x2) / math.sqrt(2), traces.xminus,
+                                   atol=1e-12)
+        np.testing.assert_allclose((traces.y1 + traces.y2) / math.sqrt(2), traces.yplus,
+                                   atol=1e-12)
 
     def test_undersampled_bandwidth_warns(self):
         cfg = synth.SynthConfig(sample_rate=4e6, num_samples=2 ** 16, seed=1)
@@ -142,50 +144,14 @@ class TestSynthesizeTwinBeams:
         # the check runs when measured_combinations is called, before any
         # shaping, and the warning names the caller's line, not synth.py
         cfg = synth.SynthConfig(sample_rate=4e6, num_samples=2 ** 16, seed=1)
-        for make in (synth.measured_combinations, synth.synthesize_measured_combinations):
-            with pytest.warns(UserWarning, match="Nyquist") as record:
-                make(REF_PARAMS, cfg)
-            assert [w.filename for w in record] == [__file__]
+        with pytest.warns(UserWarning, match="Nyquist") as record:
+            synth.measured_combinations(REF_PARAMS, cfg)
+        assert [w.filename for w in record] == [__file__]
 
     def test_target_uncertainty_product_exact(self):
         freqs = np.linspace(0.0, FS / 2, 101)
         dip = model.intensity_diff_psd(freqs, 0.88 * 0.84, 24.7e6)
         np.testing.assert_allclose(dip * (1.0 / dip), 1.0, rtol=1e-15)
-
-
-class TestApplyDetection:
-    def test_vacuum_fixed_point(self):
-        white = synth.white_series(2 ** 20, np.random.default_rng(8))
-        out = synth.apply_detection(white, 0.5, seed=21)
-        assert psd_at(estimate(out), 20e6) == pytest.approx(1.0, abs=0.05)
-
-    def test_affine_psd_law(self):
-        series = synth.colored_gaussian_series(
-            lambda f: np.full_like(f, 0.2608), FS, 2 ** 21, seed=11)
-        out = synth.apply_detection(series, 0.88, seed=12)
-        assert psd_at(estimate(out), 20e6) == pytest.approx(
-            0.88 * 0.2608 + 0.12, abs=0.015)
-
-    def test_unit_efficiency_identity(self):
-        series = synth.white_series(2 ** 12, np.random.default_rng(0))
-        assert synth.apply_detection(series, 1.0, seed=0) is series
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            synth.apply_detection(np.zeros(8), 0.0, seed=0)
-
-
-class TestCombineChannels:
-    def test_snl_preservation(self):
-        rng = np.random.default_rng(4)
-        a, b = rng.standard_normal(2 ** 20), rng.standard_normal(2 ** 20)
-        for op in ("sum", "difference"):
-            out = synth.combine_channels(a, b, op)
-            assert psd_at(estimate(out), 20e6) == pytest.approx(1.0, abs=0.06)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            synth.combine_channels(np.zeros(4), np.zeros(5), "sum")
 
 
 class TestMzMeasure:
@@ -195,20 +161,27 @@ class TestMzMeasure:
         cfg = synth.SynthConfig(sample_rate=FS, num_samples=n, seed=seed)
         return synth.synthesize_twin_beams(REF_PARAMS, cfg)
 
+    def signal(self, traces, mode, chain, seed, ifc=None):
+        series = traces.xminus if mode == "amplitude" else traces.yplus
+        return synth.mz_signal(synth.BlockSeries.of(series), mode, ifc or self.ifc,
+                               chain, seed).array()
+
+    def reference(self, traces, mode, chain, seed):
+        return synth.mz_reference(len(traces.xminus), mode, chain, seed).array()
+
     def test_transparent_chain_passes_quadrature_through(self):
         traces = self.traces(n=2 ** 20)
         chain = synth.DetectionChain(mode_match=1.0, enl=1e-9)
-        readout = synth.mz_measure(traces, "phase", self.ifc, chain, seed=9)
-        assert psd_at(estimate(readout.signal_channel), 20e6) == pytest.approx(
-            S_P_20M, abs=0.04)
+        signal = self.signal(traces, "phase", chain, seed=9)
+        assert psd_at(estimate(signal), 20e6) == pytest.approx(S_P_20M, abs=0.04)
 
     def test_reference_phase_chain_reading(self):
         # (0.90 * S_P + 0.10 + 0.04) through the electronics floor: -0.606 dB
         traces = self.traces()
-        chain = synth.DetectionChain(mode_match=0.90, enl=0.4074, excess_phase_noise=0.04)
-        readout = synth.mz_measure(traces, "phase", self.ifc, chain, seed=9)
+        chain = synth.DetectionChain(mode_match=0.90, enl=0.4074, excess_noise=0.04)
         reading = band_power_rel_snl(
-            estimate(readout.signal_channel), estimate(readout.snl_channel), 20e6)
+            estimate(self.signal(traces, "phase", chain, seed=9)),
+            estimate(self.reference(traces, "phase", chain, seed=9)), 20e6)
         expected = 10 * math.log10(
             (0.90 * S_P_20M + 0.10 + 0.04) * (1 - 0.4074) + 0.4074)
         assert reading == pytest.approx(expected, abs=0.3)
@@ -217,35 +190,34 @@ class TestMzMeasure:
     def test_amplitude_chain_reading(self):
         traces = self.traces()
         chain = synth.DetectionChain(enl=0.4074)
-        readout = synth.mz_measure(traces, "amplitude", self.ifc, chain, seed=9)
         reading = band_power_rel_snl(
-            estimate(readout.signal_channel), estimate(readout.snl_channel), 20e6)
+            estimate(self.signal(traces, "amplitude", chain, seed=9)),
+            estimate(self.reference(traces, "amplitude", chain, seed=9)), 20e6)
         assert reading == pytest.approx(-1.334, abs=0.3)
 
     def test_snl_channel_is_unity(self):
         traces = self.traces(n=2 ** 20)
         chain = synth.DetectionChain(mode_match=0.9, enl=0.4074)
-        readout = synth.mz_measure(traces, "amplitude", self.ifc, chain, seed=3)
-        assert psd_at(estimate(readout.snl_channel), 20e6) == pytest.approx(1.0, abs=0.05)
+        snl = self.reference(traces, "amplitude", chain, seed=3)
+        assert psd_at(estimate(snl), 20e6) == pytest.approx(1.0, abs=0.05)
 
     def test_out_of_tolerance_interferometer_rejected(self):
         traces = self.traces(n=2 ** 16)
         bad = model.InterferometerConfig(analysis_frequency=20e6, arm_length_difference=8.0)
         with pytest.raises(ConfigurationError, match="theta"):
-            synth.mz_measure(traces, "phase", bad, synth.DetectionChain(), seed=0)
+            self.signal(traces, "phase", synth.DetectionChain(), seed=0, ifc=bad)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
-            synth.mz_measure(self.traces(n=2 ** 16), "both", self.ifc,
-                             synth.DetectionChain(), seed=0)
+            self.signal(self.traces(n=2 ** 16), "both", synth.DetectionChain(), seed=0)
 
     def test_deterministic(self):
         traces = self.traces(n=2 ** 16)
-        chain = synth.DetectionChain(mode_match=0.9, enl=0.3, excess_phase_noise=0.02)
-        a = synth.mz_measure(traces, "phase", self.ifc, chain, seed=77)
-        b = synth.mz_measure(traces, "phase", self.ifc, chain, seed=77)
-        assert np.array_equal(a.signal_channel, b.signal_channel)
-        assert np.array_equal(a.snl_channel, b.snl_channel)
+        chain = synth.DetectionChain(mode_match=0.9, enl=0.3, excess_noise=0.02)
+        for measure in (self.signal, self.reference):
+            a = measure(traces, "phase", chain, seed=77)
+            b = measure(traces, "phase", chain, seed=77)
+            assert np.array_equal(a, b)
 
 
 class TestBlockSeries:
@@ -261,41 +233,75 @@ class TestBlockSeries:
 
     @pytest.mark.parametrize("mode", ["amplitude", "phase"])
     def test_chain_block_size_moves_no_bit(self, monkeypatch, mode):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 17, seed=6)
-        traces = synth.synthesize_measured_combinations(REF_PARAMS, cfg)
-        chain = synth.DetectionChain(mode_match=0.8, enl=0.3, excess_phase_noise=0.04)
+        n = 2 ** 17
+        cfg = synth.SynthConfig(sample_rate=FS, num_samples=n, seed=6)
+        combinations = dict(synth.measured_combinations(REF_PARAMS, cfg))
+        series = combinations["xminus" if mode == "amplitude" else "yplus"]
+        chain = synth.DetectionChain(mode_match=0.8, enl=0.3, excess_noise=0.04)
 
         def measure():
-            readout = synth.mz_measure(traces, mode, self.ifc, chain, seed=6)
-            detected = synth.apply_detection(traces.xminus, 0.88, seed=6)
-            return [readout.signal_channel.tobytes(), readout.snl_channel.tobytes(),
-                    detected.tobytes(), synth.electronics_floor_series(0.3, 2 ** 17, 6).tobytes()]
+            signal = synth.mz_signal(synth.BlockSeries.of(series), mode, self.ifc, chain, seed=6)
+            return [signal.array().tobytes(),
+                    synth.mz_reference(n, mode, chain, seed=6).array().tobytes(),
+                    synth.electronics_floor(0.3, n, seed=6).array().tobytes()]
 
         whole = measure()
         monkeypatch.setattr(synth, "_BLOCK_SAMPLES", 999)
         assert measure() == whole
 
-    def test_chain_equals_the_whole_series_arithmetic(self):
-        # the chain as mz_measure applied it to whole series before it ran in blocks
-        n, seed = 2 ** 17, 8
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=n, seed=seed)
-        traces = synth.synthesize_measured_combinations(REF_PARAMS, cfg)
-        mu, excess, enl = 0.9, 0.04, 0.4074
-        chain = synth.DetectionChain(mode_match=mu, enl=enl, excess_phase_noise=excess)
-        readout = synth.mz_measure(traces, "phase", self.ifc, chain, seed)
+    def test_chain_equals_the_whole_series_arithmetic(self, tmp_path):
+        # every channel `twinbeam synth` writes is the chain applied to whole
+        # series, as it was before it ran in blocks, rounded to float32
+        n, seed, mu, enl = 2 ** 16, 8, 0.8, 0.4
+        excess = {"amplitude": 0.3, "phase": 0.04}
+        doc = {
+            "version": "twinbeam-config/1",
+            "nopo": {"transmission": 0.84, "intracavity_loss": 0.16,
+                     "cavity_bandwidth_hz": 24.7e6, "pump_power": 1.9044,
+                     "threshold_power": 1.0, "detection_efficiency": 0.88},
+            "synth": {"sample_rate_hz": FS, "num_samples": n, "seed": seed,
+                      "conjugate_mode": "minimum_uncertainty"},
+            "chain": {"enl": enl,
+                      **{mode: {"mode_match": mu, "excess_noise": excess[mode]}
+                         for mode in excess}},
+            "analyzer": {"rbw_hz": 150e3, "vbw_hz": 2.0},
+            "interferometer": {"analysis_frequency_hz": 20e6},
+        }
+        config, trace = tmp_path / "chain.json", tmp_path / "chain.twbm"
+        config.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(config), "--out", str(trace)]) == 0
+        _, channels = fileio.read_trace(trace)
+
+        cfg = parse_config(doc)
+        params = cfg.nopo
+        product = params.detection_efficiency * params.output_coupling
+        combinations = {
+            "amplitude": synth.colored_gaussian_series(
+                lambda f: model.intensity_diff_psd(f, product, params.cavity_bandwidth),
+                FS, n, seed, source="xminus"),
+            "phase": synth.colored_gaussian_series(
+                lambda f: model.phase_sum_psd(f, product, params.cavity_bandwidth,
+                                              params.pump_ratio),
+                FS, n, seed, source="yplus"),
+        }
 
         def white(scale, source):
-            return scale * synth.white_series(n, synth._substream(seed, source))
+            return scale * synth._substream(seed, source).standard_normal(n)
 
-        expected = math.sin(self.ifc.rf_sideband_phase / 2.0) * traces.yplus
-        expected = math.sqrt(mu) * expected + white(math.sqrt(1 - mu), "phase:mode_match_vacuum")
-        expected = expected + white(math.sqrt(excess), "phase:excess_noise")
-        expected = (math.sqrt(1 - enl) * expected
-                    + white(math.sqrt(enl), "phase:electronics_signal"))
-        snl = (white(math.sqrt(1 - enl), "phase:snl_vacuum")
-               + white(math.sqrt(enl), "phase:electronics_reference"))
-        assert readout.signal_channel.tobytes() == expected.tobytes()
-        assert readout.snl_channel.tobytes() == snl.tobytes()
+        expected = {}
+        sensitivity = math.sin(cfg.interferometer.rf_sideband_phase / 2.0)
+        for mode, name in (("amplitude", "amp_signal"), ("phase", "phase_signal")):
+            signal = sensitivity * combinations[mode]
+            signal = math.sqrt(mu) * signal + white(math.sqrt(1 - mu), f"{mode}:mode_match_vacuum")
+            signal = signal + white(math.sqrt(excess[mode]), f"{mode}:excess_noise")
+            expected[name] = (math.sqrt(1 - enl) * signal
+                              + white(math.sqrt(enl), f"{mode}:electronics_signal"))
+        expected["snl"] = (white(math.sqrt(1 - enl), "amplitude:snl_vacuum")
+                           + white(math.sqrt(enl), "amplitude:electronics_reference"))
+        expected["enl"] = white(math.sqrt(enl), "enl")
+        assert list(channels) == list(expected)
+        for name, series in expected.items():
+            assert channels[name].tobytes() == series.astype(np.float32).tobytes(), name
 
 
 class TestSynthConfigValidation:
