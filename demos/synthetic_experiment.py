@@ -20,17 +20,14 @@ from twinbeam.config import parse_config
 # output coupling 0.84, pump at 1.38x threshold, 24.7 MHz cavity bandwidth,
 # detection efficiency 0.88; electronics floor 0.4074 (-3.9 dB rel SNL)
 CONFIG = {
-    "version": "twinbeam-config/1",
+    "version": "twinbeam-config/2",
     "nopo": {
         "transmission": 0.84, "intracavity_loss": 0.16,
         "cavity_bandwidth_hz": 24.7e6,
         "pump_power": 1.9044, "threshold_power": 1.0,
         "detection_efficiency": 0.88,
     },
-    "synth": {
-        "sample_rate_hz": 1e8, "num_samples": 2 ** 22,
-        "seed": 7, "conjugate_mode": "minimum_uncertainty",
-    },
+    "synth": {"sample_rate_hz": 1e8, "num_samples": 2 ** 22, "seed": 7},
     "chain": {
         "enl": 0.4074,
         "amplitude": {"mode_match": 1.0, "excess_noise": 0.0},

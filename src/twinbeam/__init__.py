@@ -8,7 +8,6 @@ and nonlinear least-squares spectrum fitting.
 
 from .model import (
     SPEED_OF_LIGHT,
-    BeamPairMetadata,
     DuanVerdict,
     InterferometerConfig,
     NopoParams,
@@ -30,9 +29,7 @@ from .model import (
 from .synth import (
     DetectionChain,
     SynthConfig,
-    TraceSet,
     colored_gaussian_series,
-    synthesize_twin_beams,
 )
 from .dsp import AnalyzerSettings, SpectrumEstimate, band_power_rel_snl, welch_psd
 from .fit import FitProblem, FitResult, fit_spectra

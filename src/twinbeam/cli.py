@@ -4,9 +4,9 @@ A trace file written by synth holds the four measured channels analyze
 reads (pipeline.TRACE_CHANNELS): the amplitude and phase signal
 photocurrents, the shot-noise reference and the electronics floor.
 pipeline makes them and reads them; this module schedules that work and
-handles files, flags and exit codes.  The quadrature combinations and
-per-beam series behind the channels are not stored; the library's
-synthesize_twin_beams returns them.
+handles files, flags and exit codes.  The two combinations behind the
+signal channels are not stored (synth.measured_combinations returns them),
+and per-beam series are not modelled.
 
 synth and analyze use up to two threads; their output does not depend on
 how many run.  synth shapes the two combinations on the calling thread
@@ -99,7 +99,7 @@ def _emit(payload, out_path, as_json):
 
 def _cmd_spectra(args):
     cfg = load_config(args.config)
-    if args.f_min < 0 or args.f_max < args.f_min or args.num_points < 1:
+    if not 0 <= args.f_min <= args.f_max < math.inf or args.num_points < 1:  # rejects nan too
         raise UsageError(
             f"invalid frequency range [{args.f_min}, {args.f_max}] / {args.num_points} points")
     if args.f_min == args.f_max:

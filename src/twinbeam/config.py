@@ -15,7 +15,7 @@ from .errors import ConfigurationError, TwinbeamError
 from .model import InterferometerConfig, NopoParams, arm_length_difference
 from .synth import DetectionChain, SynthConfig
 
-CONFIG_VERSION = "twinbeam-config/1"
+CONFIG_VERSION = "twinbeam-config/2"
 
 
 class SchemaError(TwinbeamError):
@@ -38,8 +38,6 @@ _SCHEMA = {
         "sample_rate_hz": float,
         "num_samples": int,
         "seed": int,
-        "conjugate_mode": str,
-        "conjugate_excess": (float, None),
     },
     "chain": {
         "enl": float,
@@ -57,7 +55,6 @@ _SCHEMA = {
         "analysis_frequency_hz": float,
         "arm_length_difference_m": (float, None),
         "dc_phase_rad": (float, None),
-        "winding_integer": (int, None),
         "theta_tol": (float, None),
         "phi_tol": (float, None),
     },
@@ -114,6 +111,11 @@ class RunConfig:
 def parse_config(document):
     if not isinstance(document, dict):
         raise SchemaError("config root must be a JSON object")
+    if document.get("version") == "twinbeam-config/1":
+        raise SchemaError(
+            "config version 'twinbeam-config/1' is retired: delete synth.conjugate_mode, "
+            "synth.conjugate_excess and interferometer.winding_integer (they changed no "
+            f"output) and set version to {CONFIG_VERSION!r}")
     if document.get("version") != CONFIG_VERSION:
         raise SchemaError(
             f"config version must be {CONFIG_VERSION!r}, got {document.get('version')!r}")
@@ -134,8 +136,6 @@ def parse_config(document):
         sample_rate=synth_doc["sample_rate_hz"],
         num_samples=synth_doc["num_samples"],
         seed=synth_doc["seed"],
-        conjugate_mode=synth_doc["conjugate_mode"],
-        conjugate_excess=synth_doc.get("conjugate_excess") or 1.0,
     )
 
     chain_doc = document["chain"]
@@ -164,8 +164,6 @@ def parse_config(document):
     ifc_kwargs = {}
     if ifc_doc.get("dc_phase_rad") is not None:
         ifc_kwargs["dc_phase"] = ifc_doc["dc_phase_rad"]
-    if ifc_doc.get("winding_integer") is not None:
-        ifc_kwargs["winding_integer"] = ifc_doc["winding_integer"]
     if ifc_doc.get("theta_tol") is not None:
         ifc_kwargs["theta_tol"] = ifc_doc["theta_tol"]
     if ifc_doc.get("phi_tol") is not None:

@@ -6,8 +6,9 @@ Trace file layout (all little-endian):
     payload: channels sequential, samples as f32, every sample finite.
 
 The format takes any ordered set of named channels.  The CLI writes the four
-measured channels analyze reads (pipeline.TRACE_CHANNELS); the quadrature
-and per-beam series are not stored, and come from synth.synthesize_twin_beams.
+measured channels analyze reads (pipeline.TRACE_CHANNELS); the combinations
+behind them are not stored (synth.measured_combinations returns them), and
+per-beam series are not modelled.
 Each channel sits at a fixed offset, so a TraceWriter fills the payload as
 the channels are produced, block by block and from more than one thread,
 and trace_writer hashes the finished file and renames it into place.

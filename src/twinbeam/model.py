@@ -93,22 +93,6 @@ class NopoParams:
         )
 
 
-@dataclass(frozen=True)
-class BeamPairMetadata:
-    """Informational record of the two output beams; no physics depends on it."""
-    signal_wavelength_nm: float
-    idler_wavelength_nm: float
-    total_output_power_mw: float
-
-    def __post_init__(self):
-        if self.signal_wavelength_nm <= 0 or self.idler_wavelength_nm <= 0:
-            raise DomainError("wavelengths must be positive")
-
-    @property
-    def wavelength_splitting_nm(self):
-        return abs(self.signal_wavelength_nm - self.idler_wavelength_nm)
-
-
 # ---------------------------------------------------------------------------
 # analytic noise spectra (SNL = 1)
 
@@ -263,7 +247,6 @@ class InterferometerConfig:
     analysis_frequency: float
     arm_length_difference: float
     dc_phase: float = math.pi / 2.0
-    winding_integer: int = 0
     theta_tol: float = 0.05
     phi_tol: float = 0.05
 

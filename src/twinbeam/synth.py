@@ -20,14 +20,12 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import model
 from .errors import DomainError
 
-SQRT2 = math.sqrt(2.0)
 _BLOCK_SAMPLES = 2 ** 16
 
 
@@ -43,22 +41,18 @@ def _is_power_of_two(n):
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Discretization and conjugate-quadrature policy for a synthesis run."""
+    """Discretization and seed of the two combinations measured_combinations shapes."""
     sample_rate: float
     num_samples: int
     seed: int
-    conjugate_mode: str = "minimum_uncertainty"  # or "explicit"
-    conjugate_excess: float = 1.0  # used in "explicit" mode, >= 1
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise DomainError("sample rate must be positive")
         if not _is_power_of_two(self.num_samples):
             raise DomainError(f"num_samples must be a power of two, got {self.num_samples}")
-        if self.conjugate_mode not in ("minimum_uncertainty", "explicit"):
-            raise DomainError(f"unknown conjugate mode {self.conjugate_mode!r}")
-        if self.conjugate_mode == "explicit" and self.conjugate_excess < 1:
-            raise DomainError("conjugate excess must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -79,34 +73,6 @@ class DetectionChain:
             raise DomainError("electronics noise level must be in [0, 1)")
         if self.excess_noise < 0:
             raise DomainError("excess noise must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TraceSet:
-    """Sampled joint-combination and per-beam quadrature series.
-
-    xminus/xplus are the amplitude difference/sum combinations, yplus/yminus
-    the phase sum/difference, all scaled so a shot-noise-limited combination
-    is unit-variance white.  Per-beam series satisfy x1 = (xplus+xminus)/sqrt2,
-    x2 = (xplus-xminus)/sqrt2 and likewise for y.  The measurement chain
-    reads only xminus and yplus; every other series may be absent.
-    """
-    sample_rate: float
-    xminus: np.ndarray
-    xplus: Optional[np.ndarray] = None
-    yplus: Optional[np.ndarray] = None
-    yminus: Optional[np.ndarray] = None
-    x1: Optional[np.ndarray] = None
-    x2: Optional[np.ndarray] = None
-    y1: Optional[np.ndarray] = None
-    y2: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        n = len(self.xminus)
-        for name in ("xplus", "yplus", "yminus", "x1", "x2", "y1", "y2"):
-            series = getattr(self, name)
-            if series is not None and len(series) != n:
-                raise DomainError(f"series {name} has length {len(series)}, expected {n}")
 
 
 def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored"):
@@ -132,8 +98,8 @@ def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored
     size = freqs.size
     del freqs
     # E|X_k|^2 = psd_k * n makes the one-sided periodogram (|X|^2 / n for
-    # interior bins in SNL-relative units) land on the target.  DC and
-    # Nyquist bins are their own conjugates: real, full variance.
+    # interior bins in SNL-relative units) land on the target.  The DC and
+    # Nyquist bins are real, with full variance.
     dc_scale = math.sqrt(target[0] * num_samples)
     nyquist_scale = math.sqrt(target[-1] * num_samples)
     scale = target * num_samples
@@ -166,29 +132,16 @@ def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored
     return np.fft.irfft(spectrum, n=num_samples)
 
 
-def _combination_psds(params):
-    """Target PSDs of the measured combinations: amplitude difference, phase sum."""
-    product = params.detection_efficiency * params.output_coupling
-    bandwidth = params.cavity_bandwidth
-    ratio = params.pump_ratio
-
-    def s_amp(f):
-        return model.intensity_diff_psd(f, product, bandwidth)
-
-    def s_phase(f):
-        return model.phase_sum_psd(f, product, bandwidth, ratio)
-
-    return s_amp, s_phase
-
-
 def measured_combinations(params, cfg):
     """Yield ("xminus", series), then ("yplus", series): the combinations the chain reads.
 
-    The Nyquist check runs at once, so a truncated spectrum warns at this
+    xminus, the amplitude difference, is shaped to model.intensity_diff_spectrum
+    and yplus, the phase sum, to model.phase_sum_spectrum, from independent
+    draws, so a shot-noise-limited combination is unit-variance white.  The
+    Nyquist check runs at once, so a truncated spectrum warns at this
     call, before any shaping.  Each series is shaped when the returned
     generator is advanced to it, so a caller can put the first to work
     while the second is shaped, and never holds two inverse FFTs at once.
-    The draws are those of synthesize_twin_beams.
     """
     nyquist = cfg.sample_rate / 2.0
     if nyquist < 2.0 * params.cavity_bandwidth:
@@ -196,40 +149,15 @@ def measured_combinations(params, cfg):
             f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
             f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
             stacklevel=2)
-    s_amp, s_phase = _combination_psds(params)
     fs, n, seed = cfg.sample_rate, cfg.num_samples, cfg.seed
 
     def shaped():
-        yield "xminus", colored_gaussian_series(s_amp, fs, n, seed, source="xminus")
-        yield "yplus", colored_gaussian_series(s_phase, fs, n, seed, source="yplus")
+        yield "xminus", colored_gaussian_series(
+            lambda f: model.intensity_diff_spectrum(params, f), fs, n, seed, source="xminus")
+        yield "yplus", colored_gaussian_series(
+            lambda f: model.phase_sum_spectrum(params, f), fs, n, seed, source="yplus")
 
     return shaped()
-
-
-def synthesize_twin_beams(params, cfg):
-    """Generate a TraceSet whose combination PSDs match the analytic spectra.
-
-    xminus targets the amplitude-difference dip, yplus the phase-sum dip;
-    the conjugate combinations get the frequency-wise reciprocal (minimum
-    uncertainty) or reciprocal times an explicit excess factor.  The four
-    combinations are statistically independent; per-beam series are derived
-    algebraically.
-    """
-    (_, xminus), (_, yplus) = measured_combinations(params, cfg)
-    s_amp, s_phase = _combination_psds(params)
-    excess = 1.0 if cfg.conjugate_mode == "minimum_uncertainty" else cfg.conjugate_excess
-    fs, n, seed = cfg.sample_rate, cfg.num_samples, cfg.seed
-    xplus = colored_gaussian_series(lambda f: excess / s_amp(f), fs, n, seed, source="xplus")
-    yminus = colored_gaussian_series(lambda f: excess / s_phase(f), fs, n, seed, source="yminus")
-
-    return TraceSet(
-        sample_rate=fs,
-        xminus=xminus, xplus=xplus, yplus=yplus, yminus=yminus,
-        x1=(xplus + xminus) / SQRT2,
-        x2=(xplus - xminus) / SQRT2,
-        y1=(yplus + yminus) / SQRT2,
-        y2=(yplus - yminus) / SQRT2,
-    )
 
 
 class BlockSeries:
@@ -332,10 +260,10 @@ def mz_reference(length, mode, chain, seed):
     return BlockSeries(length, block)
 
 
-def electronics_floor(enl, length, seed, source="enl"):
+def electronics_floor(enl, length, seed):
     """Electronics noise alone, at PSD enl relative to the measured SNL, a BlockSeries."""
     if not 0 <= enl < 1:
         raise DomainError("electronics noise level must be in [0, 1)")
-    noise = _WhiteNoise(math.sqrt(enl), seed, source)
+    noise = _WhiteNoise(math.sqrt(enl), seed, "enl")
     return BlockSeries(length, lambda start, stop: noise.draw(stop - start))
 

@@ -18,7 +18,7 @@ from twinbeam.errors import DomainError
 
 # small but statistically usable synthesis for CLI round trips
 BASE_CONFIG = {
-    "version": "twinbeam-config/1",
+    "version": "twinbeam-config/2",
     "nopo": {
         "transmission": 0.84,
         "intracavity_loss": 0.16,
@@ -31,7 +31,6 @@ BASE_CONFIG = {
         "sample_rate_hz": 1e8,
         "num_samples": 2 ** 20,
         "seed": 11,
-        "conjugate_mode": "minimum_uncertainty",
     },
     "chain": {
         "enl": 0.4074,
@@ -74,17 +73,39 @@ class TestConfigSchema:
         assert main(["spectra", "--config", path, "--out", str(tmp_path / "o.csv")]) == 1
 
     def test_explicit_eta_keys_are_unknown(self, tmp_path, capsys):
-        # detection efficiency enters only through nopo.detection_efficiency
+        # detection efficiency enters only through nopo.detection_efficiency;
+        # the keys twinbeam-config/1 validated but no output read are gone too
         for section, key, value in (("chain", "detection_efficiency", 0.88),
-                                    ("synth", "eta_placement", "explicit")):
+                                    ("synth", "eta_placement", "explicit"),
+                                    ("synth", "conjugate_mode", "minimum_uncertainty"),
+                                    ("synth", "conjugate_excess", 1.0),
+                                    ("interferometer", "winding_integer", 0)):
             path = write_config(tmp_path, lambda d: d[section].update({key: value}))
             assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 1
             assert key in capsys.readouterr().err
         assert not (tmp_path / "t.twbm").exists()
 
+    def test_version_1_names_the_retired_keys(self, tmp_path, capsys):
+        def mutate(doc):
+            doc["version"] = "twinbeam-config/1"
+            doc["synth"]["conjugate_mode"] = "minimum_uncertainty"
+        path = write_config(tmp_path, mutate)
+        assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 1
+        err = capsys.readouterr().err
+        for key in ("synth.conjugate_mode", "synth.conjugate_excess",
+                    "interferometer.winding_integer", "twinbeam-config/2"):
+            assert key in err
+        assert not (tmp_path / "t.twbm").exists()
+
     def test_non_power_of_two_is_infeasible(self, tmp_path):
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=3000))
         assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
+
+    def test_negative_seed_is_infeasible(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(seed=-1))
+        assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mut.json"]
 
 
 class TestSpectraCommand:
@@ -129,6 +150,15 @@ class TestSpectraCommand:
         assert main(["spectra", "--config", config_path, "--f-min", "5e6",
                      "--f-max", "1e6", "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("bounds", [("0", "nan"), ("0", "inf"), ("nan", "1e6"),
+                                        ("-inf", "1e6")])
+    def test_non_finite_range_is_usage_error(self, config_path, tmp_path, capsys, bounds):
+        out = tmp_path / "o.csv"
+        assert main(["spectra", "--config", config_path, f"--f-min={bounds[0]}",
+                     f"--f-max={bounds[1]}", "--out", str(out)]) == 1
+        assert "invalid frequency range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_channel_table_and_determinism(self, config_path, tmp_path, capsys):
@@ -146,9 +176,9 @@ class TestSynthCommand:
         assert list(channels) == ["amp_signal", "phase_signal", "snl", "enl"]
 
     def test_channels_equal_the_library_path(self, tmp_path, capsys):
-        # the CLI's lean draw must not fork the physics: same bits as the
-        # library's full twin-beam synthesis through the chain functions,
-        # after the trace's float32 rounding
+        # the CLI must not fork the physics: same bits as the library's
+        # combinations through the chain functions, after the trace's
+        # float32 rounding
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
         out = tmp_path / "lean.twbm"
         assert main(["synth", "--config", path, "--out", str(out)]) == 0
@@ -157,15 +187,15 @@ class TestSynthCommand:
         with open(path) as handle:
             cfg = parse_config(json.load(handle))
         seed, n = cfg.synth.seed, cfg.synth.num_samples
-        traces = synth.synthesize_twin_beams(cfg.nopo, cfg.synth)
+        combinations = dict(synth.measured_combinations(cfg.nopo, cfg.synth))
 
         def signal(series, mode, chain):
             return synth.mz_signal(synth.BlockSeries.of(series), mode, cfg.interferometer,
                                    chain, seed).array()
 
         library = {
-            "amp_signal": signal(traces.xminus, "amplitude", cfg.amplitude_chain),
-            "phase_signal": signal(traces.yplus, "phase", cfg.phase_chain),
+            "amp_signal": signal(combinations["xminus"], "amplitude", cfg.amplitude_chain),
+            "phase_signal": signal(combinations["yplus"], "phase", cfg.phase_chain),
             "snl": synth.mz_reference(n, "amplitude", cfg.amplitude_chain, seed).array(),
             "enl": synth.electronics_floor(cfg.enl, n, seed).array(),
         }
@@ -214,6 +244,12 @@ class TestSynthCommand:
         other = json.loads(capsys.readouterr().out)
         assert other["seed"] == 99
         assert other["sha256"] != base["sha256"]
+
+    def test_negative_seed_override_is_infeasible(self, config_path, tmp_path, capsys):
+        out = tmp_path / "n.twbm"
+        assert main(["synth", "--config", config_path, "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
 
 class TestAnalyzeCertifyPipeline:

@@ -260,9 +260,3 @@ class TestGeometry:
     def test_phi_winding_accepted(self):
         ifc = model.InterferometerConfig.matched(20e6, dc_phase=math.pi / 2 + 4 * math.pi)
         ifc.validate()
-
-
-class TestMetadata:
-    def test_wavelength_splitting_derived(self):
-        meta = model.BeamPairMetadata(1080.215, 1079.130, 22.0)
-        assert meta.wavelength_splitting_nm == pytest.approx(1.085, abs=1e-9)

@@ -87,58 +87,24 @@ class TestColoredGaussianSeries:
 
 
 class TestSynthesizeTwinBeams:
+    """The two combinations the chain reads, as measured_combinations shapes them."""
+
     def test_squeezed_combinations_hit_targets(self):
         cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 22, seed=2)
-        traces = synth.synthesize_twin_beams(REF_PARAMS, cfg)
-        assert psd_at(estimate(traces.xminus), 20e6) == pytest.approx(S_I_20M, abs=0.015)
-        assert psd_at(estimate(traces.yplus), 20e6) == pytest.approx(S_P_20M, abs=0.015)
-
-    def test_conjugates_are_reciprocal_under_minimum_uncertainty(self):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 22, seed=2)
-        traces = synth.synthesize_twin_beams(REF_PARAMS, cfg)
-        assert psd_at(estimate(traces.xplus), 20e6) == pytest.approx(1.0 / S_I_20M, abs=0.08)
-        product = psd_at(estimate(traces.xminus), 20e6) * psd_at(estimate(traces.xplus), 20e6)
-        assert product == pytest.approx(1.0, abs=0.07)
-
-    def test_explicit_excess_scales_conjugate(self):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 20, seed=13,
-                                conjugate_mode="explicit", conjugate_excess=3.0)
-        traces = synth.synthesize_twin_beams(REF_PARAMS, cfg)
-        assert psd_at(estimate(traces.xplus), 20e6) == pytest.approx(
-            3.0 / S_I_20M, rel=0.12)
-
-    def test_single_beam_psd_is_mean_of_combination_psds(self):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 22, seed=2)
-        traces = synth.synthesize_twin_beams(REF_PARAMS, cfg)
-        target = (S_I_20M + 1.0 / S_I_20M) / 2.0
-        assert psd_at(estimate(traces.x1), 20e6) == pytest.approx(target, abs=0.07)
+        combinations = dict(synth.measured_combinations(REF_PARAMS, cfg))
+        assert psd_at(estimate(combinations["xminus"]), 20e6) == pytest.approx(S_I_20M, abs=0.015)
+        assert psd_at(estimate(combinations["yplus"]), 20e6) == pytest.approx(S_P_20M, abs=0.015)
 
     def test_uncorrelated_limit_is_vacuum(self):
         params = model.NopoParams.from_derived(1e-6, 1e4, 24.7e6, 1e-6)
         cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 20, seed=5)
-        traces = synth.synthesize_twin_beams(params, cfg)
-        for name in ("xminus", "xplus", "yplus", "yminus"):
-            assert psd_at(estimate(getattr(traces, name)), 20e6) == pytest.approx(1.0, abs=0.05)
+        for _, series in synth.measured_combinations(params, cfg):
+            assert psd_at(estimate(series), 20e6) == pytest.approx(1.0, abs=0.05)
 
     def test_combinations_independent(self):
         cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 20, seed=9)
-        traces = synth.synthesize_twin_beams(REF_PARAMS, cfg)
-        assert abs(np.corrcoef(traces.xminus, traces.yplus)[0, 1]) < 0.01
-        assert abs(np.corrcoef(traces.xminus, traces.xplus)[0, 1]) < 0.01
-
-    def test_beam_reconstruction_identity(self):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 18, seed=9)
-        traces = synth.synthesize_twin_beams(REF_PARAMS, cfg)
-        # the power combiner's difference and sum, (a -/+ b)/sqrt2
-        np.testing.assert_allclose((traces.x1 - traces.x2) / math.sqrt(2), traces.xminus,
-                                   atol=1e-12)
-        np.testing.assert_allclose((traces.y1 + traces.y2) / math.sqrt(2), traces.yplus,
-                                   atol=1e-12)
-
-    def test_undersampled_bandwidth_warns(self):
-        cfg = synth.SynthConfig(sample_rate=4e6, num_samples=2 ** 16, seed=1)
-        with pytest.warns(UserWarning, match="Nyquist"):
-            synth.synthesize_twin_beams(REF_PARAMS, cfg)
+        combinations = dict(synth.measured_combinations(REF_PARAMS, cfg))
+        assert abs(np.corrcoef(combinations["xminus"], combinations["yplus"])[0, 1]) < 0.01
 
     def test_undersampled_bandwidth_warns_at_the_call(self):
         # the check runs when measured_combinations is called, before any
@@ -148,26 +114,21 @@ class TestSynthesizeTwinBeams:
             synth.measured_combinations(REF_PARAMS, cfg)
         assert [w.filename for w in record] == [__file__]
 
-    def test_target_uncertainty_product_exact(self):
-        freqs = np.linspace(0.0, FS / 2, 101)
-        dip = model.intensity_diff_psd(freqs, 0.88 * 0.84, 24.7e6)
-        np.testing.assert_allclose(dip * (1.0 / dip), 1.0, rtol=1e-15)
-
 
 class TestMzMeasure:
     ifc = model.InterferometerConfig.matched(20e6)
 
     def traces(self, n=2 ** 21, seed=9):
         cfg = synth.SynthConfig(sample_rate=FS, num_samples=n, seed=seed)
-        return synth.synthesize_twin_beams(REF_PARAMS, cfg)
+        return dict(synth.measured_combinations(REF_PARAMS, cfg))
 
     def signal(self, traces, mode, chain, seed, ifc=None):
-        series = traces.xminus if mode == "amplitude" else traces.yplus
+        series = traces["xminus" if mode == "amplitude" else "yplus"]
         return synth.mz_signal(synth.BlockSeries.of(series), mode, ifc or self.ifc,
                                chain, seed).array()
 
     def reference(self, traces, mode, chain, seed):
-        return synth.mz_reference(len(traces.xminus), mode, chain, seed).array()
+        return synth.mz_reference(len(traces["xminus"]), mode, chain, seed).array()
 
     def test_transparent_chain_passes_quadrature_through(self):
         traces = self.traces(n=2 ** 20)
@@ -255,12 +216,11 @@ class TestBlockSeries:
         n, seed, mu, enl = 2 ** 16, 8, 0.8, 0.4
         excess = {"amplitude": 0.3, "phase": 0.04}
         doc = {
-            "version": "twinbeam-config/1",
+            "version": "twinbeam-config/2",
             "nopo": {"transmission": 0.84, "intracavity_loss": 0.16,
                      "cavity_bandwidth_hz": 24.7e6, "pump_power": 1.9044,
                      "threshold_power": 1.0, "detection_efficiency": 0.88},
-            "synth": {"sample_rate_hz": FS, "num_samples": n, "seed": seed,
-                      "conjugate_mode": "minimum_uncertainty"},
+            "synth": {"sample_rate_hz": FS, "num_samples": n, "seed": seed},
             "chain": {"enl": enl,
                       **{mode: {"mode_match": mu, "excess_noise": excess[mode]}
                          for mode in excess}},
@@ -309,12 +269,3 @@ class TestSynthConfigValidation:
         with pytest.raises(DomainError):
             synth.SynthConfig(sample_rate=FS, num_samples=3000, seed=0)
 
-    def test_conjugate_mode_checked(self):
-        with pytest.raises(DomainError):
-            synth.SynthConfig(sample_rate=FS, num_samples=1024, seed=0,
-                              conjugate_mode="squeezed")
-
-    def test_explicit_excess_below_one_rejected(self):
-        with pytest.raises(DomainError):
-            synth.SynthConfig(sample_rate=FS, num_samples=1024, seed=0,
-                              conjugate_mode="explicit", conjugate_excess=0.5)
