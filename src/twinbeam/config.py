@@ -158,6 +158,9 @@ def parse_config(document):
 
     ifc_doc = document["interferometer"]
     f0 = ifc_doc["analysis_frequency_hz"]
+    if f0 >= synth_cfg.sample_rate / 2:
+        raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is not below "
+                          f"the Nyquist frequency {synth_cfg.sample_rate / 2:.6g} Hz")
     delta_l = ifc_doc.get("arm_length_difference_m")
     if delta_l is None:
         delta_l = arm_length_difference(f0)

@@ -5,8 +5,8 @@ amplitude-difference and/or phase-sum spectra.  Detection efficiency and
 output coupling enter the model only as their product, so they are never
 reported separately.  Bandwidth and (pump ratio - 1) are fitted in log
 space to stay positive / above threshold without explicit constraints.
-scipy.optimize is imported by fit_spectra itself, so importing this module
-(and with it the package and the CLI) does not load scipy.
+The minimiser is a Levenberg-Marquardt loop in numpy: at most three
+parameters, so each step is one 3x3 solve.
 """
 
 import math
@@ -88,23 +88,19 @@ def _jacobian(x, problem, fit_pump, sqrt_w):
     """Analytic Jacobian of the residual vector in the packed coordinates."""
     product, bandwidth, ratio = _unpack(x, fit_pump)
     f = np.asarray(problem.frequencies, dtype=float)
-    u2 = (f / bandwidth) ** 2
-    ncols = 3 if fit_pump else 2
-    blocks = []
-    if problem.amplitude_observed is not None:
+    n, u2 = len(f), (f / bandwidth) ** 2
+    channels = (problem.amplitude_observed is not None) + (problem.phase_observed is not None)
+    jac = np.zeros((channels * n, 3 if fit_pump else 2))
+    if problem.amplitude_observed is not None:  # the first n rows
         denom = 1.0 + u2
-        block = np.zeros((len(f), ncols))
-        block[:, 0] = -1.0 / denom
-        block[:, 1] = -2.0 * product * u2 / denom ** 2
-        blocks.append(block * sqrt_w[:, None])
-    if problem.phase_observed is not None:
+        jac[:n, 0] = -sqrt_w / denom
+        jac[:n, 1] = -2.0 * product * sqrt_w * u2 / denom ** 2
+    if problem.phase_observed is not None:  # the last n rows
         denom = ratio ** 2 + u2
-        block = np.zeros((len(f), ncols))
-        block[:, 0] = -1.0 / denom
-        block[:, 1] = -2.0 * product * u2 / denom ** 2
-        block[:, 2] = (ratio - 1.0) * 2.0 * product * ratio / denom ** 2
-        blocks.append(block * sqrt_w[:, None])
-    return np.vstack(blocks)
+        jac[-n:, 0] = -sqrt_w / denom
+        jac[-n:, 1] = -2.0 * product * sqrt_w * u2 / denom ** 2
+        jac[-n:, 2] = (ratio - 1.0) * 2.0 * product * ratio * sqrt_w / denom ** 2
+    return jac
 
 
 def _start_grid(problem, fit_pump):
@@ -135,17 +131,61 @@ def _pack_init(init, fit_pump):
     return np.array(x)
 
 
+def _levenberg_marquardt(x, args, max_nfev, xtol, gtol, ftol=1e-14):
+    """Levenberg-Marquardt from x; returns (x, residuals, evaluations, converged).
+
+    Each step solves (J^T J + lam D) h = -J^T r, D the running maximum of
+    diag(J^T J) (Marquardt 1963; More 1978), and updates lam by the gain
+    ratio (Madsen, Nielsen & Tingleff 2004, section 3.2).  The gradient,
+    step and cost-reduction tests are MINPACK's gtol, xtol and ftol.
+    """
+    r = _residuals(x, *args)
+    if not np.all(np.isfinite(r)):
+        raise FloatingPointError("residuals are not finite at the start point")
+    cost, nfev, jac, d = r @ r, 1, None, None
+    lam, nu = 1e-3, 2.0  # the damping and the factor it grows by after a failed step
+    while True:
+        if jac is None:  # at the start and after each accepted step
+            jac = _jacobian(x, *args)
+            a, g = jac.T @ jac, jac.T @ r
+            diag = a.diagonal()
+            d = np.where(diag > 0, diag, 1.0) if d is None else np.maximum(d, diag)
+            if cost == 0 or np.max(np.abs(g) / np.sqrt(d)) <= gtol * math.sqrt(cost):
+                return x, r, nfev, True
+        if nfev >= max_nfev or not math.isfinite(lam):
+            return x, r, nfev, False
+        h = np.linalg.solve(a + np.diag(lam * d), -g)
+        if math.sqrt(h @ (d * h)) <= xtol * math.sqrt(x @ (d * x)):
+            return x, r, nfev, True
+        r_new = _residuals(x + h, *args)
+        nfev += 1
+        cost_new = r_new @ r_new if np.all(np.isfinite(r_new)) else math.inf
+        predicted = h @ (lam * d * h - g)  # the fall of ||r + J h||^2 from ||r||^2
+        rho = (cost - cost_new) / predicted
+        stalled = abs(cost - cost_new) <= ftol * cost and predicted <= ftol * cost
+        if rho > 0:
+            x, r, cost, jac = x + h, r_new, cost_new, None
+            lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+        if stalled:
+            return x, r, nfev, True
+
+
 def fit_spectra(problem, init=None, **opts):
     """Weighted least-squares fit of the forward model to a FitProblem.
 
-    Damped Gauss-Newton (Levenberg-Marquardt via scipy) with the analytic
-    Jacobian; multi-start over a fixed parameter grid when no init is given,
-    so the result is deterministic.  When only the amplitude channel is
-    present the pump ratio is excluded from the fit and flagged
+    Levenberg-Marquardt with the analytic Jacobian; multi-start over a fixed
+    parameter grid when no init is given, so the result is deterministic.
+    Each start may spend max_iter * (p + 1) residual evaluations (p fitted
+    parameters); one whose residuals are not finite is skipped, and the
+    converged start of least cost is reported.  `converged` is true when
+    the gradient (grad_tol), step (step_tol) or cost-reduction test stopped
+    it, and false when its budget ran out or the damping overflowed;
+    `iterations` counts its residual evaluations.  When only the amplitude
+    channel is present the pump ratio is excluded from the fit and flagged
     unidentifiable (the amplitude model does not contain it).
     """
-    from scipy.optimize import least_squares
-
     options = dict(_DEFAULT_OPTS)
     for key, value in opts.items():
         if key not in options:
@@ -157,37 +197,31 @@ def fit_spectra(problem, init=None, **opts):
               if problem.weights is not None else np.ones(len(problem.frequencies)))
 
     starts = [_pack_init(init, fit_pump)] if init is not None else list(_start_grid(problem, fit_pump))
-    best = None
+    fits = []
     for x0 in starts:
         try:
-            res = least_squares(
-                _residuals, x0, jac=_jacobian, method="lm",
-                args=(problem, fit_pump, sqrt_w),
-                xtol=options["step_tol"], gtol=options["grad_tol"], ftol=1e-14,
-                max_nfev=options["max_iter"] * (len(x0) + 1))
-        except (ValueError, FloatingPointError):
+            fits.append(_levenberg_marquardt(
+                x0, (problem, fit_pump, sqrt_w), options["max_iter"] * (len(x0) + 1),
+                xtol=options["step_tol"], gtol=options["grad_tol"]))
+        except FloatingPointError:
             continue
-        converged = res.status > 0
-        key = (not converged, res.cost, res.nfev)
-        if best is None or key < best[0]:
-            best = (key, res, converged)
-    if best is None:
+    if not fits:
         raise DomainError("every start point failed to evaluate")
 
-    _, res, converged = best
-    jac = _jacobian(res.x, problem, fit_pump, sqrt_w)
+    x, r, nfev, converged = min(fits, key=lambda res: (not res[3], res[1] @ res[1], res[2]))
+    jac = _jacobian(x, problem, fit_pump, sqrt_w)
     _check_rank(jac, fit_pump)
 
-    product, bandwidth, ratio = _unpack(res.x, fit_pump)
-    covariance = _covariance(jac, res, bandwidth, ratio, fit_pump)
+    product, bandwidth, ratio = _unpack(x, fit_pump)
+    covariance = _covariance(jac, r, bandwidth, ratio, fit_pump)
     return FitResult(
         efficiency_product=product,
         bandwidth=bandwidth,
         pump_ratio=ratio,
-        residual_norm=float(np.linalg.norm(res.fun)),
+        residual_norm=float(np.linalg.norm(r)),
         covariance=covariance,
-        converged=bool(converged),
-        iterations=int(res.nfev),
+        converged=converged,
+        iterations=nfev,
         unidentifiable=() if fit_pump else ("pump_ratio",),
     )
 
@@ -203,12 +237,12 @@ def _check_rank(jac, fit_pump):
             f"(singular values {singular})", direction=direction)
 
 
-def _covariance(jac, res, bandwidth, ratio, fit_pump):
+def _covariance(jac, residuals, bandwidth, ratio, fit_pump):
     """Parameter covariance in physical units via the log-space chain rule."""
     m, p = jac.shape
     if m <= p:
         return np.full((p, p), np.nan)
-    variance = 2.0 * res.cost / (m - p)
+    variance = residuals @ residuals / (m - p)
     try:
         packed_cov = np.linalg.inv(jac.T @ jac) * variance
     except np.linalg.LinAlgError:

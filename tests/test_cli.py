@@ -107,6 +107,20 @@ class TestConfigSchema:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mut.json"]
 
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    def test_analysis_frequency_above_nyquist_is_usage_error(self, tmp_path, capsys, command):
+        # 20 MHz against 4 MS/s: caught in the config before any work
+        path = write_config(tmp_path, lambda d: d["synth"].update(sample_rate_hz=4e6,
+                                                                  num_samples=2 ** 12))
+        argv = {"synth": ["synth", "--config", path, "--out", str(tmp_path / "t.twbm")],
+                "spectra": ["spectra", "--config", path, "--out", str(tmp_path / "s.csv")],
+                "analyze": ["analyze", str(tmp_path / "t.twbm"), "--config", path]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "interferometer.analysis_frequency_hz" in err
+        assert "Nyquist frequency 2e+06 Hz" in err
+        assert os.listdir(tmp_path) == ["mut.json"]
+
 
 class TestSpectraCommand:
     def test_reference_marker_reproduction(self, config_path, tmp_path):
@@ -484,15 +498,53 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only fit_spectra needs scipy, and only synth and analyze start a thread
-    # pool; every other subcommand starts without either
+CRITERION_7_TRUTH = (0.7392, 24.7e6, 1.38)
+
+
+def _clean_spectrum_csv(tmp_path):
+    """Criterion 7's noiseless spectra as a CSV that `fit` reads."""
+    freqs = np.linspace(1e6, 80e6, 64)
+    path = tmp_path / "clean.csv"
+    fileio.write_spectrum_csv(
+        str(path), freqs, amplitude=model.intensity_diff_psd(freqs, *CRITERION_7_TRUTH[:2]),
+        phase=model.phase_sum_psd(freqs, *CRITERION_7_TRUTH))
+    return str(path)
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # nothing needs scipy, and only synth and analyze start a thread pool;
+    # every other subcommand starts and runs without either
     code = ("import sys, twinbeam.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+            "loaded = lambda: sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')); "
+            "print(loaded()); "
+            "status = twinbeam.cli.main(['fit', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(status, loaded())")
+    result = subprocess.run([sys.executable, "-c", code, _clean_spectrum_csv(tmp_path),
+                             str(tmp_path / "fit.json")], env=_src_env(),
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split("\n")[:2] == ["[]", "0 []"]
+
+
+def test_fit_runs_without_scipy(tmp_path):
+    # `python -m twinbeam.cli fit` with every scipy import made to fail
+    code = ("import runpy, sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "sys.argv[0] = 'twinbeam.cli'\n"
+            "runpy.run_module('twinbeam.cli', run_name='__main__', alter_sys=True)\n")
+    result = subprocess.run([sys.executable, "-c", code, "fit", _clean_spectrum_csv(tmp_path),
+                             "--json"], env=_src_env(), capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    fitted = json.loads(result.stdout)
+    assert fitted["converged"] is True
+    assert fitted["efficiency_product"] == pytest.approx(CRITERION_7_TRUTH[0], rel=1e-6)
+    assert fitted["bandwidth_hz"] == pytest.approx(CRITERION_7_TRUTH[1], rel=1e-6)
+    assert fitted["pump_ratio"] == pytest.approx(CRITERION_7_TRUTH[2], rel=1e-6)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twinbeam import model
+from twinbeam import fit, model
 from twinbeam.errors import DomainError, IdentifiabilityError
 from twinbeam.fit import FitProblem, _jacobian, _residuals, fit_spectra
 
@@ -67,6 +67,84 @@ class TestNoisyRecovery:
         assert cov.shape == (3, 3)
         np.testing.assert_allclose(cov, cov.T, rtol=1e-10)
         assert np.all(np.diag(cov) > 0)
+
+
+class TestStopping:
+    def test_spent_budget_is_not_converged(self):
+        # max_iter=1 allows max_iter * (3 + 1) = 4 evaluations per start: too few here
+        result = fit_spectra(FitProblem(FREQS, S_I, S_P), max_iter=1)
+        assert not result.converged
+        assert 1 <= result.iterations <= 4
+
+    def test_non_finite_start_is_skipped(self, monkeypatch):
+        grid = fit._start_grid
+
+        def grid_with_a_nan_start(problem, fit_pump):
+            yield np.array([np.nan, np.log(24.7e6), 0.0])
+            yield from grid(problem, fit_pump)
+
+        expected = fit_spectra(FitProblem(FREQS, S_I, S_P))
+        monkeypatch.setattr(fit, "_start_grid", grid_with_a_nan_start)
+        result = fit_spectra(FitProblem(FREQS, S_I, S_P))
+        assert result.converged
+        assert result.efficiency_product == expected.efficiency_product
+        assert result.bandwidth == expected.bandwidth
+        assert result.iterations == expected.iterations
+
+    def test_every_start_non_finite_fails(self, monkeypatch):
+        monkeypatch.setattr(fit, "_start_grid",
+                            lambda problem, fit_pump: [np.array([np.nan, 0.0, 0.0])])
+        with pytest.raises(DomainError, match="every start"):
+            fit_spectra(FitProblem(FREQS, S_I, S_P))
+
+
+def _scipy_fit(problem):
+    """The reference: fit_spectra's multi-start with scipy's MINPACK Levenberg-Marquardt."""
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    opts, fit_pump = fit._DEFAULT_OPTS, problem.phase_observed is not None
+    sqrt_w = (np.sqrt(problem.weights) if problem.weights is not None
+              else np.ones(len(problem.frequencies)))
+    best = None
+    for x0 in fit._start_grid(problem, fit_pump):
+        try:
+            res = least_squares(
+                _residuals, x0, jac=_jacobian, method="lm", args=(problem, fit_pump, sqrt_w),
+                xtol=opts["step_tol"], gtol=opts["grad_tol"], ftol=1e-14,
+                max_nfev=opts["max_iter"] * (len(x0) + 1))
+        except (ValueError, FloatingPointError):
+            continue
+        key = (res.status <= 0, res.cost, res.nfev)
+        if best is None or key < best[0]:
+            best = (key, res.x)
+    return fit._unpack(best[1], fit_pump)
+
+
+def _agreement_problems():
+    rng = np.random.default_rng(123)  # criterion 7's replicates
+    problems = [FitProblem(FREQS, S_I, S_P)]
+    for _ in range(50):
+        noisy_i = S_I * (1 + 0.01 * rng.standard_normal(FREQS.size))
+        noisy_p = S_P * (1 + 0.01 * rng.standard_normal(FREQS.size))
+        problems.append(FitProblem(FREQS, noisy_i, noisy_p))
+    problems.append(FitProblem(FREQS, S_I, S_P, weights=np.linspace(0.5, 2.0, FREQS.size)))
+    problems.append(FitProblem(FREQS, S_I, None))
+    f = np.linspace(0.0, 100e6, 101)  # test_dc_row_accepted's grid
+    problems.append(FitProblem(f, model.intensity_diff_psd(f, *TRUTH[:2]),
+                               model.phase_sum_psd(f, *TRUTH)))
+    return problems
+
+
+def test_agrees_with_scipy_minpack():
+    worst = 0.0
+    for problem in _agreement_problems():
+        expected = _scipy_fit(problem)
+        result = fit_spectra(problem)
+        assert result.converged
+        got = (result.efficiency_product, result.bandwidth, result.pump_ratio)
+        for value, reference in zip(got, expected):
+            if reference is not None:
+                worst = max(worst, abs(value / reference - 1))
+    assert worst <= 1e-6, f"largest relative deviation from scipy {worst:.3g}"
 
 
 class TestJacobian:
