@@ -43,9 +43,9 @@ sample_rate = run.synth.sample_rate
 f0 = run.interferometer.analysis_frequency
 print(f"arm length difference = {run.interferometer.arm_length_difference:.4f} m")
 
-# 1-2. synthesize the two combinations and detect them: direct difference
-#      for amplitude, unbalanced Mach-Zehnder for phase, plus the shot-noise
-#      reference and the electronics floor
+# 1-2. synthesize the detected channels, each shaped from its chain PSD:
+#      direct difference for amplitude, unbalanced Mach-Zehnder for phase,
+#      plus the shot-noise reference and the electronics floor
 # 3.   spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
 settings = AnalyzerSettings(**run.analyzer)
 estimates = {name: welch_psd(channel.array(), sample_rate, settings)

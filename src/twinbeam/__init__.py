@@ -1,9 +1,10 @@
 """Twin-beam NOPO noise toolkit.
 
-Analytic above-threshold quadrature spectra, seeded stochastic synthesis
-through a modeled detection chain, spectrum-analyzer emulation with RBW/VBW
-semantics, electronic-noise correction, Duan entanglement certification,
-and nonlinear least-squares spectrum fitting.
+Analytic above-threshold quadrature spectra, seeded stochastic synthesis of
+each measured channel from its detection-chain PSD (short-kernel shaping,
+streamed in blocks), spectrum-analyzer emulation with RBW/VBW semantics,
+electronic-noise correction, Duan entanglement certification, and nonlinear
+least-squares spectrum fitting.
 """
 
 from .model import (

@@ -4,15 +4,16 @@ A trace file written by synth holds the four measured channels analyze
 reads (pipeline.TRACE_CHANNELS): the amplitude and phase signal
 photocurrents, the shot-noise reference and the electronics floor.
 pipeline makes them and reads them; this module schedules that work and
-handles files, flags and exit codes.  The two combinations behind the
-signal channels are not stored (synth.measured_combinations returns them),
-and per-beam series are not modelled.
+handles files, flags and exit codes.  The quadrature combinations behind
+the signal channels are not stored: each channel is shaped straight from
+its chain PSD (pipeline.channel_psds), and per-beam series are not
+modelled.
 
 synth and analyze use up to two threads; their output does not depend on
-how many run.  synth shapes the two combinations on the calling thread
-while a worker streams the channels into the trace file as float32 blocks;
-analyze runs the four Welch estimates and the trace's sha256 on two
-workers.
+how many run.  synth shapes and writes the channels on two workers, each
+streaming its channel into the trace file as float32 blocks, so its memory
+does not grow with the trace length; analyze runs the four Welch
+estimates and the trace's sha256 on two workers.
 
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
@@ -116,26 +117,19 @@ def _cmd_spectra(args):
 
 
 def _write_channels(cfg, writer):
-    """Write every trace channel through writer, on two threads.
+    """Write every trace channel through writer, on two worker threads.
 
-    The calling thread shapes the coloured combinations, one after the
-    other: each inverse FFT holds about 130 MiB at 2^22 samples, so two at
-    once would raise the peak.  A worker thread streams each channel's
-    blocks into the trace as soon as the channel can be made.  A failure on
-    either thread cancels what is queued and is raised here.
+    Each worker shapes a channel block by block as it writes it, the two
+    signal channels (the long kernels) first.  A failure on a worker
+    cancels what is queued and is raised here.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: only synth and analyze use it
 
-    pool = ThreadPoolExecutor(max_workers=1)
+    pool = ThreadPoolExecutor(max_workers=2)
     try:
-        pending = []
-        for name, stream in pipeline.trace_channels(cfg):
-            pending.append(pool.submit(writer.write_channel, name, stream.blocks()))
-            del stream  # the worker's task holds it until the channel is written
-            for future in pending:
-                if future.done():
-                    future.result()  # raise a worker's failure before shaping more
-        for future in pending:
+        futures = [pool.submit(writer.write_channel, name, stream.blocks())
+                   for name, stream in pipeline.trace_channels(cfg)]
+        for future in futures:
             future.result()
     finally:
         pool.shutdown(cancel_futures=True)

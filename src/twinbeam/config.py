@@ -144,8 +144,7 @@ def parse_config(document):
         raise ConfigurationError(f"chain.enl must be in [0, 1), got {enl}")
 
     def channel_chain(doc):
-        return DetectionChain(mode_match=doc["mode_match"], enl=enl,
-                              excess_noise=doc["excess_noise"])
+        return DetectionChain(mode_match=doc["mode_match"], excess_noise=doc["excess_noise"])
 
     ana = document["analyzer"]
     analyzer = {

@@ -7,8 +7,7 @@ Trace file layout (all little-endian):
 
 The format takes any ordered set of named channels.  The CLI writes the four
 measured channels analyze reads (pipeline.TRACE_CHANNELS); the combinations
-behind them are not stored (synth.measured_combinations returns them), and
-per-beam series are not modelled.
+behind them and per-beam series are not stored.
 Each channel sits at a fixed offset, so a TraceWriter fills the payload as
 the channels are produced, block by block and from more than one thread,
 and trace_writer hashes the finished file and renames it into place.

@@ -172,10 +172,10 @@ def correct_for_electronic_noise(measured, enl):
 
 
 def mode_match_penalty(value, mode_match):
-    """Vacuum admixture from imperfect spatial overlap at the recombiner."""
+    """Vacuum admixture from imperfect spatial overlap at the recombiner, elementwise on arrays."""
     if not 0 < mode_match <= 1:
         raise DomainError(f"mode-matching efficiency must be in (0, 1], got {mode_match}")
-    if value <= 0:
+    if np.any(np.asarray(value) <= 0):
         raise DomainError("noise power must be positive")
     return mode_match * value + (1.0 - mode_match)
 

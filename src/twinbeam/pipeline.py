@@ -1,41 +1,81 @@
 """The detection chain of one synthetic experiment: how a trace is made and read.
 
-trace_channels makes the four measured channels of a trace
-(TRACE_CHANNELS) from a RunConfig: the amplitude-difference and phase-sum
-combinations, each through its interferometer chain, the shot-noise
-reference and the electronics floor.  readings turns the channels' Welch
-estimates into the analyzer readings relative to the shot-noise
-reference.  `twinbeam synth`, `twinbeam analyze` and
-demos/synthetic_experiment.py all go through these two functions.
+channel_psds is the chain's forward model: the PSD of each measured
+channel of a trace (TRACE_CHANNELS), relative to the shot-noise limit.
+The chain's noise sources (the quadrature combination, the mode-match
+vacuum, excess noise, the electronics) are independent stationary
+Gaussians, so each channel is itself a stationary Gaussian series with
+that PSD, and trace_channels shapes it as one from its own stream.
+readings turns the channels' Welch estimates into the analyzer readings
+relative to the shot-noise reference, and expected_readings gives their
+closed form.  `twinbeam synth`, `twinbeam analyze` and
+demos/synthetic_experiment.py all go through these functions.
 """
 
-from . import dsp, synth
+import math
+import sys
+import warnings
+
+import numpy as np
+
+from . import dsp, model, synth
 from .errors import DomainError
 
 TRACE_CHANNELS = ("amp_signal", "phase_signal", "snl", "enl")
 
 
-def trace_channels(run_config):
-    """Yield (name, synth.BlockSeries) for each of TRACE_CHANNELS.
+def channel_psds(run_config):
+    """{channel: psd(f)} for each of TRACE_CHANNELS, linear and relative to the SNL.
 
-    The noise-only channels come first.  The signal channels follow, each
-    as soon as its combination is shaped: advancing the generator past the
-    amplitude channel shapes yplus.  xminus comes first: its chain is the
-    shorter one, so xminus is freed before yplus's inverse FFT peaks.  Each
-    channel's blocks must be taken before the generator is advanced.
+    amp_signal reads the amplitude-difference combination and phase_signal
+    the phase-sum one, each through its chain: the interferometer
+    sensitivity sin^2(theta/2), the mode-match vacuum, the excess noise and
+    the electronics floor.  snl is the shot-noise reference through the
+    same electronics (1), enl the floor alone.  Raises ConfigurationError
+    when the interferometer is off its lock point, and warns, naming the
+    caller's line, when the sample rate truncates the cavity's spectra.
     """
-    seed, n = run_config.synth.seed, run_config.synth.num_samples
-    combinations = synth.measured_combinations(run_config.nopo, run_config.synth)
-    yield "snl", synth.mz_reference(n, "amplitude", run_config.amplitude_chain, seed)
-    yield "enl", synth.electronics_floor(run_config.enl, n, seed)
-    measured = {"xminus": ("amp_signal", "amplitude", run_config.amplitude_chain),
-                "yplus": ("phase_signal", "phase", run_config.phase_chain)}
-    for combination, series in combinations:
-        name, mode, chain = measured[combination]
-        stream = synth.BlockSeries.of(series)
-        yield name, synth.mz_signal(stream, mode, run_config.interferometer, chain, seed)
-        # Only the consumer holds the combination while the next is shaped.
-        del series, stream
+    ifc = run_config.interferometer
+    ifc.validate()
+    params, enl = run_config.nopo, run_config.enl
+    nyquist = run_config.synth.sample_rate / 2.0
+    if nyquist < 2.0 * params.cavity_bandwidth:
+        # the first line outside this module, also when trace_channels called here
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals["__name__"] == __name__:
+            level, frame = level + 1, frame.f_back
+        warnings.warn(
+            f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
+            f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
+            stacklevel=level)
+    sensitivity = math.sin(ifc.rf_sideband_phase / 2.0) ** 2
+
+    def signal(spectrum, chain):
+        def psd(f):
+            detected = model.mode_match_penalty(sensitivity * spectrum(params, f),
+                                                chain.mode_match)
+            return model.with_electronic_noise(detected + chain.excess_noise, enl)
+        return psd
+
+    return {
+        "amp_signal": signal(model.intensity_diff_spectrum, run_config.amplitude_chain),
+        "phase_signal": signal(model.phase_sum_spectrum, run_config.phase_chain),
+        "snl": np.ones_like,
+        "enl": lambda f: np.full_like(f, enl, dtype=float),
+    }
+
+
+def trace_channels(run_config):
+    """Yield (name, synth.BlockSeries) for each of TRACE_CHANNELS, in that order.
+
+    Each channel is shaped from its own (seed, name) stream as its blocks
+    are read, so the channels can be read at once on separate threads.
+    """
+    psds = channel_psds(run_config)
+    cfg = run_config.synth
+    for name in TRACE_CHANNELS:
+        yield name, synth.colored_gaussian_series(psds[name], cfg.sample_rate,
+                                                  cfg.num_samples, cfg.seed, source=name)
 
 
 def readings(estimates, f0):
@@ -60,3 +100,22 @@ def readings(estimates, f0):
         "enl_db": enl_db,
         "num_averages": reference.num_averages,
     }
+
+
+def expected_readings(run_config, f0=None):
+    """The closed form of readings: channel_psds at f0 in dB relative to snl.
+
+    f0 defaults to the interferometer's analysis frequency.  enl_db is None
+    when chain.enl is 0, as readings reports it.
+    """
+    if f0 is None:
+        f0 = run_config.interferometer.analysis_frequency
+    psds = channel_psds(run_config)
+    reference = float(psds["snl"](f0))
+
+    def db(name):
+        value = float(psds[name](f0)) / reference
+        return model.db_rel_snl(value) if value > 0 else None
+
+    return {"amplitude_db": db("amp_signal"), "phase_db": db("phase_signal"),
+            "enl_db": db("enl")}

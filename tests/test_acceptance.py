@@ -145,7 +145,7 @@ def test_criterion_4_end_to_end(tmp_path, capsys):
 
 @verdict(5, "unit-white PSD flat to 0.2 dB with >=200 averages; Parseval within 1%")
 def test_criterion_5_estimator_calibration():
-    series = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 22, seed=5)
+    series = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 22, seed=5).array()
     estimate = dsp.welch_psd(series, FS, SETTINGS)
     assert estimate.num_averages >= 200
     band = (estimate.frequencies > 1e6) & (estimate.frequencies < 40e6)
@@ -167,9 +167,14 @@ def test_criterion_6_synthesis_fidelity():
             cavity_bandwidth=bandwidth, detection_efficiency=1.0)
         cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 22,
                                 seed=int(rng.integers(0, 2 ** 31)))
-        combinations = dict(synth.measured_combinations(params, cfg))
-        est_x = dsp.welch_psd(combinations["xminus"], FS, SETTINGS)
-        est_y = dsp.welch_psd(combinations["yplus"], FS, SETTINGS)
+        xminus = synth.colored_gaussian_series(
+            lambda f: model.intensity_diff_spectrum(params, f), FS, cfg.num_samples,
+            cfg.seed, source="xminus")
+        yplus = synth.colored_gaussian_series(
+            lambda f: model.phase_sum_spectrum(params, f), FS, cfg.num_samples,
+            cfg.seed, source="yplus")
+        est_x = dsp.welch_psd(xminus.array(), FS, SETTINGS)
+        est_y = dsp.welch_psd(yplus.array(), FS, SETTINGS)
         for f0 in rng.uniform(2e6, 40e6, size=5):
             i = int(np.argmin(np.abs(est_x.frequencies - f0)))
             f_bin = est_x.frequencies[i]

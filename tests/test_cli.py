@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import twinbeam
-from twinbeam import fileio, model, synth
+from twinbeam import fileio, model, pipeline, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
 from twinbeam.errors import DomainError
@@ -191,8 +191,7 @@ class TestSynthCommand:
 
     def test_channels_equal_the_library_path(self, tmp_path, capsys):
         # the CLI must not fork the physics: same bits as the library's
-        # combinations through the chain functions, after the trace's
-        # float32 rounding
+        # pipeline.trace_channels, after the trace's float32 rounding
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
         out = tmp_path / "lean.twbm"
         assert main(["synth", "--config", path, "--out", str(out)]) == 0
@@ -200,44 +199,32 @@ class TestSynthCommand:
 
         with open(path) as handle:
             cfg = parse_config(json.load(handle))
-        seed, n = cfg.synth.seed, cfg.synth.num_samples
-        combinations = dict(synth.measured_combinations(cfg.nopo, cfg.synth))
-
-        def signal(series, mode, chain):
-            return synth.mz_signal(synth.BlockSeries.of(series), mode, cfg.interferometer,
-                                   chain, seed).array()
-
-        library = {
-            "amp_signal": signal(combinations["xminus"], "amplitude", cfg.amplitude_chain),
-            "phase_signal": signal(combinations["yplus"], "phase", cfg.phase_chain),
-            "snl": synth.mz_reference(n, "amplitude", cfg.amplitude_chain, seed).array(),
-            "enl": synth.electronics_floor(cfg.enl, n, seed).array(),
-        }
+        library = {name: series.array() for name, series in pipeline.trace_channels(cfg)}
         assert list(channels) == list(library)
         for name, series in library.items():
             np.testing.assert_array_equal(channels[name], series.astype(np.float32))
 
     def test_worker_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        # a chain stage raising on the worker thread, a few blocks into the
-        # electronics floor, while the calling thread shapes the combinations
+        # the electronics floor's shaping raising on a worker thread, a few
+        # blocks into the channel, while the other worker writes a signal
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 18))
         out = tmp_path / "fail.twbm"
-        electronics_floor = synth.electronics_floor
+        colored_gaussian_series = synth.colored_gaussian_series
         raised_on = []
 
-        def failing_floor(*args, **kwargs):
-            floor = electronics_floor(*args, **kwargs)
-            block = floor.block
+        def failing_series(*args, source, **kwargs):
+            series = colored_gaussian_series(*args, source=source, **kwargs)
+            block = series.block
 
             def failing_block(start, stop):
-                if start >= 2 * synth._BLOCK_SAMPLES:
+                if source == "enl" and start >= 2 * synth._BLOCK_SAMPLES:
                     raised_on.append(threading.get_ident())
                     raise DomainError("electronics stage failed")
                 return block(start, stop)
 
-            return synth.BlockSeries(floor.length, failing_block)
+            return synth.BlockSeries(series.length, failing_block)
 
-        monkeypatch.setattr(synth, "electronics_floor", failing_floor)
+        monkeypatch.setattr(synth, "colored_gaussian_series", failing_series)
         status = []
         caller = threading.Thread(
             target=lambda: status.append(main(["synth", "--config", path, "--out", str(out)])))
@@ -248,6 +235,24 @@ class TestSynthCommand:
         assert "electronics stage failed" in capsys.readouterr().err
         assert raised_on and raised_on[0] != caller.ident
         assert os.listdir(tmp_path) == ["mut.json"]
+
+    def test_block_size_moves_no_trace_byte(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 17))
+        digests = []
+        for block in (synth._BLOCK_SAMPLES, 999):
+            monkeypatch.setattr(synth, "_BLOCK_SAMPLES", block)
+            assert main(["synth", "--config", path, "--out", str(tmp_path / "b.twbm"),
+                         "--json"]) == 0
+            digests.append(json.loads(capsys.readouterr().out)["sha256"])
+        assert digests[0] == digests[1]
+
+    def test_undersampled_synth_warns_once(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: (
+            d["synth"].update(sample_rate_hz=4e6, num_samples=2 ** 12),
+            d["interferometer"].update(analysis_frequency_hz=1e6)))
+        with pytest.warns(UserWarning, match="Nyquist") as record:
+            assert main(["synth", "--config", path, "--out", str(tmp_path / "slow.twbm")]) == 0
+        assert len(record) == 1
 
     def test_seed_override_changes_output(self, config_path, tmp_path, capsys):
         out = tmp_path / "c.twbm"
@@ -321,16 +326,9 @@ class TestAnalyzeCertifyPipeline:
         assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 0
         reading = json.loads(out.read_text())
         with open(path) as handle:
-            cfg = parse_config(json.load(handle))
-        f0 = cfg.interferometer.analysis_frequency
-        sensitivity = math.sin(cfg.interferometer.rf_sideband_phase / 2.0) ** 2
-        expected = model.with_electronic_noise(
-            model.mode_match_penalty(
-                sensitivity * model.intensity_diff_spectrum(cfg.nopo, f0),
-                cfg.amplitude_chain.mode_match) + 0.5,
-            cfg.enl)
-        sigma_db = 4.343 * math.sqrt(2.0 / reading["num_averages"])
-        assert abs(reading["amplitude_db"] - model.db_rel_snl(expected)) < 5 * sigma_db
+            expected = pipeline.expected_readings(parse_config(json.load(handle)))
+        sigma_db = 10 / math.log(10) * math.sqrt(2.0 / reading["num_averages"])
+        assert abs(reading["amplitude_db"] - expected["amplitude_db"]) < 5 * sigma_db
 
     def test_f0_outside_nyquist_is_usage_error(self, config_path, tmp_path, capsys):
         trace = tmp_path / "run2.twbm"

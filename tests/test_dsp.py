@@ -78,7 +78,7 @@ class TestWelchPsd:
 
     def test_matches_analytic_dip(self):
         psd = lambda f: model.intensity_diff_psd(f, 0.88 * 0.84, 24.7e6)
-        series = synth.colored_gaussian_series(psd, FS, 2 ** 22, seed=7)
+        series = synth.colored_gaussian_series(psd, FS, 2 ** 22, seed=7).array()
         assert psd_at(dsp.welch_psd(series, FS, SETTINGS), 20e6) == pytest.approx(
             0.5535, abs=0.015)
 
@@ -96,7 +96,7 @@ class TestWelchPsd:
 
     def test_parseval(self):
         series = synth.colored_gaussian_series(
-            lambda f: model.intensity_diff_psd(f, 0.7, 20e6), FS, 2 ** 21, seed=8)
+            lambda f: model.intensity_diff_psd(f, 0.7, 20e6), FS, 2 ** 21, seed=8).array()
         est = dsp.welch_psd(series, FS, SETTINGS)
         assert est.num_averages >= 100
         assert np.mean(est.psd) == pytest.approx(np.var(series), rel=0.01)
@@ -220,9 +220,10 @@ class TestBandPowerRelSnl:
         psd = lambda f: model.with_electronic_noise(
             model.intensity_diff_psd(f, 0.88 * 0.84, 24.7e6), 0.4074)
         meas = dsp.welch_psd(
-            synth.colored_gaussian_series(psd, FS, 2 ** 22, seed=30), FS, SETTINGS)
+            synth.colored_gaussian_series(psd, FS, 2 ** 22, seed=30).array(), FS, SETTINGS)
         ref = dsp.welch_psd(
-            synth.colored_gaussian_series(np.ones_like, FS, 2 ** 22, seed=31), FS, SETTINGS)
+            synth.colored_gaussian_series(np.ones_like, FS, 2 ** 22, seed=31).array(), FS,
+            SETTINGS)
         assert dsp.band_power_rel_snl(meas, ref, 20e6) == pytest.approx(-1.33, abs=0.2)
 
     def test_zero_measured_power_is_domain_error(self):

@@ -164,6 +164,13 @@ class TestModeMatchPenalty:
         for mu in (0.5, 0.9, 1.0):
             assert model.mode_match_penalty(1.0, mu) == pytest.approx(1.0, rel=1e-15)
 
+    def test_arrays_map_elementwise_and_reject_any_nonpositive(self):
+        values = np.array([0.2, 0.7113, 1.0])
+        np.testing.assert_array_equal(model.mode_match_penalty(values, 0.9),
+                                      [model.mode_match_penalty(v, 0.9) for v in values])
+        with pytest.raises(DomainError):
+            model.mode_match_penalty(np.array([0.5, 0.0]), 0.9)
+
     @given(st.floats(min_value=1e-3, max_value=10.0),
            st.floats(min_value=1e-3, max_value=10.0),
            st.floats(min_value=0.01, max_value=1.0))

@@ -1,0 +1,87 @@
+import copy
+import math
+import pathlib
+import types
+
+import numpy as np
+import pytest
+
+from test_acceptance import REFERENCE_CONFIG
+from twinbeam import dsp, model, pipeline
+from twinbeam.config import parse_config
+
+ORACLE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+PERTURBED_CHAINS = [
+    {"enl": 0.2, "amplitude": {"mode_match": 0.85, "excess_noise": 0.1},
+     "phase": {"mode_match": 0.7, "excess_noise": 0.2}},
+    {"enl": 0.6, "amplitude": {"mode_match": 0.95, "excess_noise": 0.0},
+     "phase": {"mode_match": 1.0, "excess_noise": 0.5}},
+]
+
+
+def bench_oracle():
+    """bench/oracle.py as a module, compiled from its text (no bytecode is written)."""
+    oracle = types.ModuleType("bench_oracle")
+    exec(compile(ORACLE.read_text(), str(ORACLE), "exec"), oracle.__dict__)
+    return oracle
+
+
+@pytest.mark.parametrize("chain", [None, *PERTURBED_CHAINS],
+                         ids=["reference", "perturbed-1", "perturbed-2"])
+def test_expected_readings_agree_with_the_bench_oracle(chain):
+    doc = copy.deepcopy(REFERENCE_CONFIG)
+    if chain is not None:
+        doc["chain"] = chain
+    expected = pipeline.expected_readings(parse_config(doc))
+    oracle = bench_oracle().expected_readings(model, doc)
+    for key in ("amplitude_db", "phase_db", "enl_db"):
+        assert expected[key] == pytest.approx(oracle[key], rel=0, abs=1e-12), key
+
+
+def test_expected_readings_at_zero_floor_and_off_f0():
+    doc = copy.deepcopy(REFERENCE_CONFIG)
+    doc["chain"]["enl"] = 0.0
+    cfg = parse_config(doc)
+    assert pipeline.expected_readings(cfg)["enl_db"] is None
+    # far above the cavity bandwidth the combinations are at the SNL
+    far = pipeline.expected_readings(cfg, f0=49e6)
+    assert far["amplitude_db"] == pytest.approx(
+        model.db_rel_snl(model.intensity_diff_spectrum(cfg.nopo, 49e6)), abs=1e-12)
+
+
+def test_channel_psds_are_the_chain_forward_model():
+    cfg = parse_config(REFERENCE_CONFIG)
+    psds = pipeline.channel_psds(cfg)
+    assert list(psds) == list(pipeline.TRACE_CHANNELS)
+    freqs = np.array([0.0, 5e6, 20e6, 50e6])
+    enl = cfg.enl
+    phase = model.with_electronic_noise(
+        0.90 * model.phase_sum_spectrum(cfg.nopo, freqs) + 0.10 + 0.04, enl)
+    np.testing.assert_allclose(psds["phase_signal"](freqs), phase, rtol=1e-12)
+    np.testing.assert_allclose(psds["snl"](freqs), 1.0)
+    np.testing.assert_allclose(psds["enl"](freqs), enl)
+
+
+def test_readings_scatter_as_their_standard_error():
+    # 30 seeds at 2^18 samples: z = (reading - expected) / sigma_dB with
+    # sigma_dB = 10/ln10 * sqrt(2 / num_averages), the error of a ratio of
+    # two independent Welch estimates; the bounds are the 0.1% two-sided
+    # limits of the mean and of chi^2(29) for the standard deviation
+    doc = copy.deepcopy(REFERENCE_CONFIG)
+    doc["synth"]["num_samples"] = 2 ** 18
+    keys = ("amplitude_db", "phase_db", "enl_db")
+    z = {key: [] for key in keys}
+    for seed in range(100, 130):
+        doc["synth"]["seed"] = seed
+        cfg = parse_config(doc)
+        settings = dsp.AnalyzerSettings(**cfg.analyzer)
+        estimates = {name: dsp.welch_psd(series.array(), cfg.synth.sample_rate, settings)
+                     for name, series in pipeline.trace_channels(cfg)}
+        readings = pipeline.readings(estimates, cfg.interferometer.analysis_frequency)
+        expected = pipeline.expected_readings(cfg)
+        sigma = 10 / math.log(10) * math.sqrt(2.0 / readings["num_averages"])
+        for key in keys:
+            z[key].append((readings[key] - expected[key]) / sigma)
+    for key in keys:
+        assert abs(np.mean(z[key])) <= 0.60, key
+        assert 0.59 <= np.std(z[key], ddof=1) <= 1.45, key

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twinbeam import fileio, model, synth
+from twinbeam import fileio, model, pipeline, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
 from twinbeam.dsp import AnalyzerSettings, band_power_rel_snl, welch_psd
@@ -16,6 +17,33 @@ SETTINGS = AnalyzerSettings(rbw=150e3, vbw=2.0)
 REF_PARAMS = model.NopoParams.from_derived(0.84, 1.38, 24.7e6, 0.88)
 S_I_20M = model.intensity_diff_spectrum(REF_PARAMS, 20e6)   # 0.55353
 S_P_20M = model.phase_sum_spectrum(REF_PARAMS, 20e6)        # 0.71125
+AMPLITUDE_DIP = lambda f: model.intensity_diff_psd(f, 0.88 * 0.84, 24.7e6)
+PHASE_DIP = lambda f: model.phase_sum_psd(f, 0.88 * 0.84, 24.7e6, 1.38)
+
+CHAIN_DOC = {
+    "version": "twinbeam-config/2",
+    "nopo": {"transmission": 0.84, "intracavity_loss": 0.16,
+             "cavity_bandwidth_hz": 24.7e6, "pump_power": 1.9044,
+             "threshold_power": 1.0, "detection_efficiency": 0.88},
+    "synth": {"sample_rate_hz": FS, "num_samples": 2 ** 16, "seed": 8},
+    "chain": {"enl": 0.4,
+              "amplitude": {"mode_match": 0.8, "excess_noise": 0.3},
+              "phase": {"mode_match": 0.8, "excess_noise": 0.04}},
+    "analyzer": {"rbw_hz": 150e3, "vbw_hz": 2.0},
+    "interferometer": {"analysis_frequency_hz": 20e6},
+}
+
+
+def run_config(n=2 ** 16, seed=8, enl=0.4, amplitude=None, phase=None, **sections):
+    """CHAIN_DOC with the given length, seed, floor, channel chains and sections."""
+    doc = copy.deepcopy(CHAIN_DOC)
+    doc["synth"].update(num_samples=n, seed=seed)
+    doc["chain"]["enl"] = enl
+    doc["chain"]["amplitude"].update(amplitude or {})
+    doc["chain"]["phase"].update(phase or {})
+    for key, value in sections.items():
+        doc[key].update(value)
+    return parse_config(doc)
 
 
 def psd_at(estimate, f0):
@@ -26,10 +54,14 @@ def estimate(series, settings=SETTINGS):
     return welch_psd(series, FS, settings)
 
 
+def channels(cfg):
+    return {name: series.array() for name, series in pipeline.trace_channels(cfg)}
+
+
 class TestColoredGaussianSeries:
     def test_white_identity(self):
         series = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 20, seed=3)
-        est = estimate(series)
+        est = estimate(series.array())
         assert est.num_averages >= 200
         # flat within 0.2 dB on 1-MHz sub-band averages across (1, 40) MHz
         for lo in np.arange(1e6, 40e6, 1e6):
@@ -37,45 +69,78 @@ class TestColoredGaussianSeries:
             assert abs(10 * math.log10(np.mean(est.psd[band]))) < 0.2
 
     def test_matches_amplitude_dip_target(self):
-        psd = lambda f: model.intensity_diff_psd(f, 0.88 * 0.84, 24.7e6)
-        series = synth.colored_gaussian_series(psd, FS, 2 ** 22, seed=7)
-        assert psd_at(estimate(series), 20e6) == pytest.approx(S_I_20M, abs=0.015)
+        series = synth.colored_gaussian_series(AMPLITUDE_DIP, FS, 2 ** 22, seed=7)
+        assert psd_at(estimate(series.array()), 20e6) == pytest.approx(S_I_20M, abs=0.015)
 
     def test_deterministic_for_fixed_seed(self):
-        a = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 14, seed=42)
-        b = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 14, seed=42)
+        a = synth.colored_gaussian_series(PHASE_DIP, FS, 2 ** 14, seed=42).array()
+        b = synth.colored_gaussian_series(PHASE_DIP, FS, 2 ** 14, seed=42).array()
         assert np.array_equal(a, b)
 
     def test_distinct_sources_get_distinct_streams(self):
         a = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 14, seed=42, source="a")
         b = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 14, seed=42, source="b")
-        assert not np.array_equal(a, b)
+        assert not np.array_equal(a.array(), b.array())
 
     def test_output_is_real_and_zero_mean(self):
-        series = synth.colored_gaussian_series(np.ones_like, FS, 2 ** 16, seed=1)
+        series = synth.colored_gaussian_series(AMPLITUDE_DIP, FS, 2 ** 16, seed=1).array()
         assert series.dtype == float
         assert abs(np.mean(series)) < 0.05
 
-    def test_peak_memory_is_spectrum_output_and_one_grid_array(self):
-        # the normals go straight into the complex spectrum, block by block
-        n = 2 ** 20
-        size = n // 2 + 1
-        budget = 1.25 * (16 * size + 8 * n + 8 * size)
-        psd = lambda f: model.intensity_diff_psd(f, 0.88 * 0.84, 24.7e6)
-        tracemalloc.start()
-        try:
-            synth.colored_gaussian_series(psd, FS, n, seed=7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < budget
+    def test_peak_memory_is_flat_in_the_length(self):
+        # the normals are drawn and filtered segment by segment as the
+        # blocks are read, so a 4x longer series peaks no higher
+        def peak(n):
+            tracemalloc.start()
+            try:
+                for _ in synth.colored_gaussian_series(AMPLITUDE_DIP, FS, n, seed=7).blocks():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2 ** 14)  # the first transform of a size fills numpy's caches
+        assert abs(peak(2 ** 20) - peak(2 ** 18)) <= 8 * synth._BLOCK_SAMPLES
 
     def test_block_size_moves_no_bit(self, monkeypatch):
-        psd = lambda f: model.phase_sum_psd(f, 0.88 * 0.84, 24.7e6, 1.38)
-        whole = synth.colored_gaussian_series(psd, FS, 2 ** 17, seed=4)
+        whole = synth.colored_gaussian_series(PHASE_DIP, FS, 2 ** 17, seed=4).array()
         monkeypatch.setattr(synth, "_BLOCK_SAMPLES", 1000)
-        blocked = synth.colored_gaussian_series(psd, FS, 2 ** 17, seed=4)
+        blocked = synth.colored_gaussian_series(PHASE_DIP, FS, 2 ** 17, seed=4).array()
         assert whole.tobytes() == blocked.tobytes()
+
+    def test_overlap_save_equals_direct_convolution(self):
+        # several FFT segments and a short last one, against np.convolve on
+        # the same (seed, source) stream of normals
+        n = 2 ** 17
+        kernel = synth.shaping_kernel(AMPLITUDE_DIP, FS)
+        normals = synth._substream(5, "colored").standard_normal(n + kernel.size - 1)
+        series = synth.colored_gaussian_series(AMPLITUDE_DIP, FS, n, seed=5).array()
+        np.testing.assert_allclose(series, np.convolve(normals, kernel, "valid"),
+                                   rtol=0, atol=1e-12)
+
+    def test_kernel_is_short_and_zero_phase(self):
+        amplitude = synth.shaping_kernel(AMPLITUDE_DIP, FS)
+        assert amplitude.size % 2 == 1 and amplitude.size <= 256
+        np.testing.assert_allclose(amplitude, amplitude[::-1], atol=1e-15)
+        # its response squared is the psd: to 1e-5 below 0.8 Nyquist, and to
+        # 1e-3 at Nyquist, where sqrt(psd) repeated past fs/2 has a kink
+        freqs = np.linspace(0, FS / 2, 2001)
+        lags = np.arange(amplitude.size) - amplitude.size // 2
+        response = np.cos(2 * np.pi * np.outer(freqs / FS, lags)) @ amplitude
+        error = np.abs(response ** 2 / AMPLITUDE_DIP(freqs) - 1)
+        assert error[freqs <= 0.4 * FS].max() < 1e-5
+        assert error.max() < 1e-3
+        assert synth.shaping_kernel(np.ones_like, FS).tolist() == [1.0]
+
+    def test_zero_psd_gives_zeros(self):
+        series = synth.colored_gaussian_series(np.zeros_like, FS, 2 ** 14, seed=2)
+        assert not np.any(series.array())
+
+    def test_step_psd_is_refused(self):
+        # a brick-wall PSD has a sinc kernel that never decays enough
+        step = lambda f: np.where(f < 1e7, 1.0, 0.5)
+        with pytest.raises(DomainError, match="taps"):
+            synth.colored_gaussian_series(step, FS, 2 ** 14, seed=0)
 
     def test_nonpositive_psd_rejected(self):
         with pytest.raises(DomainError):
@@ -87,185 +152,128 @@ class TestColoredGaussianSeries:
 
 
 class TestSynthesizeTwinBeams:
-    """The two combinations the chain reads, as measured_combinations shapes them."""
+    """The two quadrature combinations, shaped from the model spectra."""
+
+    @staticmethod
+    def combinations(params, n, seed):
+        return {source: synth.colored_gaussian_series(
+                    lambda f: spectrum(params, f), FS, n, seed, source=source).array()
+                for source, spectrum in (("xminus", model.intensity_diff_spectrum),
+                                         ("yplus", model.phase_sum_spectrum))}
 
     def test_squeezed_combinations_hit_targets(self):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 22, seed=2)
-        combinations = dict(synth.measured_combinations(REF_PARAMS, cfg))
+        combinations = self.combinations(REF_PARAMS, 2 ** 22, seed=2)
         assert psd_at(estimate(combinations["xminus"]), 20e6) == pytest.approx(S_I_20M, abs=0.015)
         assert psd_at(estimate(combinations["yplus"]), 20e6) == pytest.approx(S_P_20M, abs=0.015)
 
     def test_uncorrelated_limit_is_vacuum(self):
         params = model.NopoParams.from_derived(1e-6, 1e4, 24.7e6, 1e-6)
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 20, seed=5)
-        for _, series in synth.measured_combinations(params, cfg):
+        for series in self.combinations(params, 2 ** 20, seed=5).values():
             assert psd_at(estimate(series), 20e6) == pytest.approx(1.0, abs=0.05)
 
     def test_combinations_independent(self):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=2 ** 20, seed=9)
-        combinations = dict(synth.measured_combinations(REF_PARAMS, cfg))
+        combinations = self.combinations(REF_PARAMS, 2 ** 20, seed=9)
         assert abs(np.corrcoef(combinations["xminus"], combinations["yplus"])[0, 1]) < 0.01
 
     def test_undersampled_bandwidth_warns_at_the_call(self):
-        # the check runs when measured_combinations is called, before any
-        # shaping, and the warning names the caller's line, not synth.py
-        cfg = synth.SynthConfig(sample_rate=4e6, num_samples=2 ** 16, seed=1)
+        # channel_psds checks at once, and the warning names the caller's
+        # line, not pipeline.py
+        cfg = run_config(synth={"sample_rate_hz": 4e6},
+                         interferometer={"analysis_frequency_hz": 1e6})
         with pytest.warns(UserWarning, match="Nyquist") as record:
-            synth.measured_combinations(REF_PARAMS, cfg)
+            pipeline.channel_psds(cfg)
         assert [w.filename for w in record] == [__file__]
 
 
 class TestMzMeasure:
-    ifc = model.InterferometerConfig.matched(20e6)
-
-    def traces(self, n=2 ** 21, seed=9):
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=n, seed=seed)
-        return dict(synth.measured_combinations(REF_PARAMS, cfg))
-
-    def signal(self, traces, mode, chain, seed, ifc=None):
-        series = traces["xminus" if mode == "amplitude" else "yplus"]
-        return synth.mz_signal(synth.BlockSeries.of(series), mode, ifc or self.ifc,
-                               chain, seed).array()
-
-    def reference(self, traces, mode, chain, seed):
-        return synth.mz_reference(len(traces["xminus"]), mode, chain, seed).array()
+    """The measured channels: each chain's PSD, shaped as trace_channels shapes it."""
 
     def test_transparent_chain_passes_quadrature_through(self):
-        traces = self.traces(n=2 ** 20)
-        chain = synth.DetectionChain(mode_match=1.0, enl=1e-9)
-        signal = self.signal(traces, "phase", chain, seed=9)
+        cfg = run_config(n=2 ** 20, seed=9, enl=1e-9,
+                         phase={"mode_match": 1.0, "excess_noise": 0.0})
+        signal = channels(cfg)["phase_signal"]
         assert psd_at(estimate(signal), 20e6) == pytest.approx(S_P_20M, abs=0.04)
 
     def test_reference_phase_chain_reading(self):
         # (0.90 * S_P + 0.10 + 0.04) through the electronics floor: -0.606 dB
-        traces = self.traces()
-        chain = synth.DetectionChain(mode_match=0.90, enl=0.4074, excess_noise=0.04)
+        cfg = run_config(n=2 ** 21, seed=9, enl=0.4074,
+                         phase={"mode_match": 0.90, "excess_noise": 0.04})
+        traces = channels(cfg)
         reading = band_power_rel_snl(
-            estimate(self.signal(traces, "phase", chain, seed=9)),
-            estimate(self.reference(traces, "phase", chain, seed=9)), 20e6)
+            estimate(traces["phase_signal"]), estimate(traces["snl"]), 20e6)
         expected = 10 * math.log10(
             (0.90 * S_P_20M + 0.10 + 0.04) * (1 - 0.4074) + 0.4074)
         assert reading == pytest.approx(expected, abs=0.3)
         assert reading == pytest.approx(-0.60, abs=0.3)  # measured raw phase dip
 
     def test_amplitude_chain_reading(self):
-        traces = self.traces()
-        chain = synth.DetectionChain(enl=0.4074)
+        cfg = run_config(n=2 ** 21, seed=9, enl=0.4074,
+                         amplitude={"mode_match": 1.0, "excess_noise": 0.0})
+        traces = channels(cfg)
         reading = band_power_rel_snl(
-            estimate(self.signal(traces, "amplitude", chain, seed=9)),
-            estimate(self.reference(traces, "amplitude", chain, seed=9)), 20e6)
+            estimate(traces["amp_signal"]), estimate(traces["snl"]), 20e6)
         assert reading == pytest.approx(-1.334, abs=0.3)
 
     def test_snl_channel_is_unity(self):
-        traces = self.traces(n=2 ** 20)
-        chain = synth.DetectionChain(mode_match=0.9, enl=0.4074)
-        snl = self.reference(traces, "amplitude", chain, seed=3)
+        snl = channels(run_config(n=2 ** 20, seed=3, enl=0.4074))["snl"]
         assert psd_at(estimate(snl), 20e6) == pytest.approx(1.0, abs=0.05)
 
     def test_out_of_tolerance_interferometer_rejected(self):
-        traces = self.traces(n=2 ** 16)
-        bad = model.InterferometerConfig(analysis_frequency=20e6, arm_length_difference=8.0)
+        cfg = run_config(interferometer={"arm_length_difference_m": 8.0})
         with pytest.raises(ConfigurationError, match="theta"):
-            self.signal(traces, "phase", synth.DetectionChain(), seed=0, ifc=bad)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DomainError):
-            self.signal(self.traces(n=2 ** 16), "both", synth.DetectionChain(), seed=0)
+            pipeline.channel_psds(cfg)
+        with pytest.raises(ConfigurationError, match="theta"):
+            next(pipeline.trace_channels(cfg))
 
     def test_deterministic(self):
-        traces = self.traces(n=2 ** 16)
-        chain = synth.DetectionChain(mode_match=0.9, enl=0.3, excess_noise=0.02)
-        for measure in (self.signal, self.reference):
-            a = measure(traces, "phase", chain, seed=77)
-            b = measure(traces, "phase", chain, seed=77)
-            assert np.array_equal(a, b)
+        cfg = run_config(seed=77, enl=0.3, phase={"mode_match": 0.9, "excess_noise": 0.02})
+        first, second = channels(cfg), channels(cfg)
+        for name in pipeline.TRACE_CHANNELS:
+            assert np.array_equal(first[name], second[name])
 
 
 class TestBlockSeries:
-    ifc = model.InterferometerConfig.matched(20e6)
-
     def test_blocks_join_into_the_array(self):
         series = np.arange(2 ** 16 + 123, dtype=float)
-        stream = synth.BlockSeries.of(series)
+        stream = synth.BlockSeries(len(series), lambda start, stop: series[start:stop])
         blocks = list(stream.blocks())
         assert [len(b) for b in blocks] == [2 ** 16, 123]
         np.testing.assert_array_equal(np.concatenate(blocks), series)
-        np.testing.assert_array_equal(synth.BlockSeries.of(series).array(), series)
+        np.testing.assert_array_equal(stream.array(), series)
 
     @pytest.mark.parametrize("mode", ["amplitude", "phase"])
     def test_chain_block_size_moves_no_bit(self, monkeypatch, mode):
-        n = 2 ** 17
-        cfg = synth.SynthConfig(sample_rate=FS, num_samples=n, seed=6)
-        combinations = dict(synth.measured_combinations(REF_PARAMS, cfg))
-        series = combinations["xminus" if mode == "amplitude" else "yplus"]
-        chain = synth.DetectionChain(mode_match=0.8, enl=0.3, excess_noise=0.04)
+        cfg = run_config(n=2 ** 17, seed=6, enl=0.3)
+        names = ("amp_signal" if mode == "amplitude" else "phase_signal", "snl", "enl")
 
         def measure():
-            signal = synth.mz_signal(synth.BlockSeries.of(series), mode, self.ifc, chain, seed=6)
-            return [signal.array().tobytes(),
-                    synth.mz_reference(n, mode, chain, seed=6).array().tobytes(),
-                    synth.electronics_floor(0.3, n, seed=6).array().tobytes()]
+            traces = channels(cfg)
+            return [traces[name].tobytes() for name in names]
 
         whole = measure()
         monkeypatch.setattr(synth, "_BLOCK_SAMPLES", 999)
         assert measure() == whole
 
     def test_chain_equals_the_whole_series_arithmetic(self, tmp_path):
-        # every channel `twinbeam synth` writes is the chain applied to whole
-        # series, as it was before it ran in blocks, rounded to float32
-        n, seed, mu, enl = 2 ** 16, 8, 0.8, 0.4
-        excess = {"amplitude": 0.3, "phase": 0.04}
-        doc = {
-            "version": "twinbeam-config/2",
-            "nopo": {"transmission": 0.84, "intracavity_loss": 0.16,
-                     "cavity_bandwidth_hz": 24.7e6, "pump_power": 1.9044,
-                     "threshold_power": 1.0, "detection_efficiency": 0.88},
-            "synth": {"sample_rate_hz": FS, "num_samples": n, "seed": seed},
-            "chain": {"enl": enl,
-                      **{mode: {"mode_match": mu, "excess_noise": excess[mode]}
-                         for mode in excess}},
-            "analyzer": {"rbw_hz": 150e3, "vbw_hz": 2.0},
-            "interferometer": {"analysis_frequency_hz": 20e6},
-        }
+        # every channel `twinbeam synth` writes is its chain kernel convolved
+        # with its whole stream of normals, rounded to float32
+        cfg = run_config()
         config, trace = tmp_path / "chain.json", tmp_path / "chain.twbm"
-        config.write_text(json.dumps(doc))
+        config.write_text(json.dumps(CHAIN_DOC))
         assert main(["synth", "--config", str(config), "--out", str(trace)]) == 0
-        _, channels = fileio.read_trace(trace)
+        _, written = fileio.read_trace(trace)
+        assert list(written) == list(pipeline.TRACE_CHANNELS)
 
-        cfg = parse_config(doc)
-        params = cfg.nopo
-        product = params.detection_efficiency * params.output_coupling
-        combinations = {
-            "amplitude": synth.colored_gaussian_series(
-                lambda f: model.intensity_diff_psd(f, product, params.cavity_bandwidth),
-                FS, n, seed, source="xminus"),
-            "phase": synth.colored_gaussian_series(
-                lambda f: model.phase_sum_psd(f, product, params.cavity_bandwidth,
-                                              params.pump_ratio),
-                FS, n, seed, source="yplus"),
-        }
-
-        def white(scale, source):
-            return scale * synth._substream(seed, source).standard_normal(n)
-
-        expected = {}
-        sensitivity = math.sin(cfg.interferometer.rf_sideband_phase / 2.0)
-        for mode, name in (("amplitude", "amp_signal"), ("phase", "phase_signal")):
-            signal = sensitivity * combinations[mode]
-            signal = math.sqrt(mu) * signal + white(math.sqrt(1 - mu), f"{mode}:mode_match_vacuum")
-            signal = signal + white(math.sqrt(excess[mode]), f"{mode}:excess_noise")
-            expected[name] = (math.sqrt(1 - enl) * signal
-                              + white(math.sqrt(enl), f"{mode}:electronics_signal"))
-        expected["snl"] = (white(math.sqrt(1 - enl), "amplitude:snl_vacuum")
-                           + white(math.sqrt(enl), "amplitude:electronics_reference"))
-        expected["enl"] = white(math.sqrt(enl), "enl")
-        assert list(channels) == list(expected)
-        for name, series in expected.items():
-            assert channels[name].tobytes() == series.astype(np.float32).tobytes(), name
+        n, seed = cfg.synth.num_samples, cfg.synth.seed
+        for name, psd in pipeline.channel_psds(cfg).items():
+            kernel = synth.shaping_kernel(psd, FS)
+            normals = synth._substream(seed, name).standard_normal(n + kernel.size - 1)
+            expected = np.convolve(normals, kernel, "valid")
+            np.testing.assert_allclose(written[name], expected, rtol=2 ** -23, atol=1e-12,
+                                       err_msg=name)
 
 
 class TestSynthConfigValidation:
     def test_power_of_two_required(self):
         with pytest.raises(DomainError):
             synth.SynthConfig(sample_rate=FS, num_samples=3000, seed=0)
-
