@@ -12,8 +12,8 @@ instead of writing a float32 trace file.
 """
 
 from twinbeam import (
-    AnalyzerSettings, QuadratureVariancePair, correct_for_electronic_noise,
-    duan_certify, from_db, pipeline, welch_psd,
+    QuadratureVariancePair, correct_for_electronic_noise, duan_certify, from_db,
+    pipeline, welch_psd,
 )
 from twinbeam.config import parse_config
 
@@ -47,8 +47,7 @@ print(f"arm length difference = {run.interferometer.arm_length_difference:.4f} m
 #      direct difference for amplitude, unbalanced Mach-Zehnder for phase,
 #      plus the shot-noise reference and the electronics floor
 # 3.   spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
-settings = AnalyzerSettings(**run.analyzer)
-estimates = {name: welch_psd(channel.array(), sample_rate, settings)
+estimates = {name: welch_psd(channel.array(), sample_rate, run.analyzer)
              for name, channel in pipeline.trace_channels(run)}
 readings = pipeline.readings(estimates, f0)
 print(f"averaged segments     = {readings['num_averages']}")

@@ -15,6 +15,11 @@ streaming its channel into the trace file as float32 blocks, so its memory
 does not grow with the trace length; analyze runs the four Welch
 estimates and the trace's sha256 on two workers.
 
+Every command that takes --config checks the whole config before any
+work: its analyzer settings, and that the analyzer span holds the analysis
+frequency.  certify reads either an analysis JSON (with an optional
+--enl-db) or the already-corrected --vx/--vy, never both.
+
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
 infeasibility.
@@ -156,6 +161,10 @@ def _cmd_synth(args):
 def _cmd_analyze(args):
     cfg = load_config(args.config)
     f0 = args.f0 if args.f0 is not None else cfg.interferometer.analysis_frequency
+    settings = cfg.analyzer
+    if not settings.covers(f0):
+        raise UsageError(f"f0 {f0:.6g} Hz outside the analyzer span {settings.span:.6g} Hz "
+                         f"about {settings.center_frequency:.6g} Hz")
     trace = fileio.read_trace(args.trace)
     sample_rate, channels = trace
     if not 0 < f0 < sample_rate / 2.0:
@@ -163,7 +172,6 @@ def _cmd_analyze(args):
     for name in TRACE_CHANNELS:
         if name not in channels:
             raise UsageError(f"trace file lacks required channel {name!r}")
-    settings = dsp.AnalyzerSettings(**cfg.analyzer)
     from concurrent.futures import ThreadPoolExecutor  # here: only synth and analyze use it
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -220,6 +228,10 @@ def _cmd_certify(args):
     if args.vx is not None or args.vy is not None:
         if args.vx is None or args.vy is None:
             raise UsageError("--vx and --vy must be given together")
+        if args.analysis is not None:
+            raise UsageError("give an analysis JSON or --vx/--vy, not both")
+        if args.enl_db is not None:
+            raise UsageError("--enl-db corrects an analysis JSON; --vx/--vy are already corrected")
         amp, phase = args.vx, args.vy
         raw = {"amplitude": amp, "phase": phase}
     else:

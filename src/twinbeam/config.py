@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .dsp import AnalyzerSettings
 from .errors import ConfigurationError, TwinbeamError
 from .model import InterferometerConfig, NopoParams, arm_length_difference
 from .synth import DetectionChain, SynthConfig
@@ -90,6 +91,11 @@ def _check_node(node, schema, path):
             raise SchemaError(f"{where} must be {expected.__name__}, got {type(value).__name__}")
 
 
+def _present(doc, fields):
+    """{field: doc[key]} for each (key, field) of fields that doc sets."""
+    return {field: doc[key] for key, field in fields.items() if doc.get(key) is not None}
+
+
 def config_hash(document):
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -103,7 +109,7 @@ class RunConfig:
     enl: float
     amplitude_chain: DetectionChain
     phase_chain: DetectionChain
-    analyzer: dict
+    analyzer: AnalyzerSettings
     interferometer: InterferometerConfig
     hash: str
 
@@ -147,31 +153,24 @@ def parse_config(document):
         return DetectionChain(mode_match=doc["mode_match"], excess_noise=doc["excess_noise"])
 
     ana = document["analyzer"]
-    analyzer = {
-        "rbw": ana["rbw_hz"],
-        "vbw": ana["vbw_hz"],
-        "window": ana.get("window") or "hann",
-        "center_frequency": ana.get("center_frequency_hz"),
-        "span": ana.get("span_hz"),
-    }
+    analyzer = AnalyzerSettings(rbw=ana["rbw_hz"], vbw=ana["vbw_hz"], **_present(ana, {
+        "window": "window", "center_frequency_hz": "center_frequency", "span_hz": "span"}))
 
     ifc_doc = document["interferometer"]
     f0 = ifc_doc["analysis_frequency_hz"]
     if f0 >= synth_cfg.sample_rate / 2:
         raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is not below "
                           f"the Nyquist frequency {synth_cfg.sample_rate / 2:.6g} Hz")
+    if not analyzer.covers(f0):
+        raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is outside the "
+                          f"analyzer span {analyzer.span:.6g} Hz about "
+                          f"{analyzer.center_frequency:.6g} Hz")
     delta_l = ifc_doc.get("arm_length_difference_m")
     if delta_l is None:
         delta_l = arm_length_difference(f0)
-    ifc_kwargs = {}
-    if ifc_doc.get("dc_phase_rad") is not None:
-        ifc_kwargs["dc_phase"] = ifc_doc["dc_phase_rad"]
-    if ifc_doc.get("theta_tol") is not None:
-        ifc_kwargs["theta_tol"] = ifc_doc["theta_tol"]
-    if ifc_doc.get("phi_tol") is not None:
-        ifc_kwargs["phi_tol"] = ifc_doc["phi_tol"]
     interferometer = InterferometerConfig(
-        analysis_frequency=f0, arm_length_difference=delta_l, **ifc_kwargs)
+        analysis_frequency=f0, arm_length_difference=delta_l, **_present(ifc_doc, {
+            "dc_phase_rad": "dc_phase", "theta_tol": "theta_tol", "phi_tol": "phi_tol"}))
 
     return RunConfig(
         nopo=params,

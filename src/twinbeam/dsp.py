@@ -46,6 +46,10 @@ class AnalyzerSettings:
         if self.span is not None and self.span <= 0:
             raise DomainError("span must be positive")
 
+    def covers(self, frequency):
+        """Whether the span holds frequency; with no span set, every frequency."""
+        return self.span is None or abs(frequency - self.center_frequency) <= self.span / 2.0
+
 
 @dataclass(frozen=True)
 class SpectrumEstimate:

@@ -19,7 +19,9 @@ import numpy as np
 from . import model
 from .errors import DomainError, IdentifiabilityError
 
-_DEFAULT_OPTS = {"max_iter": 200, "grad_tol": 1e-10, "step_tol": 1e-12}
+_MAX_ITER = 200
+_GRAD_TOL = 1e-10
+_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,19 +120,6 @@ def _start_grid(problem, fit_pump):
                 yield np.array(x)
 
 
-def _pack_init(init, fit_pump):
-    product, bandwidth = init[0], init[1]
-    if not 0 < product <= 1 or bandwidth <= 0:
-        raise DomainError("initial efficiency product must be in (0, 1] and bandwidth positive")
-    x = [product, math.log(bandwidth)]
-    if fit_pump:
-        ratio = init[2]
-        if ratio is None or ratio <= 1:
-            raise DomainError("initial pump ratio must exceed 1")
-        x.append(math.log(ratio - 1.0))
-    return np.array(x)
-
-
 def _levenberg_marquardt(x, args, max_nfev, xtol, gtol, ftol=1e-14):
     """Levenberg-Marquardt from x; returns (x, residuals, evaluations, converged).
 
@@ -172,37 +161,30 @@ def _levenberg_marquardt(x, args, max_nfev, xtol, gtol, ftol=1e-14):
             return x, r, nfev, True
 
 
-def fit_spectra(problem, init=None, **opts):
+def fit_spectra(problem):
     """Weighted least-squares fit of the forward model to a FitProblem.
 
-    Levenberg-Marquardt with the analytic Jacobian; multi-start over a fixed
-    parameter grid when no init is given, so the result is deterministic.
-    Each start may spend max_iter * (p + 1) residual evaluations (p fitted
-    parameters); one whose residuals are not finite is skipped, and the
-    converged start of least cost is reported.  `converged` is true when
-    the gradient (grad_tol), step (step_tol) or cost-reduction test stopped
-    it, and false when its budget ran out or the damping overflowed;
-    `iterations` counts its residual evaluations.  When only the amplitude
-    channel is present the pump ratio is excluded from the fit and flagged
+    Levenberg-Marquardt with the analytic Jacobian from each point of a
+    fixed parameter grid, so the result is deterministic.  Each start may
+    spend _MAX_ITER * (p + 1) residual evaluations (p fitted parameters);
+    one whose residuals are not finite is skipped, and the converged start
+    of least cost is reported.  `converged` is true when the gradient
+    (_GRAD_TOL), step (_STEP_TOL) or cost-reduction test stopped it, and
+    false when its budget ran out or the damping overflowed; `iterations`
+    counts its residual evaluations.  When only the amplitude channel is
+    present the pump ratio is excluded from the fit and flagged
     unidentifiable (the amplitude model does not contain it).
     """
-    options = dict(_DEFAULT_OPTS)
-    for key, value in opts.items():
-        if key not in options:
-            raise DomainError(f"unknown fit option {key!r}")
-        options[key] = value
-
     fit_pump = problem.phase_observed is not None
     sqrt_w = (np.sqrt(np.asarray(problem.weights, dtype=float))
               if problem.weights is not None else np.ones(len(problem.frequencies)))
 
-    starts = [_pack_init(init, fit_pump)] if init is not None else list(_start_grid(problem, fit_pump))
     fits = []
-    for x0 in starts:
+    for x0 in _start_grid(problem, fit_pump):
         try:
             fits.append(_levenberg_marquardt(
-                x0, (problem, fit_pump, sqrt_w), options["max_iter"] * (len(x0) + 1),
-                xtol=options["step_tol"], gtol=options["grad_tol"]))
+                x0, (problem, fit_pump, sqrt_w), _MAX_ITER * (len(x0) + 1),
+                xtol=_STEP_TOL, gtol=_GRAD_TOL))
         except FloatingPointError:
             continue
     if not fits:

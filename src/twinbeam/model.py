@@ -254,15 +254,6 @@ class InterferometerConfig:
         if self.analysis_frequency <= 0 or self.arm_length_difference <= 0:
             raise DomainError("analysis frequency and arm-length difference must be positive")
 
-    @classmethod
-    def matched(cls, analysis_frequency, **kwargs):
-        """Config with the arm imbalance tuned exactly to the analysis frequency."""
-        return cls(
-            analysis_frequency=analysis_frequency,
-            arm_length_difference=arm_length_difference(analysis_frequency),
-            **kwargs,
-        )
-
     @property
     def rf_sideband_phase(self):
         return rf_phase(self.arm_length_difference, self.analysis_frequency)

@@ -121,6 +121,27 @@ class TestConfigSchema:
         assert "Nyquist frequency 2e+06 Hz" in err
         assert os.listdir(tmp_path) == ["mut.json"]
 
+    @pytest.mark.parametrize("command", ["synth", "spectra"])
+    def test_invalid_analyzer_is_infeasible_at_load(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, lambda d: (
+            d["synth"].update(num_samples=2 ** 18),
+            d["analyzer"].update(rbw_hz=1e3, vbw_hz=1e6)))
+        out = str(tmp_path / "out")
+        assert main([command, "--config", path, "--out", out]) == 2
+        assert "video bandwidth" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mut.json"]
+
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    def test_analysis_frequency_outside_span_is_usage_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, lambda d: d["analyzer"].update(
+            center_frequency_hz=40e6, span_hz=2e6))
+        argv = {"synth": ["synth", "--config", path, "--out", str(tmp_path / "t.twbm")],
+                "spectra": ["spectra", "--config", path, "--out", str(tmp_path / "s.csv")],
+                "analyze": ["analyze", str(tmp_path / "t.twbm"), "--config", path]}[command]
+        assert main(argv) == 1
+        assert "outside the analyzer span" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mut.json"]
+
 
 class TestSpectraCommand:
     def test_reference_marker_reproduction(self, config_path, tmp_path):
@@ -214,15 +235,15 @@ class TestSynthCommand:
 
         def failing_series(*args, source, **kwargs):
             series = colored_gaussian_series(*args, source=source, **kwargs)
-            block = series.block
 
-            def failing_block(start, stop):
-                if source == "enl" and start >= 2 * synth._BLOCK_SAMPLES:
-                    raised_on.append(threading.get_ident())
-                    raise DomainError("electronics stage failed")
-                return block(start, stop)
+            def failing_blocks():
+                for count, block in enumerate(series.blocks()):
+                    if source == "enl" and count == 2:
+                        raised_on.append(threading.get_ident())
+                        raise DomainError("electronics stage failed")
+                    yield block
 
-            return synth.BlockSeries(series.length, failing_block)
+            return synth.BlockSeries(series.length, failing_blocks())
 
         monkeypatch.setattr(synth, "colored_gaussian_series", failing_series)
         status = []
@@ -337,6 +358,34 @@ class TestAnalyzeCertifyPipeline:
         assert main(["analyze", str(trace), "--config", config_path,
                      "--f0", "60e6"]) == 1
 
+    def test_f0_outside_span_is_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: (
+            d["synth"].update(num_samples=2 ** 16),
+            d["analyzer"].update(center_frequency_hz=20e6, span_hz=2e6)))
+        trace, out = tmp_path / "span.twbm", tmp_path / "span.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(trace), "--config", path, "--f0", "40e6",
+                     "--out", str(out)]) == 1
+        assert "outside the analyzer span" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_span_holding_f0_moves_no_reading(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        spanned = write_config(tmp_path, lambda d: (
+            d["synth"].update(num_samples=2 ** 16),
+            d["analyzer"].update(center_frequency_hz=21e6, span_hz=10e6)), name="span.json")
+        trace = tmp_path / "span.twbm"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        readings = []
+        for config in (path, spanned):
+            capsys.readouterr()
+            assert main(["analyze", str(trace), "--config", config, "--json"]) == 0
+            reading = json.loads(capsys.readouterr().out)
+            readings.append([reading[key] for key in
+                             ("amplitude_db", "phase_db", "enl_db", "num_averages")])
+        assert readings[0] == readings[1]
+
     def test_nonfinite_sample_is_infeasible(self, config_path, tmp_path, capsys):
         trace = tmp_path / "run4.twbm"
         assert main(["synth", "--config", config_path, "--out", str(trace)]) == 0
@@ -378,6 +427,22 @@ class TestCertifyCommand:
         assert report["duan_sum"] == pytest.approx(1.337, abs=1e-9)
         assert report["entangled"]
         assert report["corrections"] == []
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["a.json", "--vx", "0.5", "--vy", "0.7"], "--vx/--vy"),
+        (["--vx", "0.5", "--vy", "0.7", "--enl-db", "-3.9"], "--enl-db"),
+        (["--vx", "0.5"], "--vx and --vy"),
+        ([], "--vx/--vy"),
+    ], ids=["analysis-and-variances", "enl-db-and-variances", "vx-alone", "no-input"])
+    def test_conflicting_or_missing_inputs_are_usage_errors(self, argv, flags, tmp_path,
+                                                             monkeypatch, capsys):
+        # +3/+3 dB is separable: with the analysis ignored, --vx/--vy read entangled
+        (tmp_path / "a.json").write_text('{"amplitude_db": 3.0, "phase_db": 3.0}')
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", *argv, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert flags in captured.err
+        assert captured.out == ""
 
     def test_snl_boundary_not_entangled(self, tmp_path, capsys):
         analysis = {"amplitude_db": 0.0, "phase_db": 0.0, "enl_db": -3.9}

@@ -250,7 +250,8 @@ class TestGeometry:
         assert theta == pytest.approx(math.pi, rel=1e-14)
 
     def test_matched_config_validates(self):
-        ifc = model.InterferometerConfig.matched(20e6)
+        ifc = model.InterferometerConfig(
+            analysis_frequency=20e6, arm_length_difference=model.arm_length_difference(20e6))
         ifc.validate()
 
     def test_detuned_theta_rejected(self):
@@ -260,10 +261,14 @@ class TestGeometry:
             ifc.validate()
 
     def test_unlocked_phi_rejected(self):
-        ifc = model.InterferometerConfig.matched(20e6, dc_phase=1.0)
+        ifc = model.InterferometerConfig(
+            analysis_frequency=20e6, arm_length_difference=model.arm_length_difference(20e6),
+            dc_phase=1.0)
         with pytest.raises(ConfigurationError, match="phi"):
             ifc.validate()
 
     def test_phi_winding_accepted(self):
-        ifc = model.InterferometerConfig.matched(20e6, dc_phase=math.pi / 2 + 4 * math.pi)
+        ifc = model.InterferometerConfig(
+            analysis_frequency=20e6, arm_length_difference=model.arm_length_difference(20e6),
+            dc_phase=math.pi / 2 + 4 * math.pi)
         ifc.validate()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import REFERENCE_CONFIG
-from twinbeam import dsp, model, pipeline
+from twinbeam import dsp, model, pipeline, synth
 from twinbeam.config import parse_config
 
 ORACLE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
@@ -62,6 +62,19 @@ def test_channel_psds_are_the_chain_forward_model():
     np.testing.assert_allclose(psds["enl"](freqs), enl)
 
 
+@pytest.mark.parametrize("name", ["amp_signal", "phase_signal"])
+def test_shaped_psd_error_below_six_tenths_of_nyquist(name):
+    # the kernel's tail-energy bound does not bound |H(f)|^2 - psd(f) near
+    # fs/2 (a few 1e-4 there); below 0.6 fs/2 it is about 4e-6
+    cfg = parse_config(REFERENCE_CONFIG)
+    psd, fs = pipeline.channel_psds(cfg)[name], cfg.synth.sample_rate
+    kernel = synth.shaping_kernel(psd, fs)
+    freqs = np.linspace(0, 0.3 * fs, 1201)
+    lags = np.arange(kernel.size) - kernel.size // 2
+    response = np.cos(2 * np.pi * np.outer(freqs / fs, lags)) @ kernel
+    assert np.abs(response ** 2 - psd(freqs)).max() <= 1e-5
+
+
 def test_readings_scatter_as_their_standard_error():
     # 30 seeds at 2^18 samples: z = (reading - expected) / sigma_dB with
     # sigma_dB = 10/ln10 * sqrt(2 / num_averages), the error of a ratio of
@@ -74,8 +87,7 @@ def test_readings_scatter_as_their_standard_error():
     for seed in range(100, 130):
         doc["synth"]["seed"] = seed
         cfg = parse_config(doc)
-        settings = dsp.AnalyzerSettings(**cfg.analyzer)
-        estimates = {name: dsp.welch_psd(series.array(), cfg.synth.sample_rate, settings)
+        estimates = {name: dsp.welch_psd(series.array(), cfg.synth.sample_rate, cfg.analyzer)
                      for name, series in pipeline.trace_channels(cfg)}
         readings = pipeline.readings(estimates, cfg.interferometer.analysis_frequency)
         expected = pipeline.expected_readings(cfg)

@@ -235,11 +235,17 @@ class TestMzMeasure:
 class TestBlockSeries:
     def test_blocks_join_into_the_array(self):
         series = np.arange(2 ** 16 + 123, dtype=float)
-        stream = synth.BlockSeries(len(series), lambda start, stop: series[start:stop])
-        blocks = list(stream.blocks())
-        assert [len(b) for b in blocks] == [2 ** 16, 123]
+
+        def stream():
+            return synth.BlockSeries(len(series), iter(np.split(series, [2 ** 16, 2 ** 16 + 7])))
+
+        blocks = list(stream().blocks())
+        assert [len(b) for b in blocks] == [2 ** 16, 7, 116]
         np.testing.assert_array_equal(np.concatenate(blocks), series)
-        np.testing.assert_array_equal(stream.array(), series)
+        once = stream()
+        np.testing.assert_array_equal(once.array(), series)
+        with pytest.raises(RuntimeError, match="already read"):
+            once.array()
 
     @pytest.mark.parametrize("mode", ["amplitude", "phase"])
     def test_chain_block_size_moves_no_bit(self, monkeypatch, mode):
