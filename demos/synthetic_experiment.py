@@ -7,8 +7,9 @@ analyzer, corrects for the electronics, and certifies entanglement.
 
 The chain is twinbeam.pipeline, the one the command line runs as
 ``twinbeam synth`` / ``twinbeam analyze`` / ``twinbeam certify``, set up
-from the same config document; this script keeps the channels in float64
-instead of writing a float32 trace file.
+from the same config document; this script streams each channel's float64
+blocks straight into its Welch estimate instead of writing a float32 trace
+file, so no channel is held whole.
 """
 
 from twinbeam import (
@@ -47,7 +48,7 @@ print(f"arm length difference = {run.interferometer.arm_length_difference:.4f} m
 #      direct difference for amplitude, unbalanced Mach-Zehnder for phase,
 #      plus the shot-noise reference and the electronics floor
 # 3.   spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
-estimates = {name: welch_psd(channel.array(), sample_rate, run.analyzer)
+estimates = {name: welch_psd(channel, sample_rate, run.analyzer)
              for name, channel in pipeline.trace_channels(run)}
 readings = pipeline.readings(estimates, f0)
 print(f"averaged segments     = {readings['num_averages']}")

@@ -12,8 +12,12 @@ modelled.
 synth and analyze use up to two threads; their output does not depend on
 how many run.  synth shapes and writes the channels on two workers, each
 streaming its channel into the trace file as float32 blocks, so its memory
-does not grow with the trace length; analyze runs the four Welch
-estimates and the trace's sha256 on two workers.
+does not grow with the trace length.  analyze checks the trace's header
+and size, then runs the file's sha256 and the four Welch estimates on two
+workers, in that order: each estimate reads its channel block by block,
+checks every block finite and averages it, so no channel is held whole and
+its memory does not grow with the trace length either.  The readings are
+written only once every task has finished without error.
 
 Every command that takes --config checks the whole config before any
 work: its analyzer settings, and that the analyzer span holds the analysis
@@ -121,23 +125,29 @@ def _cmd_spectra(args):
     return 0
 
 
-def _write_channels(cfg, writer):
-    """Write every trace channel through writer, on two worker threads.
+def _on_two_workers(calls):
+    """Run each call, a (function, *args) tuple, on two worker threads, in order.
 
-    Each worker shapes a channel block by block as it writes it, the two
-    signal channels (the long kernels) first.  A failure on a worker
-    cancels what is queued and is raised here.
+    Each call is queued as soon as the iterable `calls` yields it, so a
+    worker can start on it while the next is made.  Returns the results in
+    call order.  A failure cancels the calls still queued, and the first
+    failure in call order is raised here, once the calls already running
+    are done.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: only synth and analyze use it
 
     pool = ThreadPoolExecutor(max_workers=2)
     try:
-        futures = [pool.submit(writer.write_channel, name, stream.blocks())
-                   for name, stream in pipeline.trace_channels(cfg)]
-        for future in futures:
-            future.result()
+        futures = [pool.submit(*call) for call in calls]
+        return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _read_through(series):
+    """Read every block of series, for the checks its reader makes."""
+    for _ in series.blocks():
+        pass
 
 
 def _cmd_synth(args):
@@ -146,7 +156,10 @@ def _cmd_synth(args):
         cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, seed=args.seed))
     with fileio.trace_writer(args.out, cfg.synth.sample_rate, TRACE_CHANNELS,
                              cfg.synth.num_samples) as writer:
-        _write_channels(cfg, writer)
+        # each worker shapes a channel block by block as it writes it, the
+        # two signal channels (the long kernels) first
+        _on_two_workers((writer.write_channel, name, stream.blocks())
+                        for name, stream in pipeline.trace_channels(cfg))
     summary = {"out": args.out, "seed": cfg.synth.seed, "sha256": writer.sha256,
                "channels": list(TRACE_CHANNELS), "num_samples": cfg.synth.num_samples,
                "config_hash": cfg.hash}
@@ -165,28 +178,26 @@ def _cmd_analyze(args):
     if not settings.covers(f0):
         raise UsageError(f"f0 {f0:.6g} Hz outside the analyzer span {settings.span:.6g} Hz "
                          f"about {settings.center_frequency:.6g} Hz")
-    trace = fileio.read_trace(args.trace)
-    sample_rate, channels = trace
+    sample_rate, channels = fileio.read_trace(args.trace)
     if not 0 < f0 < sample_rate / 2.0:
         raise UsageError(f"f0 {f0:.6g} Hz outside (0, Nyquist {sample_rate / 2:.6g} Hz)")
     for name in TRACE_CHANNELS:
         if name not in channels:
             raise UsageError(f"trace file lacks required channel {name!r}")
-    from concurrent.futures import ThreadPoolExecutor  # here: only synth and analyze use it
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        digest = pool.submit(lambda: trace.sha256)
-        futures = {name: pool.submit(dsp.welch_psd, channels[name], sample_rate, settings)
-                   for name in TRACE_CHANNELS}
-        estimates = {name: future.result() for name, future in futures.items()}
-        digest.result()
+    # each estimate reads and checks its channel's blocks; a channel analyze
+    # does not use is read through all the same, so every sample is checked
+    digest, *results = _on_two_workers(
+        [(fileio.file_sha256, args.trace)]
+        + [(dsp.welch_psd, channels[name], sample_rate, settings) for name in TRACE_CHANNELS]
+        + [(_read_through, channels[name]) for name in channels if name not in TRACE_CHANNELS])
+    estimates = dict(zip(TRACE_CHANNELS, results))
     payload = {
         "f0_hz": f0,
         **pipeline.readings(estimates, f0),
         "rbw_hz": settings.rbw,
         "vbw_hz": settings.vbw,
         "config_hash": cfg.hash,
-        "trace_sha256": trace.sha256,
+        "trace_sha256": digest,
     }
     _emit(payload, args.out, args.json)
     return 0

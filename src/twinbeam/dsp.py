@@ -8,9 +8,11 @@ periodograms, mirroring an analyzer's video filter on a noise-like trace.
 That filter is linear in the periodograms, so its output is one weighted
 sum with exponential segment weights (the newest segment weighs 1), equal
 to the single-pole recursion.  The segments are windowed, transformed and
-summed one block of about _BLOCK_SAMPLES samples at a time, in buffers made
-once per call (only each block's transform is new), so the memory beyond
-the input series is bounded by one block, whatever the series length.
+summed in groups of about _BLOCK_SAMPLES samples, in buffers made once per
+call (only each group's transform is new), so the memory beyond the input
+series is bounded by one group, whatever the series length.  A streamed
+series, such as a trace channel from fileio.read_trace, is averaged as its
+blocks are read, and only one block of it is held at a time.
 """
 
 import math
@@ -75,32 +77,88 @@ def segment_length(sample_rate, settings):
     return int(round(sample_rate * _ENBW_BINS[settings.window] / settings.rbw))
 
 
+def _samples(block):
+    """block as float32 if it is float32, else as float64."""
+    block = np.asarray(block)
+    return block if block.dtype == np.float32 else np.asarray(block, dtype=float)
+
+
+def _rows(chunk, length, hop):
+    """The segments wholly inside chunk that start at multiples of hop, as the
+    rows of a view."""
+    if len(chunk) < length:
+        return np.empty((0, length), chunk.dtype)
+    return np.lib.stride_tricks.sliding_window_view(chunk, length)[::hop]
+
+
+def _segment_runs(blocks, num_samples, length, hop):
+    """Every segment of the series made of `blocks`, in order, as runs of rows.
+
+    A segment inside one block is a row of a view of that block.  Only the
+    segments that straddle a block boundary are copied: the samples from the
+    first of them on (fewer than `length`) are carried over and joined with
+    the head of the next block, a buffer shorter than two segments.
+    Raises RuntimeError unless the blocks hold num_samples samples.
+    """
+    tail = np.empty(0)  # from the next segment's start to the end of the blocks read
+    read = 0
+    for data in blocks:
+        data = _samples(data)
+        read += len(data)
+        if read > num_samples:
+            raise RuntimeError(f"series blocks hold more than its {num_samples} samples")
+        if len(tail):
+            straddling = -(-len(tail) // hop)  # the segments that start in tail
+            joined = np.concatenate(
+                (tail, data[:(straddling - 1) * hop + length - len(tail)]))
+            run = _rows(joined, length, hop)
+            yield run
+            if len(run) < straddling:  # data ends before the last of them does
+                tail = joined[len(run) * hop:]
+                continue
+            data = data[straddling * hop - len(tail):]
+        run = _rows(data, length, hop)
+        yield run
+        tail = data[len(run) * hop:].copy()
+    if read != num_samples:
+        raise RuntimeError(f"series blocks hold {read} of its {num_samples} samples: "
+                           "blocks already read?")
+
+
 def welch_psd(series, sample_rate, settings):
     """Averaged periodogram of a real series in SNL-relative units.
 
+    series is an array, or a streamed series: anything with len() and
+    blocks(), the iterator of its consecutive blocks (a series.BlockSeries).
+    Both take one path: an array is a single block, and is not copied.
     Hann (or rectangular) window, 50% overlap; the per-segment periodogram
     stream is smoothed by a single-pole filter whose time constant is
     1/(2 pi vbw) against the segment update rate.  That filter is evaluated
     as the weighted sum sum_k w_k p_k / sum_k w_k with w_k = decay**(K-1-k)
     over the K segment periodograms p_k, which equals the recursion
-    accum = decay * accum + p.  Segments are processed in blocks of about
-    _BLOCK_SAMPLES samples, so memory beyond the series is one block; the
-    leading blocks whose weights all underflow to 0.0 (a fast video filter
-    over a long series) add exactly 0 and are skipped.  A float32 series is
-    read as is: each block is up-cast to float64 exactly before the window
-    multiply, and any other input is converted to float64.  DC, and the
-    last bin when the segment length is even (the Nyquist bin), carry no
-    one-sided doubling.  The reported num_averages is the effective count
+    accum = decay * accum + p.  Segments are transformed in groups of about
+    _BLOCK_SAMPLES samples as the series' blocks arrive, so memory beyond
+    one block of the series is one group; the groups do not depend on how
+    the series is split into blocks, so neither does any bit of the result.
+    The leading groups whose weights all underflow to 0.0 (a fast video
+    filter over a long series) add exactly 0 and are not transformed,
+    though their samples are still read.  A float32 block is read as is:
+    each group is up-cast to float64 exactly before the window multiply,
+    and any other input is converted to float64.  DC, and the last bin when
+    the segment length is even (the Nyquist bin), carry no one-sided
+    doubling.  The reported num_averages is the effective count
     1/sum(weights^2) of the filter.
     """
-    series = np.asarray(series)
-    if series.dtype != np.float32:
-        series = np.asarray(series, dtype=float)
+    if hasattr(series, "blocks"):
+        num_samples, blocks = len(series), series.blocks()
+    else:
+        series = _samples(series)
+        num_samples, blocks = len(series), (series,)
     length = segment_length(sample_rate, settings)
     hop = max(1, length // 2)
-    if len(series) < length + hop:
+    if num_samples < length + hop:
         raise InsufficientDataError(
-            f"series of {len(series)} samples too short for two {length}-sample "
+            f"series of {num_samples} samples too short for two {length}-sample "
             f"segments at 50% overlap; need at least {length + hop}",
             required_length=length + hop)
 
@@ -110,32 +168,43 @@ def welch_psd(series, sample_rate, settings):
         win = np.ones(length)
     power_norm = np.sum(win ** 2)
 
-    segments = np.lib.stride_tricks.sliding_window_view(series, length)[::hop]
-    num_segments = segments.shape[0]
+    num_segments = (num_samples - length) // hop + 1
     # Video filter: decay per update set by the VBW time constant 1/(2 pi vbw).
     dt = hop / sample_rate
     tau = 1.0 / (2.0 * math.pi * settings.vbw)
     decay = tau / (tau + dt)
     weights = decay ** np.arange(num_segments - 1, -1, -1, dtype=float)
     block = max(1, _BLOCK_SAMPLES // length)
-    # Leading blocks whose weights all underflowed to 0.0 add exactly 0.
+    # Leading groups whose weights all underflowed to 0.0 add exactly 0.
     first = int(np.argmax(weights > 0)) // block * block
     rows = min(block, num_segments - first)
     windowed = np.empty((rows, length))
     power = np.empty((rows, length // 2 + 1))
     imag_power = np.empty(power.shape)
     accum = np.zeros(length // 2 + 1)
-    for start in range(first, num_segments, block):
-        count = min(block, num_segments - start)
-        # Up-cast first, then window in place: the same products as a
-        # mixed-type multiply, without its buffered casting loop.
-        np.copyto(windowed[:count], segments[start:start + count])
-        windowed[:count] *= win
-        spectra = np.fft.rfft(windowed[:count], axis=1)
-        np.square(spectra.real, out=power[:count])
-        np.square(spectra.imag, out=imag_power[:count])
-        power[:count] += imag_power[:count]
-        accum += weights[start:start + count] @ power[:count]
+    skip = first  # segments still to pass over before the first group
+    start, filled = first, 0  # the group being filled: its first segment, rows copied
+    for run in _segment_runs(blocks, num_samples, length, hop):
+        passed = min(skip, len(run))
+        skip -= passed
+        run = run[passed:]
+        while len(run):
+            count = min(block, num_segments - start)
+            taken = min(count - filled, len(run))
+            # Up-cast first, then window in place: the same products as a
+            # mixed-type multiply, without its buffered casting loop.
+            np.copyto(windowed[filled:filled + taken], run[:taken])
+            filled += taken
+            run = run[taken:]
+            if filled < count:
+                break
+            windowed[:count] *= win
+            spectra = np.fft.rfft(windowed[:count], axis=1)
+            np.square(spectra.real, out=power[:count])
+            np.square(spectra.imag, out=imag_power[:count])
+            power[:count] += imag_power[:count]
+            accum += weights[start:start + count] @ power[:count]
+            start, filled = start + count, 0
     psd = accum / (power_norm * weights.sum())
     psd[0] *= 0.5   # DC carries no one-sided doubling, nor does Nyquist,
     if length % 2 == 0:

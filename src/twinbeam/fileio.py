@@ -11,11 +11,15 @@ behind them and per-beam series are not stored.
 Each channel sits at a fixed offset, so a TraceWriter fills the payload as
 the channels are produced, block by block and from more than one thread,
 and trace_writer hashes the finished file and renames it into place.
+read_trace mirrors it: it checks the header and the file size, then hands
+out each channel as a BlockSeries that reads and checks float32 blocks from
+the channel's offset as they are taken, so no whole channel is held and
+channels can be read from more than one thread.  file_sha256 hashes a file
+in fixed-size chunks, apart from the channel reads.
 """
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -28,9 +32,12 @@ import threading
 import numpy as np
 
 from .errors import TraceFormatError
+from .series import BlockSeries
 
 TRACE_MAGIC = b"TWBM"
 TRACE_VERSION = 1
+_READ_SAMPLES = 2 ** 16  # samples per block read_trace reads from a channel
+_HASH_CHUNK = 2 ** 22  # bytes per read while hashing a file
 
 
 @contextlib.contextmanager
@@ -133,103 +140,120 @@ def trace_writer(path, sample_rate, names, num_samples):
         yield writer
         writer.check_complete()
         handle.flush()
-        handle.seek(0)
-        digest = hashlib.sha256()
-        chunk = bytearray(2 ** 22)
-        view = memoryview(chunk)
-        while count := handle.readinto(chunk):
-            digest.update(view[:count])
-        writer.sha256 = digest.hexdigest()
+        writer.sha256 = _sha256(handle)
 
 
 def write_trace(path, sample_rate, channels):
     atomic_write_bytes(path, encode_trace(sample_rate, channels))
 
 
-def _require(data, offset, count, what):
-    if offset + count > len(data):
+def _require(size, offset, count, what):
+    if offset + count > size:
         raise TraceFormatError(
             f"trace truncated while reading {what}: need {count} bytes at offset {offset}, "
-            f"file has {len(data)}", byte_offset=offset)
+            f"file has {size}", byte_offset=offset)
 
 
-def _take(data, offset, count, what):
-    _require(data, offset, count, what)
-    return data[offset:offset + count], offset + count
+def _take(handle, size, count, what):
+    _require(size, handle.tell(), count, what)
+    return handle.read(count)
 
 
-def decode_trace(data):
-    """Parse trace-file bytes into (sample_rate, {name: float32 series}).
-
-    Each series is a float32 view into `data` (np.frombuffer), not a copy:
-    it keeps `data` alive, and it is writable only if `data` is (a bytearray,
-    as read_trace passes; a bytes object gives read-only views).  A
-    non-finite sample is a format error; its byte_offset is the sample's.
-    """
-    chunk, offset = _take(data, 0, 4, "magic")
+def _read_header(handle, size):
+    """(sample_rate, channel names, num_samples) from the header of a trace
+    file of `size` bytes, leaving handle at the payload's start."""
+    chunk = _take(handle, size, 4, "magic")
     if chunk != TRACE_MAGIC:
         raise TraceFormatError(f"bad magic {chunk!r} at offset 0", byte_offset=0)
-    chunk, offset = _take(data, offset, struct.calcsize("<IdIQ"), "header")
+    chunk = _take(handle, size, struct.calcsize("<IdIQ"), "header")
     version, sample_rate, channel_count, num_samples = struct.unpack("<IdIQ", chunk)
     if version != TRACE_VERSION:
         raise TraceFormatError(f"unsupported trace version {version}", byte_offset=4)
     if not (sample_rate > 0 and math.isfinite(sample_rate)):
         raise TraceFormatError(f"invalid sample rate {sample_rate}", byte_offset=8)
-    names = []
+    names = {}  # ordered, and a repeat is found in O(1)
     for i in range(channel_count):
-        chunk, offset = _take(data, offset, 4, f"name length of channel {i}")
-        (name_len,) = struct.unpack("<I", chunk)
-        start = offset
-        chunk, offset = _take(data, offset, name_len, f"name of channel {i}")
+        (name_len,) = struct.unpack("<I", _take(handle, size, 4, f"name length of channel {i}"))
+        start = handle.tell()
+        chunk = _take(handle, size, name_len, f"name of channel {i}")
         try:
-            names.append(chunk.decode("utf-8"))
+            name = chunk.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TraceFormatError(
                 f"channel {i} name is not valid UTF-8 at offset {start}",
                 byte_offset=start) from exc
-    channels = {}
-    for name in names:
-        _require(data, offset, 4 * num_samples, f"samples of channel {name!r}")
-        series = np.frombuffer(data, dtype="<f4", count=num_samples, offset=offset)
-        finite = np.isfinite(series)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise TraceFormatError(
-                f"channel {name!r} sample {bad} is {series[bad]}, not finite",
-                byte_offset=offset + 4 * bad)
-        channels[name] = series
-        offset += 4 * num_samples
-    if offset != len(data):
-        raise TraceFormatError(
-            f"{len(data) - offset} trailing bytes after payload", byte_offset=offset)
-    return sample_rate, channels
+        if name in names:
+            raise TraceFormatError(f"channel name {name!r} repeats at offset {start}",
+                                   byte_offset=start)
+        names[name] = None
+    return sample_rate, list(names), num_samples
 
 
-class TraceFile(tuple):
-    """read_trace's result: unpacks as (sample_rate, channels), and carries
-    sha256, the hex digest of the file bytes they were decoded from.  The
-    digest is computed when first read, so it can run beside other work."""
-
-    def __new__(cls, sample_rate, channels, data):
-        trace = super().__new__(cls, (sample_rate, channels))
-        trace._data = data
-        return trace
-
-    @functools.cached_property
-    def sha256(self):
-        return hashlib.sha256(self._data).hexdigest()
+def _channel_blocks(path, name, offset, num_samples):
+    """The float32 samples of channel `name`, read from `offset` in blocks of
+    _READ_SAMPLES through a handle of its own; a block holding a non-finite
+    sample raises TraceFormatError at that sample's byte offset."""
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        for start in range(0, num_samples, _READ_SAMPLES):
+            at = offset + 4 * start
+            block = np.empty(min(_READ_SAMPLES, num_samples - start), dtype="<f4")
+            if handle.readinto(block) != block.nbytes:
+                raise TraceFormatError(
+                    f"trace truncated while reading samples of channel {name!r}",
+                    byte_offset=at)
+            finite = np.isfinite(block)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise TraceFormatError(
+                    f"channel {name!r} sample {start + bad} is {block[bad]}, not finite",
+                    byte_offset=at + 4 * bad)
+            yield block
 
 
 def read_trace(path):
-    """Read and decode a trace file in one pass over its bytes.
+    """Open a trace file as (sample_rate, {name: BlockSeries of float32 samples}).
 
-    The file is read into one bytearray, and the channels are writable
-    float32 views into it (see decode_trace): no sample is copied.
+    The header is parsed and the file size checked against it here, before
+    any sample is read: bad magic, a bad name, a truncated payload or
+    trailing bytes raise TraceFormatError with the offending byte offset.
+    Each channel is read only as its blocks are taken, _READ_SAMPLES
+    samples at a time from its fixed offset through a handle of its own, so
+    channels can be read at once from several threads; every block is
+    checked finite as it is read (see _channel_blocks).  The file must not
+    change while its channels are read.
     """
     with open(path, "rb") as handle:
-        data = bytearray(os.fstat(handle.fileno()).st_size)
-        del data[handle.readinto(data):]
-    return TraceFile(*decode_trace(data), data)
+        size = os.fstat(handle.fileno()).st_size
+        sample_rate, names, num_samples = _read_header(handle, size)
+        offset = handle.tell()
+    channels = {}
+    for name in names:
+        _require(size, offset, 4 * num_samples, f"samples of channel {name!r}")
+        channels[name] = BlockSeries(num_samples,
+                                     _channel_blocks(path, name, offset, num_samples))
+        offset += 4 * num_samples
+    if offset != size:
+        raise TraceFormatError(
+            f"{size - offset} trailing bytes after payload", byte_offset=offset)
+    return sample_rate, channels
+
+
+def _sha256(handle):
+    """The hex sha256 of handle's bytes, read from its start in _HASH_CHUNK pieces."""
+    handle.seek(0)
+    digest = hashlib.sha256()
+    chunk = bytearray(_HASH_CHUNK)
+    view = memoryview(chunk)
+    while count := handle.readinto(chunk):
+        digest.update(view[:count])
+    return digest.hexdigest()
+
+
+def file_sha256(path):
+    """The hex sha256 of the file at path, read in fixed-size chunks."""
+    with open(path, "rb") as handle:
+        return _sha256(handle)
 
 
 # ---------------------------------------------------------------------------

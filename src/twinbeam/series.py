@@ -1,0 +1,40 @@
+"""Series handed out one block at a time.
+
+synth.colored_gaussian_series shapes a channel as its blocks are read,
+fileio.read_trace reads a trace channel back block by block, and
+dsp.welch_psd averages either as it reads it, so no stage holds a whole
+series.
+"""
+
+import numpy as np
+
+
+class BlockSeries:
+    """A series of `length` samples, computed or read one block at a time.
+
+    blocks() returns the iterator of its consecutive blocks.  The series
+    that synth and fileio make compute or read each block as it is taken,
+    so they can be read once, by blocks() or by array().
+    """
+
+    def __init__(self, length, blocks):
+        self.length = length
+        self._blocks = blocks
+
+    def __len__(self):
+        return self.length
+
+    def blocks(self):
+        """The iterator of the consecutive blocks, in order."""
+        return self._blocks
+
+    def array(self):
+        """The whole series as one new float64 array."""
+        out = np.empty(self.length)
+        start = 0
+        for block in self.blocks():
+            out[start:start + len(block)] = block
+            start += len(block)
+        if start != self.length:
+            raise RuntimeError(f"read {start} of {self.length} samples: blocks already read")
+        return out

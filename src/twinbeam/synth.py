@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .series import BlockSeries
 
 _BLOCK_SAMPLES = 2 ** 16
 _TAIL_ENERGY = 1e-10  # kernel energy outside the taps kept, relative to the total
@@ -160,31 +161,3 @@ def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored
     else:
         pieces = _overlap_save(kernel, rng, num_samples)
     return BlockSeries(num_samples, pieces)
-
-
-class BlockSeries:
-    """A series of `length` samples, computed one block at a time.
-
-    blocks() returns the iterator of its consecutive float64 blocks.  A
-    series made by colored_gaussian_series draws and filters its samples as
-    its blocks are read, so they can be read once, by blocks() or by array().
-    """
-
-    def __init__(self, length, blocks):
-        self.length = length
-        self._blocks = blocks
-
-    def blocks(self):
-        """The iterator of the consecutive blocks, in order."""
-        return self._blocks
-
-    def array(self):
-        """The whole series as one new float64 array."""
-        out = np.empty(self.length)
-        start = 0
-        for block in self.blocks():
-            out[start:start + len(block)] = block
-            start += len(block)
-        if start != self.length:
-            raise RuntimeError(f"read {start} of {self.length} samples: blocks already read")
-        return out

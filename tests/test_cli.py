@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import twinbeam
-from twinbeam import fileio, model, pipeline, synth
+from twinbeam import dsp, fileio, model, pipeline, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
 from twinbeam.errors import DomainError
@@ -223,7 +224,7 @@ class TestSynthCommand:
         library = {name: series.array() for name, series in pipeline.trace_channels(cfg)}
         assert list(channels) == list(library)
         for name, series in library.items():
-            np.testing.assert_array_equal(channels[name], series.astype(np.float32))
+            np.testing.assert_array_equal(channels[name].array(), series.astype(np.float32))
 
     def test_worker_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # the electronics floor's shaping raising on a worker thread, a few
@@ -407,6 +408,65 @@ class TestAnalyzeCertifyPipeline:
         trace.write_bytes(data[: len(data) // 2])
         assert main(["analyze", str(trace), "--config", config_path]) == 2
         assert "byte offset" in capsys.readouterr().err
+
+    def test_nonfinite_sample_under_zero_weight_groups_is_infeasible(self, tmp_path, capsys):
+        # At VBW = RBW the video filter weighs the first segment group (65
+        # segments of 1000 samples, hop 500) exactly 0, so no estimate
+        # transforms amp_signal's sample 1000; it is checked all the same.
+        path = write_config(tmp_path, lambda d: d["analyzer"].update(vbw_hz=150e3))
+        num_segments = (2 ** 20 - 1000) // 500 + 1
+        tau = 1.0 / (2.0 * math.pi * 150e3)
+        assert (tau / (tau + 500 / 1e8)) ** (num_segments - 65) == 0.0
+        trace = tmp_path / "fast.twbm"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        data = bytearray(trace.read_bytes())
+        offset = len(data) - 4 * 4 * 2 ** 20 + 4 * 1000
+        data[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        trace.write_bytes(bytes(data))
+        assert main(["analyze", str(trace), "--config", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert f"byte offset {offset}" in captured.err
+        assert captured.out == ""
+
+    def test_nonfinite_last_channel_writes_no_analysis(self, config_path, tmp_path, capsys,
+                                                       monkeypatch):
+        trace, out = tmp_path / "run5.twbm", tmp_path / "analysis.json"
+        assert main(["synth", "--config", config_path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        data = bytearray(trace.read_bytes())
+        offset = len(data) - 4  # the last sample of the last channel, enl
+        data[offset:offset + 4] = np.array([np.inf], dtype="<f4").tobytes()
+        trace.write_bytes(bytes(data))
+        finished = []
+        welch_psd = dsp.welch_psd
+
+        def recording_welch_psd(*args):
+            estimate = welch_psd(*args)
+            finished.append(estimate)
+            return estimate
+
+        monkeypatch.setattr(dsp, "welch_psd", recording_welch_psd)
+        assert main(["analyze", str(trace), "--config", config_path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert len(finished) == 3  # amp_signal, phase_signal and snl
+        assert f"byte offset {offset}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_nonfinite_sample_in_an_unused_channel_is_infeasible(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        trace = tmp_path / "aux.twbm"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        rate, channels = fileio.read_trace(trace)
+        channels = {name: series.array() for name, series in channels.items()}
+        channels["aux"] = np.zeros(2 ** 16)
+        channels["aux"][7] = np.nan
+        fileio.write_trace(trace, rate, channels)
+        assert main(["analyze", str(trace), "--config", path]) == 2
+        offset = trace.stat().st_size - 4 * (2 ** 16 - 7)
+        assert f"byte offset {offset}" in capsys.readouterr().err
 
 
 class TestCertifyCommand:
@@ -629,3 +689,46 @@ def test_output_does_not_depend_on_the_core_count(tmp_path):
         with open(out + ".twbm", "rb") as trace, open(out + ".json", "rb") as analysis:
             outputs.append((hashlib.sha256(trace.read()).hexdigest(), analysis.read()))
     assert outputs[0] == outputs[1]
+
+
+def test_analyze_peak_memory_is_flat_in_the_length(tmp_path, capsys):
+    # each estimate reads its channel block by block, so a 4x longer trace
+    # peaks within one read block of the shorter one
+    def traced_peak(num_samples):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=num_samples),
+                            name=f"{num_samples}.json")
+        trace = tmp_path / f"{num_samples}.twbm"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["analyze", str(trace), "--config", path]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2 ** 16)  # the first transforms of a size fill numpy's caches
+    assert abs(traced_peak(2 ** 20) - traced_peak(2 ** 18)) <= 4 * fileio._READ_SAMPLES
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_analyze_child_holds_no_trace(tmp_path, capsys):
+    # a 2^22-sample trace is 64 MiB; analyze in a child process peaks less
+    # than half of that above a child that only imports the CLI
+    path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 22))
+    trace = tmp_path / "long.twbm"
+    assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+    kib = 1 if sys.platform != "darwin" else 1 / 1024  # ru_maxrss is in bytes on macOS
+
+    def peak_rss_kib(code, *args):
+        child = subprocess.Popen([sys.executable, "-c", code, *args], env=_src_env(),
+                                 stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        return usage.ru_maxrss * kib
+
+    bare = peak_rss_kib("import twinbeam.cli")
+    analyze = peak_rss_kib(
+        "import sys; from twinbeam.cli import main; sys.exit(main(sys.argv[1:]))",
+        "analyze", str(trace), "--config", path)
+    assert analyze - bare < 32 * 1024

@@ -6,6 +6,7 @@ import pytest
 
 from twinbeam import dsp, model, synth
 from twinbeam.errors import DomainError, InsufficientDataError
+from twinbeam.series import BlockSeries
 
 FS = 1e8
 SETTINGS = dsp.AnalyzerSettings(rbw=150e3, vbw=2.0)
@@ -195,6 +196,38 @@ class TestWelchPsd:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("block", ["999", "under_a_segment", "one_hop", "2^16"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    # at VBW = RBW the leading groups all weigh exactly 0 and are not transformed
+    @pytest.mark.parametrize("vbw", [2.0, 150e3], ids=["slow_vbw", "fast_vbw"])
+    def test_streamed_series_is_bit_identical(self, block, dtype, window, vbw):
+        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=vbw, window=window)
+        length = dsp.segment_length(FS, settings)
+        size = {"999": 999, "under_a_segment": 2 * length // 3, "one_hop": length // 2,
+                "2^16": 2 ** 16}[block]
+        series = np.random.default_rng(6).standard_normal(2 ** 18 + 1234).astype(dtype)
+        taken = []
+
+        def pieces():
+            for start in range(0, len(series), size):
+                taken.append(min(size, len(series) - start))
+                yield series[start:start + size]
+
+        whole = dsp.welch_psd(series, FS, settings)
+        streamed = dsp.welch_psd(BlockSeries(len(series), pieces()), FS, settings)
+        np.testing.assert_array_equal(streamed.frequencies, whole.frequencies)
+        np.testing.assert_array_equal(streamed.psd, whole.psd)
+        assert streamed.num_averages == whole.num_averages
+        assert sum(taken) == len(series)  # zero-weight groups' samples are read too
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_streamed_series_of_another_length_is_refused(self, extra):
+        series = np.random.default_rng(7).standard_normal(2 ** 14 + extra)
+        blocks = iter(np.array_split(series, 5))
+        with pytest.raises(RuntimeError, match=f"{2 ** 14}"):
+            dsp.welch_psd(BlockSeries(2 ** 14, blocks), FS, SETTINGS)
 
     def test_vbw_controls_effective_averaging(self):
         series = np.random.default_rng(1).standard_normal(2 ** 20)

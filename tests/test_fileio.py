@@ -27,6 +27,15 @@ def sample_channels(n=64, count=3, seed=0):
     return {f"ch{i}": rng.standard_normal(n) for i in range(count)}
 
 
+def read_bytes(directory, data):
+    """read_trace of a file holding data, with every channel read whole."""
+    path = os.path.join(directory, "t.twbm")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    rate, channels = fileio.read_trace(path)
+    return rate, {name: series.array() for name, series in channels.items()}
+
+
 class TestTraceFormat:
     def test_round_trip(self, tmp_path):
         channels = sample_channels()
@@ -36,54 +45,101 @@ class TestTraceFormat:
         assert rate == 1e8
         assert list(back) == list(channels)
         for name in channels:
-            np.testing.assert_allclose(back[name],
-                                       channels[name].astype(np.float32), rtol=0)
+            assert len(back[name]) == 64
+            blocks = list(back[name].blocks())
+            assert all(block.dtype == np.float32 for block in blocks)
+            np.testing.assert_array_equal(np.concatenate(blocks),
+                                          channels[name].astype(np.float32))
 
     def test_encoding_is_deterministic(self):
         channels = sample_channels()
         assert fileio.encode_trace(1e8, channels) == fileio.encode_trace(1e8, channels)
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(TraceFormatError) as err:
-            fileio.decode_trace(b"NOPE" + bytes(32))
+            read_bytes(tmp_path, b"NOPE" + bytes(32))
         assert err.value.byte_offset == 0
 
-    def test_truncated_payload_reports_offset(self):
+    def test_truncated_payload_reports_offset(self, tmp_path):
+        # found from the header and the file size, before any sample is read
         data = fileio.encode_trace(1e8, sample_channels())
+        path = tmp_path / "t.twbm"
+        path.write_bytes(data[:-10])
         with pytest.raises(TraceFormatError) as err:
-            fileio.decode_trace(data[:-10])
+            fileio.read_trace(path)
         assert err.value.byte_offset is not None
         assert err.value.byte_offset <= len(data) - 10
 
-    def test_trailing_garbage_rejected(self):
+    def test_trailing_garbage_rejected(self, tmp_path):
         data = fileio.encode_trace(1e8, sample_channels())
-        with pytest.raises(TraceFormatError):
-            fileio.decode_trace(data + b"\x00")
+        path = tmp_path / "t.twbm"
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(TraceFormatError) as err:
+            fileio.read_trace(path)
+        assert err.value.byte_offset == len(data)
+
+    def test_repeated_channel_name_rejected(self, tmp_path):
+        data = fileio.encode_trace(1e8, {"ab": np.zeros(4), "ac": np.zeros(4)})
+        second = data.index(b"ac")
+        with pytest.raises(TraceFormatError) as err:
+            read_bytes(tmp_path, data[:second] + b"ab" + data[second + 2:])
+        assert err.value.byte_offset == second
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_sample_reports_its_offset(self, bad):
+    def test_nonfinite_sample_reports_its_offset(self, tmp_path, bad):
         channels = sample_channels()
         channels["ch1"][5] = bad
         data = fileio.encode_trace(1e8, channels)
         with pytest.raises(TraceFormatError) as err:
-            fileio.decode_trace(data)
+            read_bytes(tmp_path, data)
         payload_start = len(data) - 3 * 4 * 64
         assert err.value.byte_offset == payload_start + 4 * (64 + 5)
 
-    def test_read_trace_digest_is_of_the_file(self, tmp_path):
+    def test_nonfinite_sample_in_a_later_block(self, tmp_path, monkeypatch):
+        # the blocks before it are handed out; the block holding it raises
+        monkeypatch.setattr(fileio, "_READ_SAMPLES", 7)
+        channels = sample_channels()
+        channels["ch2"][40] = np.nan
         path = tmp_path / "t.twbm"
-        fileio.write_trace(path, 1e8, sample_channels())
-        trace = fileio.read_trace(path)
-        assert trace.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        fileio.write_trace(path, 1e8, channels)
+        _, back = fileio.read_trace(path)
+        blocks = back["ch2"].blocks()
+        for _ in range(40 // 7):
+            assert len(next(blocks)) == 7
+        with pytest.raises(TraceFormatError) as err:
+            next(blocks)
+        payload_start = path.stat().st_size - 3 * 4 * 64
+        assert err.value.byte_offset == payload_start + 4 * (2 * 64 + 40)
 
-    def test_read_trace_views_are_writable_float32(self, tmp_path):
+    def test_concurrent_channel_reads_see_their_own_samples(self, tmp_path, monkeypatch):
+        # more reader threads than cores, switching as often as possible:
+        # each channel must come back whole from its own offset
+        monkeypatch.setattr(fileio, "_READ_SAMPLES", 7)
+        channels = sample_channels(n=5000, count=6, seed=3)
+        path = tmp_path / "t.twbm"
+        fileio.write_trace(path, 1e8, channels)
+        _, back = fileio.read_trace(path)
+        read = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda name=name: read.update(
+                {name: back[name].array()})) for name in channels]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for name, series in channels.items():
+            np.testing.assert_array_equal(read[name], series.astype(np.float32))
+
+    def test_file_sha256_is_of_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_HASH_CHUNK", 100)  # many chunks, the last one short
         path = tmp_path / "t.twbm"
         fileio.write_trace(path, 1e8, sample_channels())
-        _, channels = fileio.read_trace(path)
-        for series in channels.values():
-            assert series.dtype == np.float32
-            assert series.flags.writeable
-            series[0] = 1.0
+        assert fileio.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(TraceFormatError):
@@ -152,12 +208,13 @@ class TestTraceProperties:
     def test_round_trip_is_bit_exact(self, names, sample_rate, samples):
         base = np.array(samples, dtype=np.float32)
         channels = {name: np.roll(base, i) for i, name in enumerate(names)}
-        rate, back = fileio.decode_trace(fileio.encode_trace(sample_rate, channels))
+        with tempfile.TemporaryDirectory() as tmp:
+            rate, back = read_bytes(tmp, fileio.encode_trace(sample_rate, channels))
         assert rate == sample_rate
         assert list(back) == names
         for name in names:
-            assert back[name].dtype == np.float32
-            assert back[name].tobytes() == channels[name].tobytes()
+            # float32 -> float64 -> float32 is exact, signed zeros and subnormals too
+            assert back[name].astype(np.float32).tobytes() == channels[name].tobytes()
 
     @settings(deadline=None)
     @given(data=st.data())
@@ -174,7 +231,8 @@ class TestTraceProperties:
             corrupt[position] ^= flip
             corrupt = bytes(corrupt)
         try:
-            fileio.decode_trace(corrupt)
+            with tempfile.TemporaryDirectory() as tmp:
+                read_bytes(tmp, corrupt)
         except TraceFormatError as exc:
             assert exc.byte_offset is not None
             assert 0 <= exc.byte_offset <= len(corrupt)

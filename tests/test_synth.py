@@ -275,7 +275,7 @@ class TestBlockSeries:
             kernel = synth.shaping_kernel(psd, FS)
             normals = synth._substream(seed, name).standard_normal(n + kernel.size - 1)
             expected = np.convolve(normals, kernel, "valid")
-            np.testing.assert_allclose(written[name], expected, rtol=2 ** -23, atol=1e-12,
+            np.testing.assert_allclose(written[name].array(), expected, rtol=2 ** -23, atol=1e-12,
                                        err_msg=name)
 
 
