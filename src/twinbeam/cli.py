@@ -19,6 +19,11 @@ checks every block finite and averages it, so no channel is held whole and
 its memory does not grow with the trace length either.  The readings are
 written only once every task has finished without error.
 
+Each subcommand imports the numpy-backed modules it runs when it starts,
+so spectra, synth, analyze and fit load numpy and certify does not: its
+arithmetic (twinbeam.certify) and its atomic writes (twinbeam.atomic),
+imported with this module, need only the standard library.
+
 Every command that takes --config checks the whole config before any
 work: its analyzer settings, and that the analyzer span holds the analysis
 frequency.  certify reads either an analysis JSON (with an optional
@@ -35,13 +40,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import dsp, fileio, model, pipeline
-from .config import SchemaError, load_config
-from .errors import TwinbeamError
-from .fit import FitProblem, fit_spectra
-from .pipeline import TRACE_CHANNELS
+from .atomic import write_json
+from .certify import (QuadratureVariancePair, correct_for_electronic_noise, duan_certify,
+                      from_db, remove_mode_match_penalty)
+from .errors import SchemaError, TwinbeamError
 
 
 class UsageError(TwinbeamError):
@@ -102,12 +104,17 @@ def _build_parser():
 
 def _emit(payload, out_path, as_json):
     if out_path:
-        fileio.write_json(out_path, payload)
+        write_json(out_path, payload)
     if as_json or not out_path:
         print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _cmd_spectra(args):
+    import numpy as np
+
+    from . import fileio, model
+    from .config import load_config
+
     cfg = load_config(args.config)
     if not 0 <= args.f_min <= args.f_max < math.inf or args.num_points < 1:  # rejects nan too
         raise UsageError(
@@ -151,6 +158,10 @@ def _read_through(series):
 
 
 def _cmd_synth(args):
+    from . import fileio, pipeline
+    from .config import load_config
+    from .pipeline import TRACE_CHANNELS
+
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, seed=args.seed))
@@ -172,6 +183,10 @@ def _cmd_synth(args):
 
 
 def _cmd_analyze(args):
+    from . import dsp, fileio, pipeline
+    from .config import load_config
+    from .pipeline import TRACE_CHANNELS
+
     cfg = load_config(args.config)
     f0 = args.f0 if args.f0 is not None else cfg.interferometer.analysis_frequency
     settings = cfg.analyzer
@@ -226,7 +241,9 @@ def _read_analysis(path):
         value = analysis.get(key)
         if value is not None and not isinstance(value, float):
             raise UsageError(f"analysis JSON {key} must be a number or null, got {value!r}")
-    return tuple(analysis.get(key) for key in keys)
+    amp_db, phase_db, enl_db = (analysis.get(key) for key in keys)
+    return (math.nan if amp_db is None else amp_db,
+            math.nan if phase_db is None else phase_db, enl_db)
 
 
 def _cmd_certify(args):
@@ -249,25 +266,25 @@ def _cmd_certify(args):
         if args.analysis is None:
             raise UsageError("provide an analysis JSON or --vx/--vy")
         amp_db, phase_db, enl_db = _read_analysis(args.analysis)
-        amp, phase = model.from_db(amp_db), model.from_db(phase_db)
+        amp, phase = from_db(amp_db), from_db(phase_db)
         raw = {"amplitude": amp, "phase": phase}
         if args.enl_db is not None:
             enl_db = args.enl_db
         if enl_db is not None:
-            enl = model.from_db(enl_db)
-            corrected = model.correct_for_electronic_noise(amp, enl)
+            enl = from_db(enl_db)
+            corrected = correct_for_electronic_noise(amp, enl)
             record("amplitude", "electronic_noise", amp, corrected)
             amp = corrected
-            corrected = model.correct_for_electronic_noise(phase, enl)
+            corrected = correct_for_electronic_noise(phase, enl)
             record("phase", "electronic_noise", phase, corrected)
             phase = corrected
 
     if args.mode_match is not None:
-        corrected = model.remove_mode_match_penalty(phase, args.mode_match)
+        corrected = remove_mode_match_penalty(phase, args.mode_match)
         record("phase", "mode_match", phase, corrected)
         phase = corrected
 
-    verdict = model.duan_certify(model.QuadratureVariancePair(amp, phase))
+    verdict = duan_certify(QuadratureVariancePair(amp, phase))
     payload = {
         "raw": raw,
         "corrections": corrections,
@@ -282,6 +299,11 @@ def _cmd_certify(args):
 
 
 def _cmd_fit(args):
+    import numpy as np
+
+    from . import fileio
+    from .fit import FitProblem, fit_spectra
+
     freqs, amplitude, phase = fileio.read_spectrum_csv(args.spectrum)
     problem = FitProblem(frequencies=freqs, amplitude_observed=amplitude,
                          phase_observed=phase)

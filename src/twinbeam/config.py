@@ -12,15 +12,11 @@ import math
 from dataclasses import dataclass
 
 from .dsp import AnalyzerSettings
-from .errors import ConfigurationError, TwinbeamError
+from .errors import ConfigurationError, SchemaError
 from .model import InterferometerConfig, NopoParams, arm_length_difference
 from .synth import DetectionChain, SynthConfig
 
 CONFIG_VERSION = "twinbeam-config/2"
-
-
-class SchemaError(TwinbeamError):
-    """The config document violates the strict schema."""
 
 
 _CHANNEL_KEYS = {"mode_match": float, "excess_noise": float}

@@ -17,6 +17,10 @@ class InfeasibleMeasurementError(TwinbeamError):
     """A measured value is physically inconsistent (e.g. below the electronics floor)."""
 
 
+class SchemaError(TwinbeamError):
+    """The config document violates the strict schema; maps to exit code 1."""
+
+
 class ConfigurationError(TwinbeamError):
     """A configuration violates an operating condition (lock tolerance, schema, chain setup)."""
 

@@ -1,4 +1,4 @@
-"""On-disk formats: the binary trace file, the spectrum CSV, and atomic writes.
+"""On-disk formats: the binary trace file and the spectrum CSV.
 
 Trace file layout (all little-endian):
     magic "TWBM" | version u32 | sample_rate f64 | channel_count u32 |
@@ -22,15 +22,14 @@ import contextlib
 import csv
 import hashlib
 import io
-import json
 import math
 import os
 import struct
-import tempfile
 import threading
 
 import numpy as np
 
+from .atomic import atomic_file, atomic_write_text, write_json  # write_json: fileio's name for it
 from .errors import TraceFormatError
 from .series import BlockSeries
 
@@ -38,33 +37,6 @@ TRACE_MAGIC = b"TWBM"
 TRACE_VERSION = 1
 _READ_SAMPLES = 2 ** 16  # samples per block read_trace reads from a channel
 _HASH_CHUNK = 2 ** 22  # bytes per read while hashing a file
-
-
-@contextlib.contextmanager
-def _atomic_file(path):
-    """A sibling temp file, opened for reading and writing, that is renamed
-    onto path if the block succeeds and removed if it does not, so readers
-    never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twinbeam-")
-    try:
-        with os.fdopen(fd, "w+b") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path, data):
-    """Write via a sibling temp file and rename, so readers never see partial output."""
-    with _atomic_file(path) as handle:
-        handle.write(data)
-
-
-def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +84,6 @@ class TraceWriter:
                 f"channels {short} written, expected {self._num_samples} samples each")
 
 
-def encode_trace(sample_rate, channels):
-    """Serialize an ordered {name: series} mapping to trace-file bytes."""
-    names = list(channels)
-    lengths = {len(channels[name]) for name in names}
-    if len(lengths) != 1:
-        raise TraceFormatError(f"channels have mixed lengths {sorted(lengths)}")
-    (num_samples,) = lengths
-    buf = io.BytesIO()
-    writer = TraceWriter(buf, sample_rate, names, num_samples)
-    for name in names:
-        writer.write_channel(name, [channels[name]])
-    return buf.getvalue()
-
-
 @contextlib.contextmanager
 def trace_writer(path, sample_rate, names, num_samples):
     """A TraceWriter for a new trace file at path.
@@ -135,16 +93,12 @@ def trace_writer(path, sample_rate, names, num_samples):
     read back from the temp file before the rename.  On failure no file is
     left behind.
     """
-    with _atomic_file(path) as handle:
+    with atomic_file(path) as handle:
         writer = TraceWriter(handle, sample_rate, names, num_samples)
         yield writer
         writer.check_complete()
         handle.flush()
         writer.sha256 = _sha256(handle)
-
-
-def write_trace(path, sample_rate, channels):
-    atomic_write_bytes(path, encode_trace(sample_rate, channels))
 
 
 def _require(size, offset, count, what):
@@ -314,7 +268,3 @@ def read_spectrum_csv(path):
             raise TraceFormatError("spectrum CSV has a partially filled channel column")
         return np.array(col, dtype=float)
     return np.array(freqs, dtype=float), collapse(s_i), collapse(s_p)
-
-
-def write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -3,10 +3,12 @@
 Everything here is a pure function: parameter derivations, the analytic
 intensity-difference / phase-sum noise spectra of a non-degenerate OPO
 above threshold, dB bookkeeping relative to the shot noise limit (SNL),
-the electronic-noise correction, the mode-matching vacuum admixture, the
-unbalanced-interferometer geometry conditions, and the Duan inseparability
-verdict.  All noise powers are linear and normalized so that the SNL of
-each quadrature combination equals 1.
+the electronics floor and the mode-matching vacuum admixture, and the
+unbalanced-interferometer geometry conditions.  All noise powers are linear
+and normalized so that the SNL of each quadrature combination equals 1.
+The steps of `twinbeam certify` (from_db, the inverse corrections and the
+Duan verdict) are defined in certify, which needs no numpy; model imports
+them back under the same names.
 """
 
 import math
@@ -14,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BelowThresholdError, ConfigurationError, DomainError, InfeasibleMeasurementError
+from .certify import (DuanVerdict, QuadratureVariancePair, correct_for_electronic_noise,
+                      duan_certify, from_db, remove_mode_match_penalty)
+from .errors import BelowThresholdError, ConfigurationError, DomainError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
 
@@ -140,12 +144,6 @@ def db_rel_snl(value):
     return out if np.ndim(out) else float(out)
 
 
-def from_db(db):
-    """Inverse of db_rel_snl."""
-    out = 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # detection-chain corrections
 
@@ -156,21 +154,6 @@ def with_electronic_noise(value, enl):
     return value * (1.0 - enl) + enl
 
 
-def correct_for_electronic_noise(measured, enl):
-    """Remove the electronics floor from an SNL-relative reading.
-
-    Both the measured trace and the SNL calibration trace contain the same
-    additive floor, so the correction subtracts it from numerator and
-    denominator of the ratio: (measured - enl) / (1 - enl).
-    """
-    if not 0 < enl < 1:
-        raise DomainError(f"electronics noise level must be in (0, 1), got {enl}")
-    if measured <= enl:
-        raise InfeasibleMeasurementError(
-            f"measured power {measured} at or below the electronics floor {enl}")
-    return (measured - enl) / (1.0 - enl)
-
-
 def mode_match_penalty(value, mode_match):
     """Vacuum admixture from imperfect spatial overlap at the recombiner, elementwise on arrays."""
     if not 0 < mode_match <= 1:
@@ -178,45 +161,6 @@ def mode_match_penalty(value, mode_match):
     if np.any(np.asarray(value) <= 0):
         raise DomainError("noise power must be positive")
     return mode_match * value + (1.0 - mode_match)
-
-
-def remove_mode_match_penalty(value, mode_match):
-    """Inverse of mode_match_penalty, for de-embedding a known overlap."""
-    if not 0 < mode_match <= 1:
-        raise DomainError(f"mode-matching efficiency must be in (0, 1], got {mode_match}")
-    corrected = (value - (1.0 - mode_match)) / mode_match
-    if corrected <= 0:
-        raise InfeasibleMeasurementError(
-            f"reading {value} below the vacuum admixture floor for overlap {mode_match}")
-    return corrected
-
-
-# ---------------------------------------------------------------------------
-# entanglement certification
-
-@dataclass(frozen=True)
-class QuadratureVariancePair:
-    """Joint-combination variances, each relative to its own SNL of 1."""
-    amplitude_diff_variance: float
-    phase_sum_variance: float
-
-    def __post_init__(self):
-        for value in (self.amplitude_diff_variance, self.phase_sum_variance):
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"variances must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
-class DuanVerdict:
-    """Outcome of the inseparability test: total < 2 certifies entanglement."""
-    total: float
-    entangled: bool
-
-
-def duan_certify(pair):
-    """Inseparability test: variance sum strictly below 2 certifies entanglement."""
-    total = pair.amplitude_diff_variance + pair.phase_sum_variance
-    return DuanVerdict(total=total, entangled=total < 2.0)
 
 
 # ---------------------------------------------------------------------------

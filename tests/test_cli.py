@@ -463,7 +463,9 @@ class TestAnalyzeCertifyPipeline:
         channels = {name: series.array() for name, series in channels.items()}
         channels["aux"] = np.zeros(2 ** 16)
         channels["aux"][7] = np.nan
-        fileio.write_trace(trace, rate, channels)
+        with fileio.trace_writer(trace, rate, list(channels), 2 ** 16) as writer:
+            for name, series in channels.items():
+                writer.write_channel(name, [series])
         assert main(["analyze", str(trace), "--config", path]) == 2
         offset = trace.stat().st_size - 4 * (2 ** 16 - 7)
         assert f"byte offset {offset}" in capsys.readouterr().err
@@ -549,12 +551,24 @@ class TestCertifyCommand:
         assert main(["certify", str(path), "--json"]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("reading", ["null", "9" * 400], ids=["null", "huge-integer"])
+    @pytest.mark.parametrize("reading", ["null", "9" * 400, "4000.0"],
+                             ids=["null", "huge-integer", "overflowing-float"])
     def test_null_or_overflowing_reading_is_infeasible(self, reading, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(f'{{"amplitude_db": {reading}, "phase_db": -0.6}}')
         assert main(["certify", str(path), "--json"]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("twinbeam: infeasible:")
+
+    def test_overflowing_enl_db_is_infeasible(self, tmp_path, capsys):
+        # 10^400 is too large for a float: the floor reads inf, outside (0, 1)
+        path = tmp_path / "a.json"
+        path.write_text('{"amplitude_db": -1.25, "phase_db": -0.6}')
+        assert main(["certify", str(path), "--enl-db", "4000", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("twinbeam: infeasible: electronics noise level")
 
     def test_mode_match_deembedding(self, capsys):
         penalized = model.mode_match_penalty(0.7113, 0.90)
@@ -649,25 +663,62 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert result.stdout.split("\n")[:2] == ["[]", "0 []"]
 
 
-def test_fit_runs_without_scipy(tmp_path):
-    # `python -m twinbeam.cli fit` with every scipy import made to fail
-    code = ("import runpy, sys\n"
-            "class NoScipy:\n"
+def _cli_without(package):
+    """Code that runs `python -m twinbeam.cli` with every import of package made to fail."""
+    return ("import runpy, sys\n"
+            "class Blocked:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name.split('.')[0] == 'scipy':\n"
+            f"        if name.split('.')[0] == {package!r}:\n"
             "            raise ImportError(f'{name} is blocked')\n"
-            "sys.meta_path.insert(0, NoScipy())\n"
+            "sys.meta_path.insert(0, Blocked())\n"
             "sys.argv[0] = 'twinbeam.cli'\n"
             "runpy.run_module('twinbeam.cli', run_name='__main__', alter_sys=True)\n")
-    result = subprocess.run([sys.executable, "-c", code, "fit", _clean_spectrum_csv(tmp_path),
-                             "--json"], env=_src_env(), capture_output=True, text=True,
-                            timeout=60)
+
+
+def test_fit_runs_without_scipy(tmp_path):
+    result = subprocess.run([sys.executable, "-c", _cli_without("scipy"), "fit",
+                             _clean_spectrum_csv(tmp_path), "--json"], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     fitted = json.loads(result.stdout)
     assert fitted["converged"] is True
     assert fitted["efficiency_product"] == pytest.approx(CRITERION_7_TRUTH[0], rel=1e-6)
     assert fitted["bandwidth_hz"] == pytest.approx(CRITERION_7_TRUTH[1], rel=1e-6)
     assert fitted["pump_ratio"] == pytest.approx(CRITERION_7_TRUTH[2], rel=1e-6)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--vx", "0.552", "--vy", "0.785", "--json"], 0),
+    (["{analysis}", "--enl-db", "-3.9", "--mode-match", "0.9", "--out", "{out}", "--json"], 0),
+    (["{malformed}", "--json"], 1),
+    (["--vx", "0.5", "--vy", "nan", "--json"], 2),
+], ids=["variances", "analysis", "malformed-analysis", "nan-variance"])
+def test_certify_runs_without_numpy(argv, status, tmp_path, capsys):
+    # with every numpy import made to fail, the same exit code, stdout, stderr
+    # and report as in process, where numpy is loaded
+    analysis = tmp_path / "analysis.json"
+    analysis.write_text('{"amplitude_db": -1.25, "phase_db": -0.60, "enl_db": null}')
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    outputs = []
+    for where in ("child", "in-process"):
+        out = tmp_path / f"{where}.json"
+        args = ["certify"] + [a.format(analysis=analysis, malformed=malformed, out=out)
+                              for a in argv]
+        if where == "child":
+            result = subprocess.run([sys.executable, "-c", _cli_without("numpy"), *args],
+                                    env=_src_env(), capture_output=True, text=True,
+                                    timeout=60)
+            code, stdout, stderr = result.returncode, result.stdout, result.stderr
+        else:
+            code = main(args)
+            stdout, stderr = capsys.readouterr()
+        report = out.read_bytes() if out.exists() else None
+        outputs.append((code, stdout, stderr, report))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == status
+    assert (outputs[0][2] == "") == (status == 0), outputs[0][2]  # no traceback either
+    assert (outputs[0][3] is not None) == ("--out" in argv)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -713,7 +764,7 @@ def test_analyze_peak_memory_is_flat_in_the_length(tmp_path, capsys):
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_analyze_child_holds_no_trace(tmp_path, capsys):
     # a 2^22-sample trace is 64 MiB; analyze in a child process peaks less
-    # than half of that above a child that only imports the CLI
+    # than half of that above a child that only imports what analyze loads
     path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 22))
     trace = tmp_path / "long.twbm"
     assert main(["synth", "--config", path, "--out", str(trace)]) == 0
@@ -727,7 +778,8 @@ def test_analyze_child_holds_no_trace(tmp_path, capsys):
         assert child.returncode == 0
         return usage.ru_maxrss * kib
 
-    bare = peak_rss_kib("import twinbeam.cli")
+    bare = peak_rss_kib("import numpy, twinbeam.cli, twinbeam.config, twinbeam.dsp, "
+                        "twinbeam.fileio, twinbeam.pipeline")
     analyze = peak_rss_kib(
         "import sys; from twinbeam.cli import main; sys.exit(main(sys.argv[1:]))",
         "analyze", str(trace), "--config", path)

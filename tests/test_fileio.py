@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import sys
@@ -27,6 +28,17 @@ def sample_channels(n=64, count=3, seed=0):
     return {f"ch{i}": rng.standard_normal(n) for i in range(count)}
 
 
+def encode_trace(sample_rate, channels):
+    """The trace-file bytes of an ordered {name: series} mapping of equal lengths."""
+    handle = io.BytesIO()
+    names = list(channels)
+    writer = fileio.TraceWriter(handle, sample_rate, names, len(channels[names[0]]))
+    for name in names:
+        writer.write_channel(name, [channels[name]])
+    writer.check_complete()
+    return handle.getvalue()
+
+
 def read_bytes(directory, data):
     """read_trace of a file holding data, with every channel read whole."""
     path = os.path.join(directory, "t.twbm")
@@ -40,7 +52,7 @@ class TestTraceFormat:
     def test_round_trip(self, tmp_path):
         channels = sample_channels()
         path = tmp_path / "t.twbm"
-        fileio.write_trace(path, 1e8, channels)
+        path.write_bytes(encode_trace(1e8, channels))
         rate, back = fileio.read_trace(path)
         assert rate == 1e8
         assert list(back) == list(channels)
@@ -53,7 +65,7 @@ class TestTraceFormat:
 
     def test_encoding_is_deterministic(self):
         channels = sample_channels()
-        assert fileio.encode_trace(1e8, channels) == fileio.encode_trace(1e8, channels)
+        assert encode_trace(1e8, channels) == encode_trace(1e8, channels)
 
     def test_bad_magic(self, tmp_path):
         with pytest.raises(TraceFormatError) as err:
@@ -62,7 +74,7 @@ class TestTraceFormat:
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         # found from the header and the file size, before any sample is read
-        data = fileio.encode_trace(1e8, sample_channels())
+        data = encode_trace(1e8, sample_channels())
         path = tmp_path / "t.twbm"
         path.write_bytes(data[:-10])
         with pytest.raises(TraceFormatError) as err:
@@ -71,7 +83,7 @@ class TestTraceFormat:
         assert err.value.byte_offset <= len(data) - 10
 
     def test_trailing_garbage_rejected(self, tmp_path):
-        data = fileio.encode_trace(1e8, sample_channels())
+        data = encode_trace(1e8, sample_channels())
         path = tmp_path / "t.twbm"
         path.write_bytes(data + b"\x00")
         with pytest.raises(TraceFormatError) as err:
@@ -79,7 +91,7 @@ class TestTraceFormat:
         assert err.value.byte_offset == len(data)
 
     def test_repeated_channel_name_rejected(self, tmp_path):
-        data = fileio.encode_trace(1e8, {"ab": np.zeros(4), "ac": np.zeros(4)})
+        data = encode_trace(1e8, {"ab": np.zeros(4), "ac": np.zeros(4)})
         second = data.index(b"ac")
         with pytest.raises(TraceFormatError) as err:
             read_bytes(tmp_path, data[:second] + b"ab" + data[second + 2:])
@@ -89,7 +101,7 @@ class TestTraceFormat:
     def test_nonfinite_sample_reports_its_offset(self, tmp_path, bad):
         channels = sample_channels()
         channels["ch1"][5] = bad
-        data = fileio.encode_trace(1e8, channels)
+        data = encode_trace(1e8, channels)
         with pytest.raises(TraceFormatError) as err:
             read_bytes(tmp_path, data)
         payload_start = len(data) - 3 * 4 * 64
@@ -101,7 +113,7 @@ class TestTraceFormat:
         channels = sample_channels()
         channels["ch2"][40] = np.nan
         path = tmp_path / "t.twbm"
-        fileio.write_trace(path, 1e8, channels)
+        path.write_bytes(encode_trace(1e8, channels))
         _, back = fileio.read_trace(path)
         blocks = back["ch2"].blocks()
         for _ in range(40 // 7):
@@ -117,7 +129,7 @@ class TestTraceFormat:
         monkeypatch.setattr(fileio, "_READ_SAMPLES", 7)
         channels = sample_channels(n=5000, count=6, seed=3)
         path = tmp_path / "t.twbm"
-        fileio.write_trace(path, 1e8, channels)
+        path.write_bytes(encode_trace(1e8, channels))
         _, back = fileio.read_trace(path)
         read = {}
         interval = sys.getswitchinterval()
@@ -138,12 +150,8 @@ class TestTraceFormat:
     def test_file_sha256_is_of_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "_HASH_CHUNK", 100)  # many chunks, the last one short
         path = tmp_path / "t.twbm"
-        fileio.write_trace(path, 1e8, sample_channels())
+        path.write_bytes(encode_trace(1e8, sample_channels()))
         assert fileio.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(TraceFormatError):
-            fileio.encode_trace(1e8, {"a": np.zeros(4), "b": np.zeros(5)})
 
 
 class TestTraceWriter:
@@ -157,7 +165,7 @@ class TestTraceWriter:
             for name, size in (("ch2", 7), ("ch0", 1000), ("ch1", 333)):
                 writer.write_channel(name, self.blocks(channels[name], size))
         data = path.read_bytes()
-        assert data == fileio.encode_trace(1e8, channels)
+        assert data == encode_trace(1e8, channels)
         assert writer.sha256 == hashlib.sha256(data).hexdigest()
 
     def test_concurrent_channel_writes_lose_nothing(self, tmp_path):
@@ -179,7 +187,7 @@ class TestTraceWriter:
                 assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(interval)
-        assert path.read_bytes() == fileio.encode_trace(1e8, channels)
+        assert path.read_bytes() == encode_trace(1e8, channels)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_short_or_long_channel_leaves_no_file(self, tmp_path, extra):
@@ -209,7 +217,7 @@ class TestTraceProperties:
         base = np.array(samples, dtype=np.float32)
         channels = {name: np.roll(base, i) for i, name in enumerate(names)}
         with tempfile.TemporaryDirectory() as tmp:
-            rate, back = read_bytes(tmp, fileio.encode_trace(sample_rate, channels))
+            rate, back = read_bytes(tmp, encode_trace(sample_rate, channels))
         assert rate == sample_rate
         assert list(back) == names
         for name in names:
@@ -221,7 +229,7 @@ class TestTraceProperties:
     def test_corrupt_bytes_raise_only_trace_format_error(self, data):
         channels = {"amp_signal": np.linspace(-1.0, 1.0, 6),
                     "snl": np.array([0.0, -0.0, F32_MAX, -F32_MAX, 1e-40, 3.5])}
-        encoded = fileio.encode_trace(1e8, channels)
+        encoded = encode_trace(1e8, channels)
         if data.draw(st.booleans(), label="truncate"):
             corrupt = encoded[:data.draw(st.integers(0, len(encoded) - 1), label="keep")]
         else:
