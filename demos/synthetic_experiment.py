@@ -48,7 +48,8 @@ print(f"arm length difference = {run.interferometer.arm_length_difference:.4f} m
 #      direct difference for amplitude, unbalanced Mach-Zehnder for phase,
 #      plus the shot-noise reference and the electronics floor
 # 3.   spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
-estimates = {name: welch_psd(channel, sample_rate, run.analyzer)
+#      at the f0 bin alone, the one bin read, as `twinbeam analyze` does
+estimates = {name: welch_psd(channel, sample_rate, run.analyzer, (f0,))
              for name, channel in pipeline.trace_channels(run)}
 readings = pipeline.readings(estimates, f0)
 print(f"averaged segments     = {readings['num_averages']}")

@@ -16,8 +16,12 @@ does not grow with the trace length.  analyze checks the trace's header
 and size, then runs the file's sha256 and the four Welch estimates on two
 workers, in that order: each estimate reads its channel block by block,
 checks every block finite and averages it, so no channel is held whole and
-its memory does not grow with the trace length either.  The readings are
-written only once every task has finished without error.
+its memory does not grow with the trace length either.  An estimate
+transforms only the analyzer bin nearest f0, the one analyze reads, by a
+direct DFT of each segment (dsp.welch_psd with frequencies=(f0,)): O(L)
+per segment of L samples, where the full grid takes an rfft.  The
+readings, each with its standard error, are written only once every task
+has finished without error.
 
 Each subcommand imports the numpy-backed modules it runs when it starts,
 so spectra, synth, analyze and fit load numpy and certify does not: its
@@ -203,7 +207,8 @@ def _cmd_analyze(args):
     # does not use is read through all the same, so every sample is checked
     digest, *results = _on_two_workers(
         [(fileio.file_sha256, args.trace)]
-        + [(dsp.welch_psd, channels[name], sample_rate, settings) for name in TRACE_CHANNELS]
+        + [(dsp.welch_psd, channels[name], sample_rate, settings, (f0,))
+           for name in TRACE_CHANNELS]
         + [(_read_through, channels[name]) for name in channels if name not in TRACE_CHANNELS])
     estimates = dict(zip(TRACE_CHANNELS, results))
     payload = {

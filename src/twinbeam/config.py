@@ -78,7 +78,11 @@ def _check_node(node, schema, path):
         elif expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"{where} must be a number, got {type(value).__name__}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                raise SchemaError(f"{where} is too large for a float") from None
+            if not finite:
                 raise SchemaError(f"{where} must be finite")
         elif expected is int:
             if isinstance(value, bool) or not isinstance(value, int):

@@ -13,6 +13,11 @@ call (only each group's transform is new), so the memory beyond the input
 series is bounded by one group, whatever the series length.  A streamed
 series, such as a trace channel from fileio.read_trace, is averaged as its
 blocks are read, and only one block of it is held at a time.
+
+With frequencies=None, welch_psd returns the whole grid from an rfft of
+each segment; given frequencies, only the bins nearest them, each by a
+direct DFT, O(L) per segment of L samples.  `twinbeam analyze` reads one
+bin per channel, at f0, so that is the only bin it transforms.
 """
 
 import math
@@ -125,7 +130,7 @@ def _segment_runs(blocks, num_samples, length, hop):
                            "blocks already read?")
 
 
-def welch_psd(series, sample_rate, settings):
+def welch_psd(series, sample_rate, settings, frequencies=None):
     """Averaged periodogram of a real series in SNL-relative units.
 
     series is an array, or a streamed series: anything with len() and
@@ -148,6 +153,16 @@ def welch_psd(series, sample_rate, settings):
     the segment length is even (the Nyquist bin), carry no one-sided
     doubling.  The reported num_averages is the effective count
     1/sum(weights^2) of the filter.
+
+    The grid is rfftfreq of the segment length, cropped to the span if one
+    is set.  With frequencies=None the estimate holds the whole grid, from
+    an rfft of each segment.  Given frequencies, it holds only the grid
+    bins nearest them (the bins band_power_rel_snl reads, first of ties),
+    and transforms each segment at those bins alone by a direct DFT, one
+    product with a matrix of windowed cosines and sines made once per call:
+    O(L) per selected bin per segment of L samples.  Raises DomainError
+    unless every frequency lies in [0, sample_rate/2] and in the span, and
+    the span holds a bin of the grid.
     """
     if hasattr(series, "blocks"):
         num_samples, blocks = len(series), series.blocks()
@@ -162,11 +177,37 @@ def welch_psd(series, sample_rate, settings):
             f"segments at 50% overlap; need at least {length + hop}",
             required_length=length + hop)
 
+    freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
+    shown = np.arange(len(freqs))  # the grid bins the estimate holds
+    if settings.span is not None:
+        lo = settings.center_frequency - settings.span / 2.0
+        hi = settings.center_frequency + settings.span / 2.0
+        shown = shown[(freqs >= lo) & (freqs <= hi)]
+    if frequencies is None:
+        bins = np.arange(len(freqs))  # the bins transformed: all, cropped to shown at the end
+    else:
+        bins = shown = _nearest_bins(freqs, shown, frequencies, sample_rate, settings)
+
     if settings.window == "hann":
         win = np.hanning(length)
     else:
         win = np.ones(length)
     power_norm = np.sum(win ** 2)
+    if frequencies is None:
+        def quadratures(rows):
+            """The real and imaginary parts of every bin of each windowed row."""
+            rows *= win
+            spectra = np.fft.rfft(rows, axis=1)
+            return spectra.real, spectra.imag
+    else:
+        # (k n) mod L in integers keeps every angle in [0, 2 pi) exactly
+        angles = (2.0 * np.pi / length) * (np.outer(np.arange(length), bins) % length)
+        basis = np.hstack((win[:, None] * np.cos(angles), win[:, None] * np.sin(angles)))
+
+        def quadratures(rows):
+            """The real and (negated) imaginary parts of the selected bins of each row."""
+            parts = rows @ basis
+            return parts[:, :len(bins)], parts[:, len(bins):]
 
     num_segments = (num_samples - length) // hop + 1
     # Video filter: decay per update set by the VBW time constant 1/(2 pi vbw).
@@ -179,9 +220,9 @@ def welch_psd(series, sample_rate, settings):
     first = int(np.argmax(weights > 0)) // block * block
     rows = min(block, num_segments - first)
     windowed = np.empty((rows, length))
-    power = np.empty((rows, length // 2 + 1))
+    power = np.empty((rows, len(bins)))
     imag_power = np.empty(power.shape)
-    accum = np.zeros(length // 2 + 1)
+    accum = np.zeros(len(bins))
     skip = first  # segments still to pass over before the first group
     start, filled = first, 0  # the group being filled: its first segment, rows copied
     for run in _segment_runs(blocks, num_samples, length, hop):
@@ -191,24 +232,26 @@ def welch_psd(series, sample_rate, settings):
         while len(run):
             count = min(block, num_segments - start)
             taken = min(count - filled, len(run))
-            # Up-cast first, then window in place: the same products as a
-            # mixed-type multiply, without its buffered casting loop.
+            # Up-cast first; the full-grid path then windows in place: the
+            # same products as a mixed-type multiply, without its buffered
+            # casting loop.
             np.copyto(windowed[filled:filled + taken], run[:taken])
             filled += taken
             run = run[taken:]
             if filled < count:
                 break
-            windowed[:count] *= win
-            spectra = np.fft.rfft(windowed[:count], axis=1)
-            np.square(spectra.real, out=power[:count])
-            np.square(spectra.imag, out=imag_power[:count])
+            real, imag = quadratures(windowed[:count])
+            np.square(real, out=power[:count])
+            np.square(imag, out=imag_power[:count])
             power[:count] += imag_power[:count]
             accum += weights[start:start + count] @ power[:count]
             start, filled = start + count, 0
     psd = accum / (power_norm * weights.sum())
-    psd[0] *= 0.5   # DC carries no one-sided doubling, nor does Nyquist,
-    if length % 2 == 0:
-        psd[-1] *= 0.5  # which is the last bin only for an even length
+    # DC carries no one-sided doubling, nor does Nyquist, which is the last
+    # rfft bin only for an even length
+    psd[(bins == 0) | (2 * bins == length)] *= 0.5
+    if frequencies is None:
+        psd = psd[shown]
 
     # Closed forms of sum(w) and sum(w^2) over the weights decay^k, k = 0 newest.
     if decay < 1.0:
@@ -217,15 +260,28 @@ def welch_psd(series, sample_rate, settings):
     else:
         sum_w, sum_w2 = num_segments, num_segments
     num_averages = max(1, int(round(sum_w ** 2 / sum_w2)))
-
-    freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
-    if settings.span is not None:
-        lo = settings.center_frequency - settings.span / 2.0
-        hi = settings.center_frequency + settings.span / 2.0
-        keep = (freqs >= lo) & (freqs <= hi)
-        freqs, psd = freqs[keep], psd[keep]
-    return SpectrumEstimate(frequencies=freqs, psd=psd,
+    return SpectrumEstimate(frequencies=freqs[shown], psd=psd,
                             num_averages=num_averages, settings=settings)
+
+
+def _nearest_bins(freqs, bins, frequencies, sample_rate, settings):
+    """The bins, among `bins` of the grid freqs, nearest each of frequencies,
+    in increasing order and each once."""
+    frequencies = np.asarray(frequencies, dtype=float)
+    if frequencies.ndim != 1 or not len(frequencies):
+        raise DomainError("frequencies must be a non-empty sequence")
+    if not len(bins):
+        raise DomainError("the analyzer span holds no bin of the grid")
+    for f in frequencies:
+        if not 0.0 <= f <= sample_rate / 2.0 or not settings.covers(f):  # rejects nan too
+            raise DomainError(f"frequency {f:.6g} Hz outside [0, Nyquist "
+                              f"{sample_rate / 2:.6g} Hz] or the analyzer span")
+    return np.unique([bins[_nearest(freqs[bins], f)] for f in frequencies])
+
+
+def _nearest(grid, frequency):
+    """The index of the grid frequency nearest frequency, the first of ties."""
+    return int(np.argmin(np.abs(grid - frequency)))
 
 
 def band_power_rel_snl(measured, reference, f0):
@@ -239,7 +295,7 @@ def band_power_rel_snl(measured, reference, f0):
     if len(measured.frequencies) != len(reference.frequencies) or \
             not np.array_equal(measured.frequencies, reference.frequencies):
         raise DomainError("measured and reference estimates live on different grids")
-    idx = int(np.argmin(np.abs(measured.frequencies - f0)))
+    idx = _nearest(measured.frequencies, f0)
     offset = abs(measured.frequencies[idx] - f0)
     if offset > measured.settings.rbw / 2.0:
         warnings.warn(

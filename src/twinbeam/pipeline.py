@@ -84,7 +84,10 @@ def readings(estimates, f0):
     Returns amplitude_db, phase_db and enl_db, each in dB relative to the
     snl estimate, and that estimate's num_averages.  enl_db is None when
     the electronics floor reads zero power (chain.enl 0): there is no floor
-    to correct for.
+    to correct for.  Each reading's standard error, *_db_stderr, is that of
+    a ratio of two independent estimates of num_averages averages each,
+    10/ln10 * sqrt(2/num_averages) dB (None where the reading is None).
+    An estimate may hold the whole grid or only the bin nearest f0.
     """
     reference = estimates["snl"]
     amplitude_db = dsp.band_power_rel_snl(estimates["amp_signal"], reference, f0)
@@ -94,10 +97,14 @@ def readings(estimates, f0):
         enl_db = dsp.band_power_rel_snl(estimates["enl"], reference, f0)
     except DomainError:
         enl_db = None
+    stderr = 10.0 / math.log(10.0) * math.sqrt(2.0 / reference.num_averages)
     return {
         "amplitude_db": amplitude_db,
+        "amplitude_db_stderr": stderr,
         "phase_db": dsp.band_power_rel_snl(estimates["phase_signal"], reference, f0),
+        "phase_db_stderr": stderr,
         "enl_db": enl_db,
+        "enl_db_stderr": None if enl_db is None else stderr,
         "num_averages": reference.num_averages,
     }
 

@@ -58,6 +58,13 @@ def write_config(tmp_path, mutate, name="mut.json"):
     return str(path)
 
 
+def config_argv(command, path, tmp_path):
+    """The argv of `command` run with the config at path, writing into tmp_path."""
+    return {"synth": ["synth", "--config", path, "--out", str(tmp_path / "t.twbm")],
+            "spectra": ["spectra", "--config", path, "--out", str(tmp_path / "s.csv")],
+            "analyze": ["analyze", str(tmp_path / "t.twbm"), "--config", path]}[command]
+
+
 class TestConfigSchema:
     def test_parses(self):
         cfg = parse_config(copy.deepcopy(BASE_CONFIG))
@@ -113,10 +120,7 @@ class TestConfigSchema:
         # 20 MHz against 4 MS/s: caught in the config before any work
         path = write_config(tmp_path, lambda d: d["synth"].update(sample_rate_hz=4e6,
                                                                   num_samples=2 ** 12))
-        argv = {"synth": ["synth", "--config", path, "--out", str(tmp_path / "t.twbm")],
-                "spectra": ["spectra", "--config", path, "--out", str(tmp_path / "s.csv")],
-                "analyze": ["analyze", str(tmp_path / "t.twbm"), "--config", path]}[command]
-        assert main(argv) == 1
+        assert main(config_argv(command, path, tmp_path)) == 1
         err = capsys.readouterr().err
         assert "interferometer.analysis_frequency_hz" in err
         assert "Nyquist frequency 2e+06 Hz" in err
@@ -136,11 +140,16 @@ class TestConfigSchema:
     def test_analysis_frequency_outside_span_is_usage_error(self, tmp_path, capsys, command):
         path = write_config(tmp_path, lambda d: d["analyzer"].update(
             center_frequency_hz=40e6, span_hz=2e6))
-        argv = {"synth": ["synth", "--config", path, "--out", str(tmp_path / "t.twbm")],
-                "spectra": ["spectra", "--config", path, "--out", str(tmp_path / "s.csv")],
-                "analyze": ["analyze", str(tmp_path / "t.twbm"), "--config", path]}[command]
-        assert main(argv) == 1
+        assert main(config_argv(command, path, tmp_path)) == 1
         assert "outside the analyzer span" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mut.json"]
+
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    def test_float_key_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, command):
+        # an integer of 401 digits is valid JSON, but no float holds it
+        path = write_config(tmp_path, lambda d: d["analyzer"].update(rbw_hz=10 ** 400))
+        assert main(config_argv(command, path, tmp_path)) == 1
+        assert "analyzer.rbw_hz is too large for a float" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mut.json"]
 
 
@@ -331,8 +340,10 @@ class TestAnalyzeCertifyPipeline:
         assert main(["analyze", str(trace), "--config", path, "--out", str(analysis)]) == 0
         capsys.readouterr()
         reading = json.loads(analysis.read_text(), parse_constant=pytest.fail)
-        assert reading["enl_db"] is None
+        assert reading["enl_db"] is None and reading["enl_db_stderr"] is None
         assert math.isfinite(reading["amplitude_db"]) and math.isfinite(reading["phase_db"])
+        sigma_db = 10 / math.log(10) * math.sqrt(2.0 / reading["num_averages"])
+        assert reading["amplitude_db_stderr"] == reading["phase_db_stderr"] == sigma_db
         assert main(["certify", str(analysis), "--json"]) == 0
         report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert "electronic_noise" not in {c["correction"] for c in report["corrections"]}
@@ -441,8 +452,8 @@ class TestAnalyzeCertifyPipeline:
         finished = []
         welch_psd = dsp.welch_psd
 
-        def recording_welch_psd(*args):
-            estimate = welch_psd(*args)
+        def recording_welch_psd(*args, **kwargs):
+            estimate = welch_psd(*args, **kwargs)
             finished.append(estimate)
             return estimate
 

@@ -215,12 +215,16 @@ class TestWelchPsd:
                 taken.append(min(size, len(series) - start))
                 yield series[start:start + size]
 
-        whole = dsp.welch_psd(series, FS, settings)
-        streamed = dsp.welch_psd(BlockSeries(len(series), pieces()), FS, settings)
-        np.testing.assert_array_equal(streamed.frequencies, whole.frequencies)
-        np.testing.assert_array_equal(streamed.psd, whole.psd)
-        assert streamed.num_averages == whole.num_averages
-        assert sum(taken) == len(series)  # zero-weight groups' samples are read too
+        # the whole grid, and the selected bins: DC, f0 and Nyquist
+        for frequencies in (None, (0.0, 20e6, FS / 2)):
+            taken.clear()
+            whole = dsp.welch_psd(series, FS, settings, frequencies)
+            streamed = dsp.welch_psd(BlockSeries(len(series), pieces()), FS, settings,
+                                     frequencies)
+            np.testing.assert_array_equal(streamed.frequencies, whole.frequencies)
+            np.testing.assert_array_equal(streamed.psd, whole.psd)
+            assert streamed.num_averages == whole.num_averages
+            assert sum(taken) == len(series)  # zero-weight groups' samples are read too
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_streamed_series_of_another_length_is_refused(self, extra):
@@ -228,6 +232,67 @@ class TestWelchPsd:
         blocks = iter(np.array_split(series, 5))
         with pytest.raises(RuntimeError, match=f"{2 ** 14}"):
             dsp.welch_psd(BlockSeries(2 ** 14, blocks), FS, SETTINGS)
+
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    @pytest.mark.parametrize("rbw, vbw, span, frequencies", [
+        (150e3, 2.0, None, (20e6,)),                   # even L = 1000
+        (150e3, 2.0, None, (0.0, FS / 2)),             # DC and Nyquist, both halved
+        (150e3, 150e3, None, (20e6, 37.3e6)),          # zero-weight leading groups
+        (15e3, 2.0, (20e6, 10e6), (15e6, 20e6, 25e6)),  # a span, to its edges
+        (7e3, 500.0, None, (0.0, 20e6, FS / 2)),       # odd L = 21429: top bin not halved
+    ], ids=["f0", "dc-nyquist", "vbw-rbw", "span", "odd-length"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selected_bins_equal_the_full_grid(self, window, rbw, vbw, span, frequencies,
+                                               dtype):
+        center, width = span if span else (None, None)
+        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw, window=window,
+                                        center_frequency=center, span=width)
+        series = np.random.default_rng(11).standard_normal(2 ** 18 + 1234).astype(dtype)
+        full = dsp.welch_psd(series, FS, settings)
+        selected = dsp.welch_psd(series, FS, settings, frequencies)
+        index = [int(np.argmin(np.abs(full.frequencies - f))) for f in frequencies]
+        np.testing.assert_array_equal(selected.frequencies, full.frequencies[index])
+        # a direct DFT of at most 21429 float64 terms against the rfft
+        np.testing.assert_allclose(selected.psd, full.psd[index], rtol=1e-10, atol=0)
+        assert selected.num_averages == full.num_averages
+
+    def test_selected_bins_take_no_rfft(self, monkeypatch):
+        def no_rfft(*args, **kwargs):
+            raise AssertionError("rfft called for a selected bin")
+
+        monkeypatch.setattr(dsp.np.fft, "rfft", no_rfft)
+        series = np.random.default_rng(12).standard_normal(2 ** 16)
+        assert len(dsp.welch_psd(series, FS, SETTINGS, (20e6, 20e6 + 1.0)).psd) == 1
+
+    def test_halfway_frequency_picks_the_bin_band_power_reads(self):
+        grid = np.fft.rfftfreq(dsp.segment_length(FS, SETTINGS), 1.0 / FS)
+        halfway = (grid[200] + grid[201]) / 2.0
+        assert halfway - grid[200] == grid[201] - halfway  # an exact tie: the first wins
+        rng = np.random.default_rng(13)
+        meas, ref = rng.standard_normal(2 ** 17), rng.standard_normal(2 ** 17)
+        full = [dsp.welch_psd(x, FS, SETTINGS) for x in (meas, ref)]
+        selected = [dsp.welch_psd(x, FS, SETTINGS, (halfway,)) for x in (meas, ref)]
+        assert selected[0].frequencies[0] == grid[200]
+        assert dsp.band_power_rel_snl(*selected, halfway) == pytest.approx(
+            dsp.band_power_rel_snl(*full, halfway), rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("frequencies", [
+        (math.nan,), (math.inf,), (20e6, -math.inf), (-1.0,), (FS / 2 + 1.0,), (30e6,), (),
+    ], ids=["nan", "inf", "minus-inf", "negative", "above-nyquist", "outside-span", "none"])
+    def test_bad_frequencies_are_domain_errors(self, frequencies):
+        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=2.0,
+                                        center_frequency=20e6, span=10e6)
+        series = np.random.default_rng(14).standard_normal(2 ** 14)
+        with pytest.raises(DomainError):
+            dsp.welch_psd(series, FS, settings, frequencies)
+
+    def test_span_without_a_bin_is_domain_error(self):
+        # a 1 kHz span between two bins 100 kHz apart holds f but no bin
+        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=2.0,
+                                        center_frequency=20.05e6, span=1e3)
+        series = np.random.default_rng(14).standard_normal(2 ** 14)
+        with pytest.raises(DomainError, match="holds no bin"):
+            dsp.welch_psd(series, FS, settings, (20.05e6,))
 
     def test_vbw_controls_effective_averaging(self):
         series = np.random.default_rng(1).standard_normal(2 ** 20)

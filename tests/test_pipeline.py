@@ -1,5 +1,4 @@
 import copy
-import math
 import pathlib
 import types
 
@@ -77,9 +76,10 @@ def test_shaped_psd_error_below_six_tenths_of_nyquist(name):
 
 def test_readings_scatter_as_their_standard_error():
     # 30 seeds at 2^18 samples: z = (reading - expected) / sigma_dB with
-    # sigma_dB = 10/ln10 * sqrt(2 / num_averages), the error of a ratio of
-    # two independent Welch estimates; the bounds are the 0.1% two-sided
-    # limits of the mean and of chi^2(29) for the standard deviation
+    # sigma_dB the reported *_db_stderr, 10/ln10 * sqrt(2 / num_averages),
+    # the error of a ratio of two independent Welch estimates; the bounds
+    # are the 0.1% two-sided limits of the mean and of chi^2(29) for the
+    # standard deviation
     doc = copy.deepcopy(REFERENCE_CONFIG)
     doc["synth"]["num_samples"] = 2 ** 18
     keys = ("amplitude_db", "phase_db", "enl_db")
@@ -91,9 +91,8 @@ def test_readings_scatter_as_their_standard_error():
                      for name, series in pipeline.trace_channels(cfg)}
         readings = pipeline.readings(estimates, cfg.interferometer.analysis_frequency)
         expected = pipeline.expected_readings(cfg)
-        sigma = 10 / math.log(10) * math.sqrt(2.0 / readings["num_averages"])
         for key in keys:
-            z[key].append((readings[key] - expected[key]) / sigma)
+            z[key].append((readings[key] - expected[key]) / readings[f"{key}_stderr"])
     for key in keys:
         assert abs(np.mean(z[key])) <= 0.60, key
         assert 0.59 <= np.std(z[key], ddof=1) <= 1.45, key
