@@ -183,10 +183,6 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
         lo = settings.center_frequency - settings.span / 2.0
         hi = settings.center_frequency + settings.span / 2.0
         shown = shown[(freqs >= lo) & (freqs <= hi)]
-    if frequencies is None:
-        bins = np.arange(len(freqs))  # the bins transformed: all, cropped to shown at the end
-    else:
-        bins = shown = _nearest_bins(freqs, shown, frequencies, sample_rate, settings)
 
     if settings.window == "hann":
         win = np.hanning(length)
@@ -194,12 +190,15 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
         win = np.ones(length)
     power_norm = np.sum(win ** 2)
     if frequencies is None:
+        bins = np.arange(len(freqs))  # the bins transformed: all, cropped to shown at the end
+
         def quadratures(rows):
-            """The real and imaginary parts of every bin of each windowed row."""
+            """The real and imaginary parts of every bin of each row, windowed in place."""
             rows *= win
             spectra = np.fft.rfft(rows, axis=1)
             return spectra.real, spectra.imag
     else:
+        bins = shown = _nearest_bins(freqs, shown, frequencies, sample_rate, settings)
         # (k n) mod L in integers keeps every angle in [0, 2 pi) exactly
         angles = (2.0 * np.pi / length) * (np.outer(np.arange(length), bins) % length)
         basis = np.hstack((win[:, None] * np.cos(angles), win[:, None] * np.sin(angles)))
