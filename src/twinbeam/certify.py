@@ -66,6 +66,12 @@ class DuanVerdict:
 
 
 def duan_certify(pair):
-    """Inseparability test: variance sum strictly below 2 certifies entanglement."""
+    """Inseparability test: variance sum strictly below 2 certifies entanglement.
+
+    Raises InfeasibleMeasurementError if the sum overflows a float.
+    """
     total = pair.amplitude_diff_variance + pair.phase_sum_variance
+    if not math.isfinite(total):
+        raise InfeasibleMeasurementError(f"variance sum {pair.amplitude_diff_variance} + "
+                                         f"{pair.phase_sum_variance} overflows a float")
     return DuanVerdict(total=total, entangled=total < 2.0)

@@ -10,9 +10,12 @@ sum with exponential segment weights (the newest segment weighs 1), equal
 to the single-pole recursion.  The segments are windowed, transformed and
 summed in groups of about _BLOCK_SAMPLES samples, in buffers made once per
 call (only each group's transform is new), so the memory beyond the input
-series is bounded by one group, whatever the series length.  A streamed
-series, such as a trace channel from fileio.read_trace, is averaged as its
-blocks are read, and only one block of it is held at a time.
+series is bounded by one group, whatever the series length.  Each sample
+is copied once, as float64, into a buffer that holds one group, so no
+series is copied whole.  A streamed series, such as a trace channel from
+fileio.read_trace, is averaged as its blocks are read, and only one block
+of it is held at a time; the groups do not depend on how the series is
+split into blocks, so neither does any bit of the result.
 
 With frequencies=None, welch_psd returns the whole grid from an rfft of
 each segment; given frequencies, only the bins nearest them, each by a
@@ -82,60 +85,12 @@ def segment_length(sample_rate, settings):
     return int(round(sample_rate * _ENBW_BINS[settings.window] / settings.rbw))
 
 
-def _samples(block):
-    """block as float32 if it is float32, else as float64."""
-    block = np.asarray(block)
-    return block if block.dtype == np.float32 else np.asarray(block, dtype=float)
-
-
-def _rows(chunk, length, hop):
-    """The segments wholly inside chunk that start at multiples of hop, as the
-    rows of a view."""
-    if len(chunk) < length:
-        return np.empty((0, length), chunk.dtype)
-    return np.lib.stride_tricks.sliding_window_view(chunk, length)[::hop]
-
-
-def _segment_runs(blocks, num_samples, length, hop):
-    """Every segment of the series made of `blocks`, in order, as runs of rows.
-
-    A segment inside one block is a row of a view of that block.  Only the
-    segments that straddle a block boundary are copied: the samples from the
-    first of them on (fewer than `length`) are carried over and joined with
-    the head of the next block, a buffer shorter than two segments.
-    Raises RuntimeError unless the blocks hold num_samples samples.
-    """
-    tail = np.empty(0)  # from the next segment's start to the end of the blocks read
-    read = 0
-    for data in blocks:
-        data = _samples(data)
-        read += len(data)
-        if read > num_samples:
-            raise RuntimeError(f"series blocks hold more than its {num_samples} samples")
-        if len(tail):
-            straddling = -(-len(tail) // hop)  # the segments that start in tail
-            joined = np.concatenate(
-                (tail, data[:(straddling - 1) * hop + length - len(tail)]))
-            run = _rows(joined, length, hop)
-            yield run
-            if len(run) < straddling:  # data ends before the last of them does
-                tail = joined[len(run) * hop:]
-                continue
-            data = data[straddling * hop - len(tail):]
-        run = _rows(data, length, hop)
-        yield run
-        tail = data[len(run) * hop:].copy()
-    if read != num_samples:
-        raise RuntimeError(f"series blocks hold {read} of its {num_samples} samples: "
-                           "blocks already read?")
-
-
 def welch_psd(series, sample_rate, settings, frequencies=None):
     """Averaged periodogram of a real series in SNL-relative units.
 
     series is an array, or a streamed series: anything with len() and
     blocks(), the iterator of its consecutive blocks (a series.BlockSeries).
-    Both take one path: an array is a single block, and is not copied.
+    Both take one path: an array is a single block.
     Hann (or rectangular) window, 50% overlap; the per-segment periodogram
     stream is smoothed by a single-pole filter whose time constant is
     1/(2 pi vbw) against the segment update rate.  That filter is evaluated
@@ -147,12 +102,12 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     the series is split into blocks, so neither does any bit of the result.
     The leading groups whose weights all underflow to 0.0 (a fast video
     filter over a long series) add exactly 0 and are not transformed,
-    though their samples are still read.  A float32 block is read as is:
-    each group is up-cast to float64 exactly before the window multiply,
-    and any other input is converted to float64.  DC, and the last bin when
-    the segment length is even (the Nyquist bin), carry no one-sided
-    doubling.  The reported num_averages is the effective count
-    1/sum(weights^2) of the filter.
+    though their samples are still read.  Each sample is copied once into
+    a float64 buffer that holds one group (an exact up-cast of float32),
+    so no series is copied whole.  DC, and the last bin when the segment
+    length is even (the Nyquist bin), carry no one-sided doubling.  The
+    reported num_averages is the effective count 1/sum(weights^2) of the
+    filter.
 
     The grid is rfftfreq of the segment length, cropped to the span if one
     is set.  With frequencies=None the estimate holds the whole grid, from
@@ -167,7 +122,7 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     if hasattr(series, "blocks"):
         num_samples, blocks = len(series), series.blocks()
     else:
-        series = _samples(series)
+        series = np.asarray(series)
         num_samples, blocks = len(series), (series,)
     length = segment_length(sample_rate, settings)
     hop = max(1, length // 2)
@@ -218,33 +173,40 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     # Leading groups whose weights all underflowed to 0.0 add exactly 0.
     first = int(np.argmax(weights > 0)) // block * block
     rows = min(block, num_segments - first)
+    held = np.empty((block - 1) * hop + length)  # a full group: those before first are full
+    held_rows = np.lib.stride_tricks.sliding_window_view(held, length)[::hop]  # its segments
     windowed = np.empty((rows, length))
     power = np.empty((rows, len(bins)))
     imag_power = np.empty(power.shape)
     accum = np.zeros(len(bins))
-    skip = first  # segments still to pass over before the first group
-    start, filled = first, 0  # the group being filled: its first segment, rows copied
-    for run in _segment_runs(blocks, num_samples, length, hop):
-        passed = min(skip, len(run))
-        skip -= passed
-        run = run[passed:]
-        while len(run):
+    start, filled, read = 0, 0, 0  # the group being filled: its first segment, samples held
+    for data in blocks:
+        data = np.asarray(data)
+        read += len(data)
+        if read > num_samples:
+            raise RuntimeError(f"series blocks hold more than its {num_samples} samples")
+        while len(data) and start < num_segments:
             count = min(block, num_segments - start)
-            taken = min(count - filled, len(run))
-            # Up-cast first; the full-grid path then windows in place: the
-            # same products as a mixed-type multiply, without its buffered
-            # casting loop.
-            np.copyto(windowed[filled:filled + taken], run[:taken])
+            need = (count - 1) * hop + length
+            taken = min(need - filled, len(data))
+            held[filled:filled + taken] = data[:taken]  # an exact up-cast of float32
             filled += taken
-            run = run[taken:]
-            if filled < count:
+            data = data[taken:]
+            if filled < need:
                 break
-            real, imag = quadratures(windowed[:count])
-            np.square(real, out=power[:count])
-            np.square(imag, out=imag_power[:count])
-            power[:count] += imag_power[:count]
-            accum += weights[start:start + count] @ power[:count]
-            start, filled = start + count, 0
+            if start >= first:
+                windowed[:count] = held_rows[:count]  # the full-grid path windows in place
+                real, imag = quadratures(windowed[:count])
+                np.square(real, out=power[:count])
+                np.square(imag, out=imag_power[:count])
+                power[:count] += imag_power[:count]
+                accum += weights[start:start + count] @ power[:count]
+            # the next group starts count segments on, overlapping this one's end
+            held[:length - hop] = held[count * hop:need]
+            start, filled = start + count, length - hop
+    if read != num_samples:
+        raise RuntimeError(f"series blocks hold {read} of its {num_samples} samples: "
+                           "blocks already read?")
     psd = accum / (power_norm * weights.sum())
     # DC carries no one-sided doubling, nor does Nyquist, which is the last
     # rfft bin only for an even length

@@ -30,7 +30,7 @@ import threading
 import numpy as np
 
 from .atomic import atomic_file, atomic_write_text, write_json  # write_json: fileio's name for it
-from .errors import TraceFormatError
+from .errors import DomainError, TraceFormatError
 from .series import BlockSeries
 
 TRACE_MAGIC = b"TWBM"
@@ -49,19 +49,23 @@ class TraceWriter:
     that channel's fixed offset, in the order its blocks come, so channels
     can be written in any order and from several threads at once.
     check_complete raises unless every channel got exactly num_samples.
+    A trace whose bytes would pass the largest file offset, 2^63 - 1, is
+    refused with DomainError before anything is written.
     """
 
     def __init__(self, handle, sample_rate, names, num_samples):
         self._handle = handle
         self._num_samples = num_samples
         self._lock = threading.Lock()
+        table = b"".join(struct.pack("<I", len(raw)) + raw
+                         for raw in (name.encode("utf-8") for name in names))
+        payload = handle.tell() + len(TRACE_MAGIC) + struct.calcsize("<IdIQ") + len(table)
+        if payload + 4 * num_samples * len(names) > 2 ** 63 - 1:  # the largest file offset
+            raise DomainError(f"a trace of {len(names)} channels of {num_samples} samples "
+                              "is too large for a file")
         handle.write(TRACE_MAGIC)
         handle.write(struct.pack("<IdIQ", TRACE_VERSION, sample_rate, len(names), num_samples))
-        for name in names:
-            raw = name.encode("utf-8")
-            handle.write(struct.pack("<I", len(raw)))
-            handle.write(raw)
-        payload = handle.tell()
+        handle.write(table)
         self._offsets = {name: payload + 4 * num_samples * i for i, name in enumerate(names)}
         self._written = dict.fromkeys(names, 0)
 

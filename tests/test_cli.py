@@ -267,6 +267,12 @@ class TestSynthCommand:
         assert raised_on and raised_on[0] != caller.ident
         assert os.listdir(tmp_path) == ["mut.json"]
 
+    def test_trace_too_large_for_a_file_is_infeasible(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 70))
+        assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
+        assert "too large for a file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mut.json"]  # no trace, nor its temp file
+
     def test_block_size_moves_no_trace_byte(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 17))
         digests = []
@@ -703,7 +709,8 @@ def test_fit_runs_without_scipy(tmp_path):
     (["{analysis}", "--enl-db", "-3.9", "--mode-match", "0.9", "--out", "{out}", "--json"], 0),
     (["{malformed}", "--json"], 1),
     (["--vx", "0.5", "--vy", "nan", "--json"], 2),
-], ids=["variances", "analysis", "malformed-analysis", "nan-variance"])
+    (["--vx", "1e308", "--vy", "1e308", "--json"], 2),
+], ids=["variances", "analysis", "malformed-analysis", "nan-variance", "overflowing-sum"])
 def test_certify_runs_without_numpy(argv, status, tmp_path, capsys):
     # with every numpy import made to fail, the same exit code, stdout, stderr
     # and report as in process, where numpy is loaded

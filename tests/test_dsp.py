@@ -172,6 +172,25 @@ class TestWelchPsd:
         np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0)
         assert est.num_averages == num_averages
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_weight_groups_are_larger_than_the_last(self, dtype):
+        # L = 100 gives 5239 segments in groups of 655, 428 weights nonzero: the
+        # only group transformed holds 654 segments, the skipped groups 655
+        settings = dsp.AnalyzerSettings(rbw=1.5e6, vbw=1.5e6)
+        series = np.random.default_rng(15).standard_normal(262044).astype(dtype)
+        length = dsp.segment_length(FS, settings)
+        block = dsp._BLOCK_SAMPLES // length
+        num_segments = (len(series) - length) // (length // 2) + 1
+        assert (length, block, num_segments) == (100, 655, 5239)
+        est = dsp.welch_psd(series, FS, settings)
+        freqs, psd, num_averages = reference_welch(series, FS, settings)
+        np.testing.assert_array_equal(est.frequencies, freqs)
+        np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0)
+        assert est.num_averages == num_averages
+        pieces = (series[start:start + 999] for start in range(0, len(series), 999))
+        streamed = dsp.welch_psd(BlockSeries(len(series), pieces), FS, settings)
+        np.testing.assert_array_equal(streamed.psd, est.psd)
+
     def test_odd_length_top_bin_is_not_halved(self):
         # 7 kHz RBW gives L = 21429: the last rfft bin is an ordinary bin,
         # not the Nyquist bin, so white noise reads 1 there as everywhere

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinbeam import fileio
-from twinbeam.errors import TraceFormatError
+from twinbeam.errors import DomainError, TraceFormatError
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY_SUBNORMAL = float(np.finfo(np.float32).smallest_subnormal)
@@ -198,6 +198,13 @@ class TestTraceWriter:
                 for name, series in channels.items():
                     writer.write_channel(name, [series])
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("num_samples", [2 ** 61, 2 ** 64], ids=["2^61", "2^64"])
+    def test_trace_too_large_for_a_file_writes_nothing(self, num_samples):
+        handle = io.BytesIO()
+        with pytest.raises(DomainError, match="too large for a file"):
+            fileio.TraceWriter(handle, 1e8, ["a"], num_samples)
+        assert handle.getvalue() == b""
 
     def test_failure_inside_leaves_no_file(self, tmp_path):
         path = tmp_path / "t.twbm"
