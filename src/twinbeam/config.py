@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .dsp import AnalyzerSettings
 from .errors import ConfigurationError, SchemaError
-from .model import InterferometerConfig, NopoParams, arm_length_difference
+from .model import InterferometerConfig, NopoParams
 from .synth import DetectionChain, SynthConfig
 
 CONFIG_VERSION = "twinbeam-config/2"
@@ -50,10 +50,6 @@ _SCHEMA = {
     },
     "interferometer": {
         "analysis_frequency_hz": float,
-        "arm_length_difference_m": (float, None),
-        "dc_phase_rad": (float, None),
-        "theta_tol": (float, None),
-        "phi_tol": (float, None),
     },
 }
 
@@ -156,8 +152,7 @@ def parse_config(document):
     analyzer = AnalyzerSettings(rbw=ana["rbw_hz"], vbw=ana["vbw_hz"], **_present(ana, {
         "window": "window", "center_frequency_hz": "center_frequency", "span_hz": "span"}))
 
-    ifc_doc = document["interferometer"]
-    f0 = ifc_doc["analysis_frequency_hz"]
+    f0 = document["interferometer"]["analysis_frequency_hz"]
     if f0 >= synth_cfg.sample_rate / 2:
         raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is not below "
                           f"the Nyquist frequency {synth_cfg.sample_rate / 2:.6g} Hz")
@@ -165,12 +160,7 @@ def parse_config(document):
         raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is outside the "
                           f"analyzer span {analyzer.span:.6g} Hz about "
                           f"{analyzer.center_frequency:.6g} Hz")
-    delta_l = ifc_doc.get("arm_length_difference_m")
-    if delta_l is None:
-        delta_l = arm_length_difference(f0)
-    interferometer = InterferometerConfig(
-        analysis_frequency=f0, arm_length_difference=delta_l, **_present(ifc_doc, {
-            "dc_phase_rad": "dc_phase", "theta_tol": "theta_tol", "phi_tol": "phi_tol"}))
+    interferometer = InterferometerConfig(analysis_frequency=f0)
 
     return RunConfig(
         nopo=params,

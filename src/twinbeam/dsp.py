@@ -106,8 +106,8 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     a float64 buffer that holds one group (an exact up-cast of float32),
     so no series is copied whole.  DC, and the last bin when the segment
     length is even (the Nyquist bin), carry no one-sided doubling.  The
-    reported num_averages is the effective count 1/sum(weights^2) of the
-    filter.
+    reported num_averages is the filter's effective count
+    sum(w)^2 / sum(w^2), computed from the weights themselves.
 
     The grid is rfftfreq of the segment length, cropped to the span if one
     is set.  With frequencies=None the estimate holds the whole grid, from
@@ -207,20 +207,14 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     if read != num_samples:
         raise RuntimeError(f"series blocks hold {read} of its {num_samples} samples: "
                            "blocks already read?")
-    psd = accum / (power_norm * weights.sum())
+    sum_w = weights.sum()
+    psd = accum / (power_norm * sum_w)
     # DC carries no one-sided doubling, nor does Nyquist, which is the last
     # rfft bin only for an even length
     psd[(bins == 0) | (2 * bins == length)] *= 0.5
     if frequencies is None:
         psd = psd[shown]
-
-    # Closed forms of sum(w) and sum(w^2) over the weights decay^k, k = 0 newest.
-    if decay < 1.0:
-        sum_w = (1.0 - decay ** num_segments) / (1.0 - decay)
-        sum_w2 = (1.0 - decay ** (2 * num_segments)) / (1.0 - decay ** 2)
-    else:
-        sum_w, sum_w2 = num_segments, num_segments
-    num_averages = max(1, int(round(sum_w ** 2 / sum_w2)))
+    num_averages = max(1, int(round(sum_w ** 2 / (weights @ weights))))
     return SpectrumEstimate(frequencies=freqs[shown], psd=psd,
                             num_averages=num_averages, settings=settings)
 

@@ -22,7 +22,7 @@ class SchemaError(TwinbeamError):
 
 
 class ConfigurationError(TwinbeamError):
-    """A configuration violates an operating condition (lock tolerance, schema, chain setup)."""
+    """A configuration violates an operating condition of the detection chain."""
 
 
 class IdentifiabilityError(TwinbeamError):

@@ -224,18 +224,22 @@ def _fmt(value):
     return "" if value is None else format(float(value), ".17g")
 
 
+def _db(value):
+    return None if not value else 10.0 * math.log10(value)
+
+
 def write_spectrum_csv(path, frequencies, amplitude=None, phase=None):
-    """Write the shared spectrum CSV; either channel column may be absent."""
+    """Write the shared spectrum CSV; either channel column may be absent.
+
+    A dB cell is empty where its channel is absent or its linear value is 0.
+    """
     rows = [",".join(SPECTRUM_COLUMNS)]
     n = len(frequencies)
     for i in range(n):
         s_i = None if amplitude is None else amplitude[i]
         s_p = None if phase is None else phase[i]
-        rows.append(",".join([
-            _fmt(frequencies[i]), _fmt(s_i), _fmt(s_p),
-            _fmt(None if s_i is None else 10.0 * math.log10(s_i)),
-            _fmt(None if s_p is None else 10.0 * math.log10(s_p)),
-        ]))
+        rows.append(",".join([_fmt(frequencies[i]), _fmt(s_i), _fmt(s_p), _fmt(_db(s_i)),
+                              _fmt(_db(s_p))]))
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 

@@ -4,8 +4,9 @@ Everything here is a pure function: parameter derivations, the analytic
 intensity-difference / phase-sum noise spectra of a non-degenerate OPO
 above threshold, dB bookkeeping relative to the shot noise limit (SNL),
 the electronics floor and the mode-matching vacuum admixture, and the
-unbalanced-interferometer geometry conditions.  All noise powers are linear
-and normalized so that the SNL of each quadrature combination equals 1.
+geometry of the unbalanced interferometer locked at the analysis
+frequency.  All noise powers are linear and normalized so that the SNL of
+each quadrature combination equals 1.
 The steps of `twinbeam certify` (from_db, the inverse corrections and the
 Duan verdict) are defined in certify, which needs no numpy; model imports
 them back under the same names.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .certify import (DuanVerdict, QuadratureVariancePair, correct_for_electronic_noise,
                       duan_certify, from_db, remove_mode_match_penalty)
-from .errors import BelowThresholdError, ConfigurationError, DomainError
+from .errors import BelowThresholdError, DomainError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
 
@@ -180,37 +181,20 @@ def rf_phase(delta_length, f):
     return 2.0 * math.pi * f * delta_length / SPEED_OF_LIGHT
 
 
-def _wrapped_offset(angle, target):
-    """Signed distance from angle to target, wrapped into (-pi, pi]."""
-    return (angle - target + math.pi) % (2.0 * math.pi) - math.pi
-
-
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Locked operating point of one unbalanced Mach-Zehnder interferometer."""
+    """One unbalanced Mach-Zehnder interferometer, locked at the analysis frequency.
+
+    The arm imbalance c / (2 f0) puts the rf sideband phase at pi, and the
+    dc phase is pi/2, so the phase quadrature is read in full at f0.
+    """
     analysis_frequency: float
-    arm_length_difference: float
-    dc_phase: float = math.pi / 2.0
-    theta_tol: float = 0.05
-    phi_tol: float = 0.05
 
     def __post_init__(self):
-        if self.analysis_frequency <= 0 or self.arm_length_difference <= 0:
-            raise DomainError("analysis frequency and arm-length difference must be positive")
+        if self.analysis_frequency <= 0:
+            raise DomainError(
+                f"analysis frequency must be positive, got {self.analysis_frequency}")
 
     @property
-    def rf_sideband_phase(self):
-        return rf_phase(self.arm_length_difference, self.analysis_frequency)
-
-    def validate(self):
-        """Raise ConfigurationError naming the violated lock condition, if any."""
-        theta_err = abs(_wrapped_offset(self.rf_sideband_phase, math.pi))
-        if theta_err > self.theta_tol:
-            raise ConfigurationError(
-                f"rf sideband phase off pi by {theta_err:.4f} rad "
-                f"(tolerance {self.theta_tol}); condition 'theta' violated")
-        phi_err = abs(_wrapped_offset(self.dc_phase, math.pi / 2.0))
-        if phi_err > self.phi_tol:
-            raise ConfigurationError(
-                f"dc phase off pi/2 by {phi_err:.4f} rad "
-                f"(tolerance {self.phi_tol}); condition 'phi' violated")
+    def arm_length_difference(self):
+        return arm_length_difference(self.analysis_frequency)

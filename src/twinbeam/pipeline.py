@@ -28,15 +28,13 @@ def channel_psds(run_config):
     """{channel: psd(f)} for each of TRACE_CHANNELS, linear and relative to the SNL.
 
     amp_signal reads the amplitude-difference combination and phase_signal
-    the phase-sum one, each through its chain: the interferometer
-    sensitivity sin^2(theta/2), the mode-match vacuum, the excess noise and
-    the electronics floor.  snl is the shot-noise reference through the
-    same electronics (1), enl the floor alone.  Raises ConfigurationError
-    when the interferometer is off its lock point, and warns, naming the
-    caller's line, when the sample rate truncates the cavity's spectra.
+    the phase-sum one, each through its chain: the mode-match vacuum, the
+    excess noise and the electronics floor.  The interferometer, locked at
+    the analysis frequency, is taken to pass the phase quadrature whole at
+    every frequency.  snl is the shot-noise reference through the same
+    electronics (1), enl the floor alone.  Warns, naming the caller's line,
+    when the sample rate truncates the cavity's spectra.
     """
-    ifc = run_config.interferometer
-    ifc.validate()
     params, enl = run_config.nopo, run_config.enl
     nyquist = run_config.synth.sample_rate / 2.0
     if nyquist < 2.0 * params.cavity_bandwidth:
@@ -48,12 +46,10 @@ def channel_psds(run_config):
             f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
             f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
             stacklevel=level)
-    sensitivity = math.sin(ifc.rf_sideband_phase / 2.0) ** 2
 
     def signal(spectrum, chain):
         def psd(f):
-            detected = model.mode_match_penalty(sensitivity * spectrum(params, f),
-                                                chain.mode_match)
+            detected = model.mode_match_penalty(spectrum(params, f), chain.mode_match)
             return model.with_electronic_noise(detected + chain.excess_noise, enl)
         return psd
 

@@ -65,6 +65,11 @@ def config_argv(command, path, tmp_path):
             "analyze": ["analyze", str(tmp_path / "t.twbm"), "--config", path]}[command]
 
 
+# the keys that set the interferometer before it followed from f0, at its lock values
+RETIRED_INTERFEROMETER_KEYS = {"arm_length_difference_m": model.arm_length_difference(20e6),
+                               "dc_phase_rad": math.pi / 2, "theta_tol": 0.05, "phi_tol": 0.05}
+
+
 class TestConfigSchema:
     def test_parses(self):
         cfg = parse_config(copy.deepcopy(BASE_CONFIG))
@@ -126,6 +131,17 @@ class TestConfigSchema:
         assert "Nyquist frequency 2e+06 Hz" in err
         assert os.listdir(tmp_path) == ["mut.json"]
 
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    @pytest.mark.parametrize("key", RETIRED_INTERFEROMETER_KEYS)
+    def test_retired_interferometer_key_is_usage_error(self, tmp_path, capsys, key, command):
+        # the arm and the dc phase follow from analysis_frequency_hz, so each
+        # key is unknown, even at the value of the lock
+        path = write_config(tmp_path, lambda d: d["interferometer"].update(
+            {key: RETIRED_INTERFEROMETER_KEYS[key]}))
+        assert main(config_argv(command, path, tmp_path)) == 1
+        assert key in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mut.json"]
+
     @pytest.mark.parametrize("command", ["synth", "spectra"])
     def test_invalid_analyzer_is_infeasible_at_load(self, tmp_path, capsys, command):
         path = write_config(tmp_path, lambda d: (
@@ -180,6 +196,19 @@ class TestSpectraCommand:
         _, s_i, s_p = fileio.read_spectrum_csv(out)
         np.testing.assert_allclose(s_i, 1.0, atol=1e-8)
         np.testing.assert_allclose(s_p, 1.0, atol=1e-8)
+
+    def test_ideal_cavity_writes_an_empty_db_cell(self, tmp_path):
+        # no loss and perfect detection: s_i(0) is exactly 0, which has no dB value
+        path = write_config(tmp_path, lambda d: d["nopo"].update(intracavity_loss=0.0,
+                                                                 detection_efficiency=1.0))
+        out = tmp_path / "ideal.csv"
+        assert main(["spectra", "--config", path, "--out", str(out)]) == 0
+        header, first = out.read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        assert (float(row["f_hz"]), float(row["s_i"]), row["s_i_db"]) == (0.0, 0.0, "")
+        assert float(row["s_p_db"]) < 0
+        freqs, s_i, s_p = fileio.read_spectrum_csv(out)
+        assert (freqs[0], s_i[0]) == (0.0, 0.0) and s_p[0] > 0
 
     def test_readme_chain_default_grid_then_fit(self, config_path, tmp_path, capsys):
         # spectra with its default --f-min 0 writes a DC row; fit must take it

@@ -132,6 +132,7 @@ class TestWelchPsd:
         (1.5e6, 40.0, None),         # many segments per block
         (15e3, 2.0, (20e6, 10e6)),   # few segments per block, cropped span
         (7e3, 500.0, None),          # odd segment length, blocks of 3
+        (150e3, 1e-13, None),        # decay rounds to 1.0: every weight is 1
     ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_reference_recursion(self, window, rbw, vbw, span, dtype):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from twinbeam import model
 from twinbeam.errors import (
     BelowThresholdError,
-    ConfigurationError,
     DomainError,
     InfeasibleMeasurementError,
 )
@@ -249,26 +248,9 @@ class TestGeometry:
         theta = model.rf_phase(model.arm_length_difference(f), f)
         assert theta == pytest.approx(math.pi, rel=1e-14)
 
-    def test_matched_config_validates(self):
-        ifc = model.InterferometerConfig(
-            analysis_frequency=20e6, arm_length_difference=model.arm_length_difference(20e6))
-        ifc.validate()
-
-    def test_detuned_theta_rejected(self):
-        ifc = model.InterferometerConfig(analysis_frequency=20e6,
-                                         arm_length_difference=8.0)
-        with pytest.raises(ConfigurationError, match="theta"):
-            ifc.validate()
-
-    def test_unlocked_phi_rejected(self):
-        ifc = model.InterferometerConfig(
-            analysis_frequency=20e6, arm_length_difference=model.arm_length_difference(20e6),
-            dc_phase=1.0)
-        with pytest.raises(ConfigurationError, match="phi"):
-            ifc.validate()
-
-    def test_phi_winding_accepted(self):
-        ifc = model.InterferometerConfig(
-            analysis_frequency=20e6, arm_length_difference=model.arm_length_difference(20e6),
-            dc_phase=math.pi / 2 + 4 * math.pi)
-        ifc.validate()
+    def test_interferometer_derives_its_arm_from_f0(self):
+        ifc = model.InterferometerConfig(analysis_frequency=20e6)
+        assert ifc.arm_length_difference == model.arm_length_difference(20e6)
+        for f0 in (0.0, -20e6):
+            with pytest.raises(DomainError, match="analysis frequency"):
+                model.InterferometerConfig(analysis_frequency=f0)
