@@ -13,7 +13,7 @@ file, so no channel is held whole.
 """
 
 from twinbeam import (
-    QuadratureVariancePair, correct_for_electronic_noise, duan_certify, from_db,
+    QuadratureVariancePair, correct_for_electronic_noise, duan_certify, from_db, model,
     pipeline, welch_psd,
 )
 from twinbeam.config import parse_config
@@ -41,8 +41,8 @@ CONFIG = {
 
 run = parse_config(CONFIG)
 sample_rate = run.synth.sample_rate
-f0 = run.interferometer.analysis_frequency
-print(f"arm length difference = {run.interferometer.arm_length_difference:.4f} m")
+f0 = run.analysis_frequency
+print(f"arm length difference = {model.arm_length_difference(f0):.4f} m")
 
 # 1-2. synthesize the detected channels, each shaped from its chain PSD:
 #      direct difference for amplitude, unbalanced Mach-Zehnder for phase,

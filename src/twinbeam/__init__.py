@@ -15,10 +15,9 @@ import importlib
 _NAMES = {
     "certify": ("DuanVerdict", "QuadratureVariancePair", "correct_for_electronic_noise",
                 "duan_certify", "from_db", "remove_mode_match_penalty"),
-    "model": ("SPEED_OF_LIGHT", "InterferometerConfig", "NopoParams", "arm_length_difference",
-              "db_rel_snl", "intensity_diff_spectrum", "mode_match_penalty",
-              "output_coupling_efficiency", "phase_sum_spectrum", "pump_parameter", "rf_phase",
-              "with_electronic_noise"),
+    "model": ("SPEED_OF_LIGHT", "NopoParams", "arm_length_difference", "db_rel_snl",
+              "intensity_diff_spectrum", "mode_match_penalty", "output_coupling_efficiency",
+              "phase_sum_spectrum", "pump_parameter", "rf_phase", "with_electronic_noise"),
     "synth": ("DetectionChain", "SynthConfig", "colored_gaussian_series"),
     "dsp": ("AnalyzerSettings", "SpectrumEstimate", "band_power_rel_snl", "welch_psd"),
     "fit": ("FitProblem", "FitResult", "fit_spectra"),

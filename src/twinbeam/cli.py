@@ -29,9 +29,9 @@ arithmetic (twinbeam.certify) and its atomic writes (twinbeam.atomic),
 imported with this module, need only the standard library.
 
 Every command that takes --config checks the whole config before any
-work: its analyzer settings, and that the analyzer span holds the analysis
-frequency.  certify reads either an analysis JSON (with an optional
---enl-db) or the already-corrected --vx/--vy, never both.
+work: its analyzer settings, and that the analysis frequency lies between
+0 and the Nyquist frequency.  certify reads either an analysis JSON (with
+an optional --enl-db) or the already-corrected --vx/--vy, never both.
 
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
@@ -192,11 +192,8 @@ def _cmd_analyze(args):
     from .pipeline import TRACE_CHANNELS
 
     cfg = load_config(args.config)
-    f0 = args.f0 if args.f0 is not None else cfg.interferometer.analysis_frequency
+    f0 = args.f0 if args.f0 is not None else cfg.analysis_frequency
     settings = cfg.analyzer
-    if not settings.covers(f0):
-        raise UsageError(f"f0 {f0:.6g} Hz outside the analyzer span {settings.span:.6g} Hz "
-                         f"about {settings.center_frequency:.6g} Hz")
     sample_rate, channels = fileio.read_trace(args.trace)
     if not 0 < f0 < sample_rate / 2.0:
         raise UsageError(f"f0 {f0:.6g} Hz outside (0, Nyquist {sample_rate / 2:.6g} Hz)")

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .dsp import AnalyzerSettings
-from .errors import ConfigurationError, SchemaError
-from .model import InterferometerConfig, NopoParams
+from .errors import ConfigurationError, DomainError, SchemaError
+from .model import NopoParams
 from .synth import DetectionChain, SynthConfig
 
 CONFIG_VERSION = "twinbeam-config/2"
@@ -44,9 +44,6 @@ _SCHEMA = {
     "analyzer": {
         "rbw_hz": float,
         "vbw_hz": float,
-        "window": (str, None),
-        "center_frequency_hz": (float, None),
-        "span_hz": (float, None),
     },
     "interferometer": {
         "analysis_frequency_hz": float,
@@ -60,15 +57,11 @@ def _check_node(node, schema, path):
     unknown = set(node) - set(schema)
     if unknown:
         raise SchemaError(f"unknown key(s) {sorted(unknown)} under {path or 'config root'}")
-    for key, spec in schema.items():
+    for key, expected in schema.items():
         where = f"{path}.{key}" if path else key
-        optional = isinstance(spec, tuple)
-        if key not in node or node[key] is None:
-            if optional:
-                continue
+        if node.get(key) is None:
             raise SchemaError(f"missing required key {where}")
         value = node[key]
-        expected = spec[0] if optional else spec
         if isinstance(expected, dict):
             _check_node(value, expected, where)
         elif expected is float:
@@ -87,11 +80,6 @@ def _check_node(node, schema, path):
             raise SchemaError(f"{where} must be {expected.__name__}, got {type(value).__name__}")
 
 
-def _present(doc, fields):
-    """{field: doc[key]} for each (key, field) of fields that doc sets."""
-    return {field: doc[key] for key, field in fields.items() if doc.get(key) is not None}
-
-
 def config_hash(document):
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -99,14 +87,18 @@ def config_hash(document):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration: physics, synthesis, chains, analyzer, geometry."""
+    """Validated configuration: physics, synthesis, chains, analyzer, analysis frequency.
+
+    The interferometer follows from analysis_frequency (f0, in Hz): its arm
+    imbalance is model.arm_length_difference(f0) and its dc phase pi/2.
+    """
     nopo: NopoParams
     synth: SynthConfig
     enl: float
     amplitude_chain: DetectionChain
     phase_chain: DetectionChain
     analyzer: AnalyzerSettings
-    interferometer: InterferometerConfig
+    analysis_frequency: float
     hash: str
 
 
@@ -149,18 +141,14 @@ def parse_config(document):
         return DetectionChain(mode_match=doc["mode_match"], excess_noise=doc["excess_noise"])
 
     ana = document["analyzer"]
-    analyzer = AnalyzerSettings(rbw=ana["rbw_hz"], vbw=ana["vbw_hz"], **_present(ana, {
-        "window": "window", "center_frequency_hz": "center_frequency", "span_hz": "span"}))
+    analyzer = AnalyzerSettings(rbw=ana["rbw_hz"], vbw=ana["vbw_hz"])
 
     f0 = document["interferometer"]["analysis_frequency_hz"]
     if f0 >= synth_cfg.sample_rate / 2:
         raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is not below "
                           f"the Nyquist frequency {synth_cfg.sample_rate / 2:.6g} Hz")
-    if not analyzer.covers(f0):
-        raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is outside the "
-                          f"analyzer span {analyzer.span:.6g} Hz about "
-                          f"{analyzer.center_frequency:.6g} Hz")
-    interferometer = InterferometerConfig(analysis_frequency=f0)
+    if f0 <= 0:
+        raise DomainError(f"analysis frequency must be positive, got {f0}")
 
     return RunConfig(
         nopo=params,
@@ -169,7 +157,7 @@ def parse_config(document):
         amplitude_chain=channel_chain(chain_doc["amplitude"]),
         phase_chain=channel_chain(chain_doc["phase"]),
         analyzer=analyzer,
-        interferometer=interferometer,
+        analysis_frequency=f0,
         hash=config_hash(document),
     )
 

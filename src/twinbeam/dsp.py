@@ -1,10 +1,11 @@
 """Spectrum-analyzer emulation: Welch averaging with RBW/VBW semantics.
 
 The estimator is normalized so unit-variance white input reads a flat PSD
-of 1.0, matching the SNL-relative convention used everywhere else.  RBW
-fixes the segment length through the window's equivalent noise bandwidth;
-VBW is emulated as a single-pole low-pass over the stream of segment
-periodograms, mirroring an analyzer's video filter on a noise-like trace.
+of 1.0, matching the SNL-relative convention used everywhere else.  The
+window is Hann, and RBW fixes the segment length through its equivalent
+noise bandwidth of 1.5 bins; VBW is emulated as a single-pole low-pass
+over the stream of segment periodograms, mirroring an analyzer's video
+filter on a noise-like trace.
 That filter is linear in the periodograms, so its output is one weighted
 sum with exponential segment weights (the newest segment weighs 1), equal
 to the single-pole recursion.  The segments are windowed, transformed and
@@ -31,34 +32,21 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 
-_ENBW_BINS = {"hann": 1.5, "rectangular": 1.0}
+_HANN_ENBW_BINS = 1.5
 _BLOCK_SAMPLES = 2 ** 16
 
 
 @dataclass(frozen=True)
 class AnalyzerSettings:
-    """Resolution/video bandwidths and optional display span of the emulated analyzer."""
+    """Resolution and video bandwidths of the emulated analyzer; its window is Hann."""
     rbw: float
     vbw: float
-    window: str = "hann"
-    center_frequency: float = None
-    span: float = None
 
     def __post_init__(self):
         if self.rbw <= 0:
             raise DomainError("resolution bandwidth must be positive")
         if not 0 < self.vbw <= self.rbw:
             raise DomainError(f"video bandwidth must satisfy 0 < vbw <= rbw, got {self.vbw}")
-        if self.window not in _ENBW_BINS:
-            raise DomainError(f"unsupported window {self.window!r}")
-        if (self.center_frequency is None) != (self.span is None):
-            raise DomainError("center_frequency and span must be given together")
-        if self.span is not None and self.span <= 0:
-            raise DomainError("span must be positive")
-
-    def covers(self, frequency):
-        """Whether the span holds frequency; with no span set, every frequency."""
-        return self.span is None or abs(frequency - self.center_frequency) <= self.span / 2.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,7 @@ class SpectrumEstimate:
 
 def segment_length(sample_rate, settings):
     """Segment length implied by the RBW: L = round(Fs * ENBW / rbw)."""
-    return int(round(sample_rate * _ENBW_BINS[settings.window] / settings.rbw))
+    return int(round(sample_rate * _HANN_ENBW_BINS / settings.rbw))
 
 
 def welch_psd(series, sample_rate, settings, frequencies=None):
@@ -91,10 +79,10 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     series is an array, or a streamed series: anything with len() and
     blocks(), the iterator of its consecutive blocks (a series.BlockSeries).
     Both take one path: an array is a single block.
-    Hann (or rectangular) window, 50% overlap; the per-segment periodogram
-    stream is smoothed by a single-pole filter whose time constant is
-    1/(2 pi vbw) against the segment update rate.  That filter is evaluated
-    as the weighted sum sum_k w_k p_k / sum_k w_k with w_k = decay**(K-1-k)
+    Hann window, 50% overlap; the per-segment periodogram stream is
+    smoothed by a single-pole filter whose time constant is 1/(2 pi vbw)
+    against the segment update rate.  That filter is evaluated as the
+    weighted sum sum_k w_k p_k / sum_k w_k with w_k = decay**(K-1-k)
     over the K segment periodograms p_k, which equals the recursion
     accum = decay * accum + p.  Segments are transformed in groups of about
     _BLOCK_SAMPLES samples as the series' blocks arrive, so memory beyond
@@ -109,15 +97,14 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     reported num_averages is the filter's effective count
     sum(w)^2 / sum(w^2), computed from the weights themselves.
 
-    The grid is rfftfreq of the segment length, cropped to the span if one
-    is set.  With frequencies=None the estimate holds the whole grid, from
-    an rfft of each segment.  Given frequencies, it holds only the grid
-    bins nearest them (the bins band_power_rel_snl reads, first of ties),
-    and transforms each segment at those bins alone by a direct DFT, one
-    product with a matrix of windowed cosines and sines made once per call:
-    O(L) per selected bin per segment of L samples.  Raises DomainError
-    unless every frequency lies in [0, sample_rate/2] and in the span, and
-    the span holds a bin of the grid.
+    The grid is rfftfreq of the segment length.  With frequencies=None the
+    estimate holds the whole grid, from an rfft of each segment.  Given
+    frequencies, it holds only the grid bins nearest them (the bins
+    band_power_rel_snl reads, first of ties), and transforms each segment
+    at those bins alone by a direct DFT, one product with a matrix of
+    windowed cosines and sines made once per call: O(L) per selected bin
+    per segment of L samples.  Raises DomainError unless every frequency
+    lies in [0, sample_rate/2].
     """
     if hasattr(series, "blocks"):
         num_samples, blocks = len(series), series.blocks()
@@ -133,19 +120,10 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
             required_length=length + hop)
 
     freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
-    shown = np.arange(len(freqs))  # the grid bins the estimate holds
-    if settings.span is not None:
-        lo = settings.center_frequency - settings.span / 2.0
-        hi = settings.center_frequency + settings.span / 2.0
-        shown = shown[(freqs >= lo) & (freqs <= hi)]
-
-    if settings.window == "hann":
-        win = np.hanning(length)
-    else:
-        win = np.ones(length)
+    win = np.hanning(length)
     power_norm = np.sum(win ** 2)
     if frequencies is None:
-        bins = np.arange(len(freqs))  # the bins transformed: all, cropped to shown at the end
+        bins = np.arange(len(freqs))
 
         def quadratures(rows):
             """The real and imaginary parts of every bin of each row, windowed in place."""
@@ -153,7 +131,7 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
             spectra = np.fft.rfft(rows, axis=1)
             return spectra.real, spectra.imag
     else:
-        bins = shown = _nearest_bins(freqs, shown, frequencies, sample_rate, settings)
+        bins = _nearest_bins(freqs, frequencies, sample_rate)
         # (k n) mod L in integers keeps every angle in [0, 2 pi) exactly
         angles = (2.0 * np.pi / length) * (np.outer(np.arange(length), bins) % length)
         basis = np.hstack((win[:, None] * np.cos(angles), win[:, None] * np.sin(angles)))
@@ -212,26 +190,22 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     # DC carries no one-sided doubling, nor does Nyquist, which is the last
     # rfft bin only for an even length
     psd[(bins == 0) | (2 * bins == length)] *= 0.5
-    if frequencies is None:
-        psd = psd[shown]
     num_averages = max(1, int(round(sum_w ** 2 / (weights @ weights))))
-    return SpectrumEstimate(frequencies=freqs[shown], psd=psd,
+    return SpectrumEstimate(frequencies=freqs[bins], psd=psd,
                             num_averages=num_averages, settings=settings)
 
 
-def _nearest_bins(freqs, bins, frequencies, sample_rate, settings):
-    """The bins, among `bins` of the grid freqs, nearest each of frequencies,
-    in increasing order and each once."""
+def _nearest_bins(freqs, frequencies, sample_rate):
+    """The bins of the grid freqs nearest each of frequencies, in increasing
+    order and each once."""
     frequencies = np.asarray(frequencies, dtype=float)
     if frequencies.ndim != 1 or not len(frequencies):
         raise DomainError("frequencies must be a non-empty sequence")
-    if not len(bins):
-        raise DomainError("the analyzer span holds no bin of the grid")
     for f in frequencies:
-        if not 0.0 <= f <= sample_rate / 2.0 or not settings.covers(f):  # rejects nan too
+        if not 0.0 <= f <= sample_rate / 2.0:  # rejects nan too
             raise DomainError(f"frequency {f:.6g} Hz outside [0, Nyquist "
-                              f"{sample_rate / 2:.6g} Hz] or the analyzer span")
-    return np.unique([bins[_nearest(freqs[bins], f)] for f in frequencies])
+                              f"{sample_rate / 2:.6g} Hz]")
+    return np.unique([_nearest(freqs, f) for f in frequencies])
 
 
 def _nearest(grid, frequency):

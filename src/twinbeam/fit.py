@@ -42,6 +42,8 @@ class FitProblem:
                 raise DomainError(f"{name} length {len(arr)} does not match grid {len(f)}")
         if not np.all(np.isfinite(f)) or np.any(f < 0):
             raise DomainError("frequencies must be finite and nonnegative")
+        if not np.any(f > 0):
+            raise DomainError("no positive frequency: f = 0 alone cannot identify the bandwidth")
         for name in ("amplitude_observed", "phase_observed"):
             arr = getattr(self, name)
             if arr is not None and not np.all(np.isfinite(arr)):

@@ -180,21 +180,3 @@ def rf_phase(delta_length, f):
         raise DomainError("arm-length difference and frequency must be positive")
     return 2.0 * math.pi * f * delta_length / SPEED_OF_LIGHT
 
-
-@dataclass(frozen=True)
-class InterferometerConfig:
-    """One unbalanced Mach-Zehnder interferometer, locked at the analysis frequency.
-
-    The arm imbalance c / (2 f0) puts the rf sideband phase at pi, and the
-    dc phase is pi/2, so the phase quadrature is read in full at f0.
-    """
-    analysis_frequency: float
-
-    def __post_init__(self):
-        if self.analysis_frequency <= 0:
-            raise DomainError(
-                f"analysis frequency must be positive, got {self.analysis_frequency}")
-
-    @property
-    def arm_length_difference(self):
-        return arm_length_difference(self.analysis_frequency)

@@ -23,7 +23,7 @@ def reference_welch(series, sample_rate, settings):
     series = np.asarray(series, dtype=float)
     length = dsp.segment_length(sample_rate, settings)
     hop = max(1, length // 2)
-    win = np.hanning(length) if settings.window == "hann" else np.ones(length)
+    win = np.hanning(length)
     segments = np.lib.stride_tricks.sliding_window_view(series, length)[::hop]
     spectra = np.fft.rfft(segments * win, axis=1)
     periodograms = (spectra.real ** 2 + spectra.imag ** 2) / np.sum(win ** 2)
@@ -45,27 +45,13 @@ def reference_welch(series, sample_rate, settings):
     else:
         sum_w, sum_w2 = num_segments, num_segments
     freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
-    psd = accum / norm
-    if settings.span is not None:
-        lo = settings.center_frequency - settings.span / 2.0
-        hi = settings.center_frequency + settings.span / 2.0
-        keep = (freqs >= lo) & (freqs <= hi)
-        freqs, psd = freqs[keep], psd[keep]
-    return freqs, psd, max(1, int(round(sum_w ** 2 / sum_w2)))
+    return freqs, accum / norm, max(1, int(round(sum_w ** 2 / sum_w2)))
 
 
 class TestAnalyzerSettings:
     def test_vbw_above_rbw_rejected(self):
         with pytest.raises(DomainError):
             dsp.AnalyzerSettings(rbw=10e3, vbw=20e3)
-
-    def test_unknown_window_rejected(self):
-        with pytest.raises(DomainError):
-            dsp.AnalyzerSettings(rbw=10e3, vbw=30.0, window="flattop")
-
-    def test_span_requires_center(self):
-        with pytest.raises(DomainError):
-            dsp.AnalyzerSettings(rbw=10e3, vbw=30.0, span=1e6)
 
 
 class TestWelchPsd:
@@ -116,29 +102,18 @@ class TestWelchPsd:
             dsp.welch_psd(np.zeros(2 ** 10), FS, NARROW_SETTINGS)
         assert err.value.required_length == 22500
 
-    def test_span_crops_grid(self):
-        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=2.0,
-                                        center_frequency=20e6, span=10e6)
-        series = np.random.default_rng(0).standard_normal(2 ** 18)
-        est = dsp.welch_psd(series, FS, settings)
-        assert est.frequencies.min() >= 15e6
-        assert est.frequencies.max() <= 25e6
-
-    @pytest.mark.parametrize("window", ["hann", "rectangular"])
-    @pytest.mark.parametrize("rbw, vbw, span", [
-        (150e3, 2.0, None),
-        (150e3, 3e3, None),
-        (150e3, 150e3, None),        # decay^K underflows: most weights are 0
-        (1.5e6, 40.0, None),         # many segments per block
-        (15e3, 2.0, (20e6, 10e6)),   # few segments per block, cropped span
-        (7e3, 500.0, None),          # odd segment length, blocks of 3
-        (150e3, 1e-13, None),        # decay rounds to 1.0: every weight is 1
+    @pytest.mark.parametrize("rbw, vbw", [
+        (150e3, 2.0),
+        (150e3, 3e3),
+        (150e3, 150e3),        # decay^K underflows: most weights are 0
+        (1.5e6, 40.0),         # many segments per block
+        (15e3, 2.0),           # few segments per block
+        (7e3, 500.0),          # odd segment length, blocks of 3
+        (150e3, 1e-13),        # decay rounds to 1.0: every weight is 1
     ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_reference_recursion(self, window, rbw, vbw, span, dtype):
-        center, width = span if span else (None, None)
-        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw, window=window,
-                                        center_frequency=center, span=width)
+    def test_matches_reference_recursion(self, rbw, vbw, dtype):
+        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw)
         # not a whole number of segments, nor of blocks
         series = np.random.default_rng(4).standard_normal(2 ** 18 + 1234).astype(dtype)
         est = dsp.welch_psd(series, FS, settings)
@@ -219,11 +194,10 @@ class TestWelchPsd:
 
     @pytest.mark.parametrize("block", ["999", "under_a_segment", "one_hop", "2^16"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("window", ["hann", "rectangular"])
     # at VBW = RBW the leading groups all weigh exactly 0 and are not transformed
     @pytest.mark.parametrize("vbw", [2.0, 150e3], ids=["slow_vbw", "fast_vbw"])
-    def test_streamed_series_is_bit_identical(self, block, dtype, window, vbw):
-        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=vbw, window=window)
+    def test_streamed_series_is_bit_identical(self, block, dtype, vbw):
+        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=vbw)
         length = dsp.segment_length(FS, settings)
         size = {"999": 999, "under_a_segment": 2 * length // 3, "one_hop": length // 2,
                 "2^16": 2 ** 16}[block]
@@ -253,20 +227,16 @@ class TestWelchPsd:
         with pytest.raises(RuntimeError, match=f"{2 ** 14}"):
             dsp.welch_psd(BlockSeries(2 ** 14, blocks), FS, SETTINGS)
 
-    @pytest.mark.parametrize("window", ["hann", "rectangular"])
-    @pytest.mark.parametrize("rbw, vbw, span, frequencies", [
-        (150e3, 2.0, None, (20e6,)),                   # even L = 1000
-        (150e3, 2.0, None, (0.0, FS / 2)),             # DC and Nyquist, both halved
-        (150e3, 150e3, None, (20e6, 37.3e6)),          # zero-weight leading groups
-        (15e3, 2.0, (20e6, 10e6), (15e6, 20e6, 25e6)),  # a span, to its edges
-        (7e3, 500.0, None, (0.0, 20e6, FS / 2)),       # odd L = 21429: top bin not halved
-    ], ids=["f0", "dc-nyquist", "vbw-rbw", "span", "odd-length"])
+    @pytest.mark.parametrize("rbw, vbw, frequencies", [
+        (150e3, 2.0, (20e6,)),                   # even L = 1000
+        (150e3, 2.0, (0.0, FS / 2)),             # DC and Nyquist, both halved
+        (150e3, 150e3, (20e6, 37.3e6)),          # zero-weight leading groups
+        (15e3, 2.0, (15e6, 20e6, 25e6)),         # three bins, few segments per block
+        (7e3, 500.0, (0.0, 20e6, FS / 2)),       # odd L = 21429: top bin not halved
+    ], ids=["f0", "dc-nyquist", "vbw-rbw", "three-bins", "odd-length"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_selected_bins_equal_the_full_grid(self, window, rbw, vbw, span, frequencies,
-                                               dtype):
-        center, width = span if span else (None, None)
-        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw, window=window,
-                                        center_frequency=center, span=width)
+    def test_selected_bins_equal_the_full_grid(self, rbw, vbw, frequencies, dtype):
+        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw)
         series = np.random.default_rng(11).standard_normal(2 ** 18 + 1234).astype(dtype)
         full = dsp.welch_psd(series, FS, settings)
         selected = dsp.welch_psd(series, FS, settings, frequencies)
@@ -297,22 +267,12 @@ class TestWelchPsd:
             dsp.band_power_rel_snl(*full, halfway), rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("frequencies", [
-        (math.nan,), (math.inf,), (20e6, -math.inf), (-1.0,), (FS / 2 + 1.0,), (30e6,), (),
-    ], ids=["nan", "inf", "minus-inf", "negative", "above-nyquist", "outside-span", "none"])
+        (math.nan,), (math.inf,), (20e6, -math.inf), (-1.0,), (FS / 2 + 1.0,), (),
+    ], ids=["nan", "inf", "minus-inf", "negative", "above-nyquist", "none"])
     def test_bad_frequencies_are_domain_errors(self, frequencies):
-        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=2.0,
-                                        center_frequency=20e6, span=10e6)
         series = np.random.default_rng(14).standard_normal(2 ** 14)
         with pytest.raises(DomainError):
-            dsp.welch_psd(series, FS, settings, frequencies)
-
-    def test_span_without_a_bin_is_domain_error(self):
-        # a 1 kHz span between two bins 100 kHz apart holds f but no bin
-        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=2.0,
-                                        center_frequency=20.05e6, span=1e3)
-        series = np.random.default_rng(14).standard_normal(2 ** 14)
-        with pytest.raises(DomainError, match="holds no bin"):
-            dsp.welch_psd(series, FS, settings, (20.05e6,))
+            dsp.welch_psd(series, FS, SETTINGS, frequencies)
 
     def test_vbw_controls_effective_averaging(self):
         series = np.random.default_rng(1).standard_normal(2 ** 20)

@@ -247,10 +247,3 @@ class TestGeometry:
     def test_definitional_round_trip(self, f):
         theta = model.rf_phase(model.arm_length_difference(f), f)
         assert theta == pytest.approx(math.pi, rel=1e-14)
-
-    def test_interferometer_derives_its_arm_from_f0(self):
-        ifc = model.InterferometerConfig(analysis_frequency=20e6)
-        assert ifc.arm_length_difference == model.arm_length_difference(20e6)
-        for f0 in (0.0, -20e6):
-            with pytest.raises(DomainError, match="analysis frequency"):
-                model.InterferometerConfig(analysis_frequency=f0)

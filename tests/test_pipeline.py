@@ -89,7 +89,7 @@ def test_readings_scatter_as_their_standard_error():
         cfg = parse_config(doc)
         estimates = {name: dsp.welch_psd(series.array(), cfg.synth.sample_rate, cfg.analyzer)
                      for name, series in pipeline.trace_channels(cfg)}
-        readings = pipeline.readings(estimates, cfg.interferometer.analysis_frequency)
+        readings = pipeline.readings(estimates, cfg.analysis_frequency)
         expected = pipeline.expected_readings(cfg)
         for key in keys:
             z[key].append((readings[key] - expected[key]) / readings[f"{key}_stderr"])
