@@ -11,6 +11,11 @@ from twinbeam.series import BlockSeries
 FS = 1e8
 SETTINGS = dsp.AnalyzerSettings(rbw=150e3, vbw=2.0)
 NARROW_SETTINGS = dsp.AnalyzerSettings(rbw=10e3, vbw=30.0)
+# The "hann" and "rectangular" case ids of the Welch tests below keep the names
+# they had when the window was a setting.  A "rectangular" case runs Hann at 1.5
+# times the RBW: the segment length, hop and blocking that the rectangular
+# window (ENBW 1 bin) had at the RBW itself.
+RBW_SCALES = pytest.mark.parametrize("rbw_scale", [1.0, 1.5], ids=["hann", "rectangular"])
 
 
 def psd_at(estimate, f0):
@@ -102,6 +107,7 @@ class TestWelchPsd:
             dsp.welch_psd(np.zeros(2 ** 10), FS, NARROW_SETTINGS)
         assert err.value.required_length == 22500
 
+    @RBW_SCALES
     @pytest.mark.parametrize("rbw, vbw", [
         (150e3, 2.0),
         (150e3, 3e3),
@@ -110,10 +116,12 @@ class TestWelchPsd:
         (15e3, 2.0),           # few segments per block
         (7e3, 500.0),          # odd segment length, blocks of 3
         (150e3, 1e-13),        # decay rounds to 1.0: every weight is 1
-    ])
+    ], ids=["150000.0-2.0-None", "150000.0-3000.0-None", "150000.0-150000.0-None",
+            "1500000.0-40.0-None", "15000.0-2.0-span4", "7000.0-500.0-None",
+            "150000.0-1e-13-None"])  # the ids of the cases that once set a span
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_reference_recursion(self, rbw, vbw, dtype):
-        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw)
+    def test_matches_reference_recursion(self, rbw_scale, rbw, vbw, dtype):
+        settings = dsp.AnalyzerSettings(rbw=rbw * rbw_scale, vbw=vbw)
         # not a whole number of segments, nor of blocks
         series = np.random.default_rng(4).standard_normal(2 ** 18 + 1234).astype(dtype)
         est = dsp.welch_psd(series, FS, settings)
@@ -194,10 +202,11 @@ class TestWelchPsd:
 
     @pytest.mark.parametrize("block", ["999", "under_a_segment", "one_hop", "2^16"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @RBW_SCALES
     # at VBW = RBW the leading groups all weigh exactly 0 and are not transformed
     @pytest.mark.parametrize("vbw", [2.0, 150e3], ids=["slow_vbw", "fast_vbw"])
-    def test_streamed_series_is_bit_identical(self, block, dtype, vbw):
-        settings = dsp.AnalyzerSettings(rbw=150e3, vbw=vbw)
+    def test_streamed_series_is_bit_identical(self, block, dtype, rbw_scale, vbw):
+        settings = dsp.AnalyzerSettings(rbw=150e3 * rbw_scale, vbw=vbw)
         length = dsp.segment_length(FS, settings)
         size = {"999": 999, "under_a_segment": 2 * length // 3, "one_hop": length // 2,
                 "2^16": 2 ** 16}[block]
@@ -227,16 +236,18 @@ class TestWelchPsd:
         with pytest.raises(RuntimeError, match=f"{2 ** 14}"):
             dsp.welch_psd(BlockSeries(2 ** 14, blocks), FS, SETTINGS)
 
+    @RBW_SCALES
     @pytest.mark.parametrize("rbw, vbw, frequencies", [
-        (150e3, 2.0, (20e6,)),                   # even L = 1000
+        (150e3, 2.0, (20e6,)),                   # even L = 1000 (Hann)
         (150e3, 2.0, (0.0, FS / 2)),             # DC and Nyquist, both halved
         (150e3, 150e3, (20e6, 37.3e6)),          # zero-weight leading groups
         (15e3, 2.0, (15e6, 20e6, 25e6)),         # three bins, few segments per block
-        (7e3, 500.0, (0.0, 20e6, FS / 2)),       # odd L = 21429: top bin not halved
-    ], ids=["f0", "dc-nyquist", "vbw-rbw", "three-bins", "odd-length"])
+        (7e3, 500.0, (0.0, 20e6, FS / 2)),       # odd L = 21429 (Hann): top bin not halved
+    ], ids=["f0", "dc-nyquist", "vbw-rbw", "span", "odd-length"])  # "span" once set one
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_selected_bins_equal_the_full_grid(self, rbw, vbw, frequencies, dtype):
-        settings = dsp.AnalyzerSettings(rbw=rbw, vbw=vbw)
+    def test_selected_bins_equal_the_full_grid(self, rbw_scale, rbw, vbw, frequencies,
+                                               dtype):
+        settings = dsp.AnalyzerSettings(rbw=rbw * rbw_scale, vbw=vbw)
         series = np.random.default_rng(11).standard_normal(2 ** 18 + 1234).astype(dtype)
         full = dsp.welch_psd(series, FS, settings)
         selected = dsp.welch_psd(series, FS, settings, frequencies)
