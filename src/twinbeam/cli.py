@@ -30,8 +30,9 @@ imported with this module, need only the standard library.
 
 Every command that takes --config checks the whole config before any
 work: its analyzer settings, and that the analysis frequency lies between
-0 and the Nyquist frequency.  certify reads either an analysis JSON (with
-an optional --enl-db) or the already-corrected --vx/--vy, never both.
+0 and the Nyquist frequency.  The seed and f0 come only from the config.
+certify reads either an analysis JSON, which alone gives the electronics
+floor, or the already-corrected --vx/--vy, never both.
 
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
@@ -39,7 +40,6 @@ infeasibility.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -73,15 +73,12 @@ def _build_parser():
 
     synth_cmd = sub.add_parser("synth", help="synthesize a measurement-chain trace file")
     synth_cmd.add_argument("--config", required=True)
-    synth_cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     synth_cmd.add_argument("--out", required=True)
     synth_cmd.add_argument("--json", action="store_true")
 
     analyze = sub.add_parser("analyze", help="spectrum-analyzer readings from a trace file")
     analyze.add_argument("trace")
     analyze.add_argument("--config", required=True)
-    analyze.add_argument("--f0", type=float, default=None,
-                         help="readout frequency (default: config analysis frequency)")
     analyze.add_argument("--out", default=None)
     analyze.add_argument("--json", action="store_true")
 
@@ -92,8 +89,6 @@ def _build_parser():
                          help="already-corrected amplitude-difference variance (linear)")
     certify.add_argument("--vy", type=float, default=None,
                          help="already-corrected phase-sum variance (linear)")
-    certify.add_argument("--enl-db", type=float, default=None,
-                         help="electronics floor in dB relative to the SNL (negative)")
     certify.add_argument("--mode-match", type=float, default=None,
                          help="de-embed this mode-matching efficiency from the phase channel")
     certify.add_argument("--out", default=None)
@@ -167,8 +162,6 @@ def _cmd_synth(args):
     from .pipeline import TRACE_CHANNELS
 
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, seed=args.seed))
     with fileio.trace_writer(args.out, cfg.synth.sample_rate, TRACE_CHANNELS,
                              cfg.synth.num_samples) as writer:
         # each worker shapes a channel block by block as it writes it, the
@@ -192,11 +185,11 @@ def _cmd_analyze(args):
     from .pipeline import TRACE_CHANNELS
 
     cfg = load_config(args.config)
-    f0 = args.f0 if args.f0 is not None else cfg.analysis_frequency
+    f0 = cfg.analysis_frequency
     settings = cfg.analyzer
     sample_rate, channels = fileio.read_trace(args.trace)
-    if not 0 < f0 < sample_rate / 2.0:
-        raise UsageError(f"f0 {f0:.6g} Hz outside (0, Nyquist {sample_rate / 2:.6g} Hz)")
+    if not f0 < sample_rate / 2.0:  # the trace may come from a config of a lower rate
+        raise UsageError(f"f0 {f0:.6g} Hz not below the trace's Nyquist {sample_rate / 2:.6g} Hz")
     for name in TRACE_CHANNELS:
         if name not in channels:
             raise UsageError(f"trace file lacks required channel {name!r}")
@@ -260,8 +253,6 @@ def _cmd_certify(args):
             raise UsageError("--vx and --vy must be given together")
         if args.analysis is not None:
             raise UsageError("give an analysis JSON or --vx/--vy, not both")
-        if args.enl_db is not None:
-            raise UsageError("--enl-db corrects an analysis JSON; --vx/--vy are already corrected")
         amp, phase = args.vx, args.vy
         raw = {"amplitude": amp, "phase": phase}
     else:
@@ -270,8 +261,6 @@ def _cmd_certify(args):
         amp_db, phase_db, enl_db = _read_analysis(args.analysis)
         amp, phase = from_db(amp_db), from_db(phase_db)
         raw = {"amplitude": amp, "phase": phase}
-        if args.enl_db is not None:
-            enl_db = args.enl_db
         if enl_db is not None:
             enl = from_db(enl_db)
             corrected = correct_for_electronic_noise(amp, enl)

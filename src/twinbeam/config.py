@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dsp import AnalyzerSettings
+from .dsp import AnalyzerSettings, segment_length
 from .errors import ConfigurationError, DomainError, SchemaError
 from .model import NopoParams
 from .synth import DetectionChain, SynthConfig
@@ -142,6 +142,7 @@ def parse_config(document):
 
     ana = document["analyzer"]
     analyzer = AnalyzerSettings(rbw=ana["rbw_hz"], vbw=ana["vbw_hz"])
+    segment_length(synth_cfg.sample_rate, analyzer)  # raises unless the RBW gives a usable segment
 
     f0 = document["interferometer"]["analysis_frequency_hz"]
     if f0 >= synth_cfg.sample_rate / 2:

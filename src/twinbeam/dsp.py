@@ -33,6 +33,11 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 
 _HANN_ENBW_BINS = 1.5
+# np.hanning's symmetric window of L points has an ENBW of 1.5 L/(L - 1) bins,
+# so from 1.5 fs/rbw >= 16 the bandwidth it realizes, 1.5 fs/(L - 1), is within
+# 10% of the RBW; shorter segments miss it by more, down to the all-zero window
+# at L = 2.  No series holds 2^62 samples: their bytes would pass a file offset.
+_MIN_SEGMENT, _MAX_SEGMENT = 16, 2 ** 62
 _BLOCK_SAMPLES = 2 ** 16
 
 
@@ -69,8 +74,15 @@ class SpectrumEstimate:
 
 
 def segment_length(sample_rate, settings):
-    """Segment length implied by the RBW: L = round(Fs * ENBW / rbw)."""
-    return int(round(sample_rate * _HANN_ENBW_BINS / settings.rbw))
+    """Segment length implied by the RBW: L = round(Fs * ENBW / rbw).
+
+    Raises DomainError unless Fs * ENBW / rbw lies in [_MIN_SEGMENT, _MAX_SEGMENT].
+    """
+    length = sample_rate * _HANN_ENBW_BINS / settings.rbw
+    if not _MIN_SEGMENT <= length <= _MAX_SEGMENT:  # rejects inf and nan too
+        raise DomainError(f"rbw {settings.rbw:.6g} Hz at {sample_rate:.6g} Hz sampling gives "
+                          f"Hann segments of {length:.6g} samples, outside [{_MIN_SEGMENT}, 2^62]")
+    return int(round(length))
 
 
 def welch_psd(series, sample_rate, settings, frequencies=None):
@@ -112,7 +124,7 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
         series = np.asarray(series)
         num_samples, blocks = len(series), (series,)
     length = segment_length(sample_rate, settings)
-    hop = max(1, length // 2)
+    hop = length // 2
     if num_samples < length + hop:
         raise InsufficientDataError(
             f"series of {num_samples} samples too short for two {length}-sample "

@@ -36,7 +36,7 @@ from .series import BlockSeries
 TRACE_MAGIC = b"TWBM"
 TRACE_VERSION = 1
 _READ_SAMPLES = 2 ** 16  # samples per block read_trace reads from a channel
-_HASH_CHUNK = 2 ** 22  # bytes per read while hashing a file
+_HASH_CHUNK = 2 ** 20  # bytes per read while hashing a file
 
 
 # ---------------------------------------------------------------------------

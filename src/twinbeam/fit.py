@@ -131,9 +131,9 @@ def _levenberg_marquardt(x, args, max_nfev, xtol, gtol, ftol=1e-14):
     step and cost-reduction tests are MINPACK's gtol, xtol and ftol.
     """
     r = _residuals(x, *args)
-    if not np.all(np.isfinite(r)):
-        raise FloatingPointError("residuals are not finite at the start point")
     cost, nfev, jac, d = r @ r, 1, None, None
+    if not math.isfinite(cost):  # a residual, or the sum of their squares, overflowed
+        raise FloatingPointError("residuals are not finite at the start point")
     lam, nu = 1e-3, 2.0  # the damping and the factor it grows by after a failed step
     while True:
         if jac is None:  # at the start and after each accepted step
@@ -182,18 +182,21 @@ def fit_spectra(problem):
               if problem.weights is not None else np.ones(len(problem.frequencies)))
 
     fits = []
-    for x0 in _start_grid(problem, fit_pump):
-        try:
-            fits.append(_levenberg_marquardt(
-                x0, (problem, fit_pump, sqrt_w), _MAX_ITER * (len(x0) + 1),
-                xtol=_STEP_TOL, gtol=_GRAD_TOL))
-        except FloatingPointError:
-            continue
-    if not fits:
-        raise DomainError("every start point failed to evaluate")
-
-    x, r, nfev, converged = min(fits, key=lambda res: (not res[3], res[1] @ res[1], res[2]))
-    jac = _jacobian(x, problem, fit_pump, sqrt_w)
+    # the model may overflow at a start or a trial step; what is kept is checked finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0 in _start_grid(problem, fit_pump):
+            try:
+                fits.append(_levenberg_marquardt(
+                    x0, (problem, fit_pump, sqrt_w), _MAX_ITER * (len(x0) + 1),
+                    xtol=_STEP_TOL, gtol=_GRAD_TOL))
+            except FloatingPointError:
+                continue
+        if not fits:
+            raise DomainError("every start point failed to evaluate: its cost is not finite")
+        x, r, nfev, converged = min(fits, key=lambda res: (not res[3], res[1] @ res[1], res[2]))
+        jac = _jacobian(x, problem, fit_pump, sqrt_w)
+    if not np.all(np.isfinite(jac)):  # the SVD in _check_rank would not converge
+        raise DomainError("the Jacobian is not finite at the fit: frequencies beyond its reach")
     _check_rank(jac, fit_pump)
 
     product, bandwidth, ratio = _unpack(x, fit_pump)

@@ -105,14 +105,12 @@ def readings(estimates, f0):
     }
 
 
-def expected_readings(run_config, f0=None):
-    """The closed form of readings: channel_psds at f0 in dB relative to snl.
+def expected_readings(run_config):
+    """The closed form of readings at the config's f0: channel_psds in dB relative to snl.
 
-    f0 defaults to the config's analysis frequency.  enl_db is None when
-    chain.enl is 0, as readings reports it.
+    enl_db is None when chain.enl is 0, as readings reports it.
     """
-    if f0 is None:
-        f0 = run_config.analysis_frequency
+    f0 = run_config.analysis_frequency
     psds = channel_psds(run_config)
     reference = float(psds["snl"](f0))
 

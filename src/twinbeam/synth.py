@@ -34,10 +34,6 @@ def _substream(seed, source):
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
-def _is_power_of_two(n):
-    return n > 0 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """Discretization and seed of a synthetic trace."""
@@ -48,8 +44,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise DomainError("sample rate must be positive")
-        if not _is_power_of_two(self.num_samples):
-            raise DomainError(f"num_samples must be a power of two, got {self.num_samples}")
+        if self.num_samples < 1:
+            raise DomainError(f"num_samples must be positive, got {self.num_samples}")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
@@ -62,8 +58,8 @@ class DetectionChain:
     spectra (NopoParams.detection_efficiency).  The electronics floor is
     shared by every channel (RunConfig.enl).
     """
-    mode_match: float = 1.0
-    excess_noise: float = 0.0  # white PSD added after the mode-match vacuum
+    mode_match: float
+    excess_noise: float  # white PSD added after the mode-match vacuum
 
     def __post_init__(self):
         if not 0 < self.mode_match <= 1:
@@ -152,8 +148,8 @@ def colored_gaussian_series(psd, sample_rate, num_samples, seed, source="colored
     only the kernel is made here, and each block is drawn and filtered as
     it is read.
     """
-    if not _is_power_of_two(num_samples):
-        raise DomainError(f"num_samples must be a power of two, got {num_samples}")
+    if num_samples < 1:
+        raise DomainError(f"num_samples must be positive, got {num_samples}")
     kernel = shaping_kernel(psd, sample_rate)
     rng = _substream(seed, source)
     if kernel.size == 1:

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import threading
@@ -75,6 +77,14 @@ RETIRED_KEYS = {"arm_length_difference_m": ("interferometer", model.arm_length_d
                 "span_hz": ("analyzer", 10e6)}
 
 
+# {case: (rbw_hz, vbw_hz)}: Hann segments of 0.5, 1.5, 0.75, 1.5e308 and
+# infinitely many samples at 100 MS/s.  Each once crashed analyze, read DC as
+# f0, or printed the length in 309 digits.
+UNUSABLE_SEGMENTS = {"zero-length": (3e8, 3e8), "all-zero-window": (1e8, 1e8),
+                     "dc-bin-only": (2e8, 1e8), "beyond-any-trace": (1e-300, 1e-300),
+                     "infinite-length": (1e-320, 1e-320)}
+
+
 class TestConfigSchema:
     def test_parses(self):
         cfg = parse_config(copy.deepcopy(BASE_CONFIG))
@@ -116,9 +126,21 @@ class TestConfigSchema:
             assert key in err
         assert not (tmp_path / "t.twbm").exists()
 
-    def test_non_power_of_two_is_infeasible(self, tmp_path):
+    def test_non_power_of_two_length_runs(self, tmp_path, capsys):
+        # every stage streams, so any positive length runs end to end
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=3000))
+        trace, out = tmp_path / "t.twbm", tmp_path / "a.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 0
+        assert len(fileio.read_trace(trace)[1]["snl"]) == 3000
+        assert json.loads(out.read_text())["num_averages"] >= 1
+
+    @pytest.mark.parametrize("num_samples", [0, -4096])
+    def test_nonpositive_length_is_infeasible(self, tmp_path, capsys, num_samples):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=num_samples))
         assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
+        assert "num_samples must be positive" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mut.json"]
 
     def test_negative_seed_is_infeasible(self, tmp_path, capsys):
         path = write_config(tmp_path, lambda d: d["synth"].update(seed=-1))
@@ -166,6 +188,24 @@ class TestConfigSchema:
         assert main([command, "--config", path, "--out", out]) == 2
         assert "video bandwidth" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mut.json"]
+
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    @pytest.mark.parametrize("case", UNUSABLE_SEGMENTS)
+    def test_unusable_segment_length_is_infeasible_at_load(self, tmp_path, capsys, case,
+                                                            command):
+        if command == "analyze":  # a trace the analyzer could otherwise read
+            good = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16),
+                                name="good.json")
+            assert main(["synth", "--config", good, "--out", str(tmp_path / "t.twbm")]) == 0
+            capsys.readouterr()
+        rbw, vbw = UNUSABLE_SEGMENTS[case]
+        path = write_config(tmp_path, lambda d: d["analyzer"].update(rbw_hz=rbw, vbw_hz=vbw))
+        before = sorted(os.listdir(tmp_path))
+        assert main(config_argv(command, path, tmp_path) + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: infeasible: rbw")
+        assert "samples, outside [16, 2^62]" in captured.err and len(captured.err) < 200
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
     def test_float_key_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, command):
@@ -328,20 +368,17 @@ class TestSynthCommand:
         assert len(record) == 1
 
     def test_seed_override_changes_output(self, config_path, tmp_path, capsys):
+        # the seed comes only from the config, so a new seed is a new config hash
+        other_path = write_config(tmp_path, lambda d: d["synth"].update(seed=99))
         out = tmp_path / "c.twbm"
-        assert main(["synth", "--config", config_path, "--out", str(out), "--json"]) == 0
-        base = json.loads(capsys.readouterr().out)
-        assert main(["synth", "--config", config_path, "--seed", "99",
-                     "--out", str(out), "--json"]) == 0
-        other = json.loads(capsys.readouterr().out)
-        assert other["seed"] == 99
+        summaries = []
+        for path in (config_path, other_path):
+            assert main(["synth", "--config", path, "--out", str(out), "--json"]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        base, other = summaries
+        assert (base["seed"], other["seed"]) == (11, 99)
         assert other["sha256"] != base["sha256"]
-
-    def test_negative_seed_override_is_infeasible(self, config_path, tmp_path, capsys):
-        out = tmp_path / "n.twbm"
-        assert main(["synth", "--config", config_path, "--seed", "-1", "--out", str(out)]) == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["config.json"]
+        assert other["config_hash"] != base["config_hash"]
 
 
 class TestAnalyzeCertifyPipeline:
@@ -406,11 +443,38 @@ class TestAnalyzeCertifyPipeline:
         assert abs(reading["amplitude_db"] - expected["amplitude_db"]) < 5 * sigma_db
 
     def test_f0_outside_nyquist_is_usage_error(self, config_path, tmp_path, capsys):
-        trace = tmp_path / "run2.twbm"
-        assert main(["synth", "--config", config_path, "--out", str(trace)]) == 0
+        # a trace at 4 MS/s, read with the 100 MS/s config: its 20 MHz f0 is
+        # above the trace's Nyquist frequency, though below the config's
+        slow = write_config(tmp_path, lambda d: (
+            d["synth"].update(sample_rate_hz=4e6, num_samples=2 ** 12),
+            d["interferometer"].update(analysis_frequency_hz=1e6)))
+        trace, out = tmp_path / "slow.twbm", tmp_path / "a.json"
+        with pytest.warns(UserWarning, match="Nyquist"):
+            assert main(["synth", "--config", slow, "--out", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["analyze", str(trace), "--config", config_path,
-                     "--f0", "60e6"]) == 1
+        assert main(["analyze", str(trace), "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "f0 2e+07 Hz not below the trace's Nyquist 2e+06 Hz" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_segment_too_short_at_the_trace_rate_is_infeasible(self, tmp_path, capsys):
+        # 150 kHz RBW gives 1000-sample segments at the config's 100 MS/s, but
+        # 10 at the trace's 1 MS/s: welch_psd refuses them as the config would
+        def slow_rate(doc):
+            doc["synth"].update(sample_rate_hz=1e6, num_samples=2 ** 12)
+            doc["analyzer"].update(rbw_hz=1e3)
+            doc["interferometer"].update(analysis_frequency_hz=100e3)
+        slow = write_config(tmp_path, slow_rate, name="slow.json")
+        fast = write_config(tmp_path, lambda d: d["interferometer"].update(
+            analysis_frequency_hz=100e3), name="fast.json")
+        trace, out = tmp_path / "slow.twbm", tmp_path / "a.json"
+        with pytest.warns(UserWarning, match="Nyquist"):
+            assert main(["synth", "--config", slow, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(trace), "--config", fast, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "Hann segments of 10 samples" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_nonfinite_sample_is_infeasible(self, config_path, tmp_path, capsys):
         trace = tmp_path / "run4.twbm"
@@ -517,10 +581,9 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("argv, flags", [
         (["a.json", "--vx", "0.5", "--vy", "0.7"], "--vx/--vy"),
-        (["--vx", "0.5", "--vy", "0.7", "--enl-db", "-3.9"], "--enl-db"),
         (["--vx", "0.5"], "--vx and --vy"),
         ([], "--vx/--vy"),
-    ], ids=["analysis-and-variances", "enl-db-and-variances", "vx-alone", "no-input"])
+    ], ids=["analysis-and-variances", "vx-alone", "no-input"])
     def test_conflicting_or_missing_inputs_are_usage_errors(self, argv, flags, tmp_path,
                                                              monkeypatch, capsys):
         # +3/+3 dB is separable: with the analysis ignored, --vx/--vy read entangled
@@ -589,8 +652,8 @@ class TestCertifyCommand:
     def test_overflowing_enl_db_is_infeasible(self, tmp_path, capsys):
         # 10^400 is too large for a float: the floor reads inf, outside (0, 1)
         path = tmp_path / "a.json"
-        path.write_text('{"amplitude_db": -1.25, "phase_db": -0.6}')
-        assert main(["certify", str(path), "--enl-db", "4000", "--json"]) == 2
+        path.write_text('{"amplitude_db": -1.25, "phase_db": -0.6, "enl_db": 4000}')
+        assert main(["certify", str(path), "--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("twinbeam: infeasible: electronics noise level")
@@ -656,12 +719,73 @@ class TestFitCommand:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("freqs, value, message", [
+        (np.linspace(1e6, 64e6, 64), 1e308, "every start point failed to evaluate"),
+        (np.linspace(1e299, 1e300, 64), 0.6, "the Jacobian is not finite at the fit"),
+    ], ids=["overflowing-values", "overflowing-frequencies"])
+    def test_overflowing_spectrum_is_infeasible(self, freqs, value, message, tmp_path,
+                                                capsys):
+        path, out = tmp_path / "huge.csv", tmp_path / "fit.json"
+        fileio.write_spectrum_csv(path, freqs, amplitude=np.full(64, value),
+                                  phase=np.full(64, value))
+        assert main(["fit", str(path), "--out", str(out), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: infeasible:")
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
     def test_missing_required_flag(self, capsys):
         assert main(["spectra"]) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "99"), ("--f0", "20e6"),
+                                             ("--enl-db", "-3.9")])
+    def test_removed_override_is_usage_error(self, tmp_path, capsys, flag, value):
+        # the seed and f0 come only from the config, the floor only from the
+        # analysis JSON: each command refuses the flag that once overrode
+        # them, and runs without it
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        trace, analysis, out = tmp_path / "t.twbm", tmp_path / "a.json", str(tmp_path / "out")
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--config", path, "--out", str(analysis)]) == 0
+        capsys.readouterr()
+        argv = {"--seed": ["synth", "--config", path, "--out", out],
+                "--f0": ["analyze", str(trace), "--config", path, "--out", out],
+                "--enl-db": ["certify", str(analysis), "--out", out]}[flag]
+        before = sorted(os.listdir(tmp_path))
+        assert main([*argv, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
+        assert main(argv) == 0
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading, language):
+    """The first ```language block after the line `heading` of README.md."""
+    text = README.read_text()
+    text = text[text.index(f"\n{heading}\n"):]
+    start = text.index(f"\n```{language}\n") + len(language) + 5
+    return text[start:text.index("\n```\n", start)]
+
+
+def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    # every line of the README's pipeline, as written, on its minimal config
+    (tmp_path / "run.json").write_text(_readme_block("A minimal config:", "json"))
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("## Quick start (CLI)", "sh").splitlines()
+    assert [shlex.split(line)[:2] for line in lines] == [
+        ["twinbeam", command] for command in ("spectra", "synth", "analyze", "certify", "fit")]
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["entangled"]
 
 
 def _src_env():
@@ -724,7 +848,7 @@ def test_fit_runs_without_scipy(tmp_path):
 
 @pytest.mark.parametrize("argv, status", [
     (["--vx", "0.552", "--vy", "0.785", "--json"], 0),
-    (["{analysis}", "--enl-db", "-3.9", "--mode-match", "0.9", "--out", "{out}", "--json"], 0),
+    (["{analysis}", "--mode-match", "0.9", "--out", "{out}", "--json"], 0),
     (["{malformed}", "--json"], 1),
     (["--vx", "0.5", "--vy", "nan", "--json"], 2),
     (["--vx", "1e308", "--vy", "1e308", "--json"], 2),
@@ -733,7 +857,7 @@ def test_certify_runs_without_numpy(argv, status, tmp_path, capsys):
     # with every numpy import made to fail, the same exit code, stdout, stderr
     # and report as in process, where numpy is loaded
     analysis = tmp_path / "analysis.json"
-    analysis.write_text('{"amplitude_db": -1.25, "phase_db": -0.60, "enl_db": null}')
+    analysis.write_text('{"amplitude_db": -1.25, "phase_db": -0.60, "enl_db": -3.9}')
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
     outputs = []
@@ -780,11 +904,11 @@ def test_output_does_not_depend_on_the_core_count(tmp_path):
 
 def test_analyze_peak_memory_is_flat_in_the_length(tmp_path, capsys):
     # each estimate reads its channel block by block, so whatever the length,
-    # analyze holds at most the sha256's read chunk (4 MiB) and the group
+    # analyze holds at most the sha256's read chunk (1 MiB) and the group
     # buffers and read blocks of the tasks on the two workers.  Which tasks
-    # overlap moves the peak by up to 1.5 MB (4.3 to 5.8 MB over 110 runs at
-    # 2^18 and 2^20), so the bound is absolute: 1.5 MB above the highest
-    # peak, and 1.1 MB below the lowest plus one whole 2^20-sample channel
+    # overlap moves the peak (2.70 to 3.07 MB over 110 runs at 2^18 and 2^20,
+    # also under -X dev), so the bound is absolute: 1.1 MB above the highest
+    # peak, and 2.7 MB below the lowest plus one whole 2^20-sample channel
     # (4 MiB of float32), which would break it whichever tasks overlapped.
     def traced_peak(num_samples):
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=num_samples),

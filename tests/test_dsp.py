@@ -58,6 +58,31 @@ class TestAnalyzerSettings:
         with pytest.raises(DomainError):
             dsp.AnalyzerSettings(rbw=10e3, vbw=20e3)
 
+    @pytest.mark.parametrize("rbw", [FS * 1.5 / 15.9, 1e8, 3e8, 1e-300, 1e-320],
+                             ids=["15.9-samples", "1.5-samples", "0.5-samples", "1.5e308-samples",
+                                  "infinite"])
+    def test_unusable_segment_length_rejected(self, rbw):
+        with pytest.raises(DomainError, match=r"outside \[16, 2\^62\]"):
+            dsp.segment_length(FS, dsp.AnalyzerSettings(rbw=rbw, vbw=rbw))
+
+    def test_shortest_segment_realizes_the_rbw_within_10_percent(self):
+        # np.hanning's symmetric window has an ENBW of 1.5 L/(L - 1) bins
+        rbw = FS * 1.5 / 16.5  # rounds to L = 16: the widest bandwidth it realizes
+        length = dsp.segment_length(FS, dsp.AnalyzerSettings(rbw=rbw, vbw=rbw))
+        win = np.hanning(length)
+        enbw_hz = length * np.sum(win ** 2) / np.sum(win) ** 2 * FS / length
+        assert length == 16
+        assert enbw_hz == pytest.approx(1.5 * FS / 15, rel=1e-12)
+        assert enbw_hz / rbw == pytest.approx(1.1, rel=1e-12)
+        assert dsp.segment_length(FS, dsp.AnalyzerSettings(rbw=FS * 1.5 / 16, vbw=1.0)) == 16
+
+    def test_shortest_segment_reads_white_noise_at_unity(self):
+        settings = dsp.AnalyzerSettings(rbw=FS * 1.5 / 16, vbw=1.0)
+        series = np.random.default_rng(5).standard_normal(2 ** 16)
+        estimate = dsp.welch_psd(series, FS, settings)
+        assert len(estimate.frequencies) == 9
+        assert np.mean(estimate.psd[1:-1]) == pytest.approx(1.0, abs=0.02)
+
 
 class TestWelchPsd:
     def test_white_calibration(self):

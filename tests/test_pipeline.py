@@ -43,7 +43,9 @@ def test_expected_readings_at_zero_floor_and_off_f0():
     cfg = parse_config(doc)
     assert pipeline.expected_readings(cfg)["enl_db"] is None
     # far above the cavity bandwidth the combinations are at the SNL
-    far = pipeline.expected_readings(cfg, f0=49e6)
+    doc["interferometer"]["analysis_frequency_hz"] = 49e6
+    cfg = parse_config(doc)
+    far = pipeline.expected_readings(cfg)
     assert far["amplitude_db"] == pytest.approx(
         model.db_rel_snl(model.intensity_diff_spectrum(cfg.nopo, 49e6)), abs=1e-12)
 

@@ -146,9 +146,10 @@ class TestColoredGaussianSeries:
         with pytest.raises(DomainError):
             synth.colored_gaussian_series(lambda f: 1.0 - f / 1e7, FS, 2 ** 14, seed=0)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(DomainError):
-            synth.colored_gaussian_series(np.ones_like, FS, 3000, seed=0)
+    @pytest.mark.parametrize("num_samples", [0, -3000])
+    def test_nonpositive_length_rejected(self, num_samples):
+        with pytest.raises(DomainError, match="num_samples must be positive"):
+            synth.colored_gaussian_series(np.ones_like, FS, num_samples, seed=0)
 
 
 class TestSynthesizeTwinBeams:
@@ -273,6 +274,7 @@ class TestBlockSeries:
 
 
 class TestSynthConfigValidation:
-    def test_power_of_two_required(self):
-        with pytest.raises(DomainError):
-            synth.SynthConfig(sample_rate=FS, num_samples=3000, seed=0)
+    @pytest.mark.parametrize("num_samples", [0, -3000])
+    def test_positive_length_required(self, num_samples):
+        with pytest.raises(DomainError, match="num_samples must be positive"):
+            synth.SynthConfig(sample_rate=FS, num_samples=num_samples, seed=0)
