@@ -5,8 +5,14 @@ amplitude-difference and/or phase-sum spectra.  Detection efficiency and
 output coupling enter the model only as their product, so they are never
 reported separately.  Bandwidth and (pump ratio - 1) are fitted in log
 space to stay positive / above threshold without explicit constraints.
-The minimiser is a Levenberg-Marquardt loop in numpy: at most three
-parameters, so each step is one 3x3 solve.
+
+Each model spectrum is 1 - a * phi(B, s), linear in the product a, so the
+fit is separable (variable projection; Golub & Pereyra, SIAM J. Numer.
+Anal. 10, 413 (1973)): at each (B, s) the product is solved by linear
+least squares, and a Levenberg-Marquardt loop in numpy minimises the
+residual that is left over the log-space bandwidth and pump ratio alone,
+one 2x2 solve per step.  The winner is then judged in the full
+three-parameter model: residual norm, rank check and covariance.
 """
 
 import math
@@ -48,8 +54,12 @@ class FitProblem:
             arr = getattr(self, name)
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} must be finite")
-        if self.weights is not None and np.any(np.asarray(self.weights) < 0):
-            raise DomainError("weights must be nonnegative")
+        if self.weights is not None:
+            weights = np.asarray(self.weights)
+            if np.any(weights < 0):
+                raise DomainError("weights must be nonnegative")
+            if not np.any(weights > 0):
+                raise DomainError("weights must have a positive entry: the fit would see no data")
         if len(f) < 4 or f.max() < 2.0 * f.min():
             warnings.warn(
                 "fewer than 4 points or less than one octave of frequency coverage; "
@@ -68,12 +78,15 @@ class FitResult:
     unidentifiable: tuple = ()
 
 
-def _unpack(x, fit_pump):
+def _unpack_theta(theta, fit_pump):
     # clamp the log-space coordinates so a wandering line search cannot overflow
-    product = x[0]
-    bandwidth = math.exp(min(max(x[1], -300.0), 300.0))
-    ratio = 1.0 + math.exp(min(max(x[2], -300.0), 300.0)) if fit_pump else None
-    return product, bandwidth, ratio
+    bandwidth = math.exp(min(max(theta[0], -300.0), 300.0))
+    ratio = 1.0 + math.exp(min(max(theta[1], -300.0), 300.0)) if fit_pump else None
+    return bandwidth, ratio
+
+
+def _unpack(x, fit_pump):
+    return (x[0], *_unpack_theta(x[1:], fit_pump))
 
 
 def _residuals(x, problem, fit_pump, sqrt_w):
@@ -107,37 +120,75 @@ def _jacobian(x, problem, fit_pump, sqrt_w):
     return jac
 
 
+def _projection(problem, fit_pump, sqrt_w):
+    """The residual with the product solved out, as functions of theta = x[1:].
+
+    The weighted residual is z - a psi(theta), with z = sqrt_w (1 - observed)
+    and psi = sqrt_w phi.  At each theta the product that minimises it is
+    a*(theta) = psi.z / psi.psi (0 if psi = 0), and the projected residual
+    z - a* psi has the exact Jacobian -(psi (x) da* + a* dpsi) (Golub &
+    Pereyra 1973).  Returns the functions (residuals, jacobian, a*).
+    """
+    observed = [y for y in (problem.amplitude_observed, problem.phase_observed) if y is not None]
+    n = len(problem.frequencies)
+    f_rows = np.tile(np.asarray(problem.frequencies, dtype=float), len(observed))
+    w = np.tile(sqrt_w, len(observed))
+    z = w * (1.0 - np.concatenate(observed))
+
+    def basis(theta):
+        bandwidth, ratio = _unpack_theta(theta, fit_pump)
+        u2 = (f_rows / bandwidth) ** 2
+        phi = 1.0 + u2
+        if fit_pump:  # the last n rows
+            phi[-n:] = ratio ** 2 + u2[-n:]
+        phi = 1.0 / phi
+        psi = w * phi
+        norm2 = psi @ psi  # 0 once every u^2 overflows: then P = 0, a* = 0 and r = z
+        return psi, psi @ z / norm2 if norm2 > 0 else 0.0, phi, u2, ratio
+
+    def residuals(theta):
+        psi, product = basis(theta)[:2]
+        return z - product * psi
+
+    def jacobian(theta):
+        psi, product, phi, u2, ratio = basis(theta)
+        dpsi = np.zeros((len(theta), len(z)))  # row j: d psi / d theta_j
+        dpsi[0] = 2.0 * u2 * psi * phi
+        if fit_pump:
+            dpsi[1, -n:] = -2.0 * ratio * (ratio - 1.0) * psi[-n:] * phi[-n:]
+        dproduct = dpsi @ (z - 2.0 * product * psi) / (psi @ psi)
+        return -(product * dpsi + dproduct[:, None] * psi).T
+
+    return residuals, jacobian, lambda theta: basis(theta)[1]
+
+
 def _start_grid(problem, fit_pump):
     f = np.asarray(problem.frequencies, dtype=float)
     span = max(f.max() - f.min(), f.min())
-    products = (0.3, 0.6, 0.9)
     bandwidths = (span / 8.0, span / 2.0, 2.0 * span)
     ratios = (1.1, 1.5, 3.0) if fit_pump else (None,)
-    for a in products:
-        for b in bandwidths:
-            for s in ratios:
-                x = [a, math.log(b)]
-                if fit_pump:
-                    x.append(math.log(s - 1.0))
-                yield np.array(x)
+    for b in bandwidths:
+        for s in ratios:
+            yield np.array([math.log(b)] + ([math.log(s - 1.0)] if fit_pump else []))
 
 
-def _levenberg_marquardt(x, args, max_nfev, xtol, gtol, ftol=1e-14):
+def _levenberg_marquardt(x, residuals, jacobian, max_nfev, xtol, gtol, ftol=1e-14):
     """Levenberg-Marquardt from x; returns (x, residuals, evaluations, converged).
 
     Each step solves (J^T J + lam D) h = -J^T r, D the running maximum of
     diag(J^T J) (Marquardt 1963; More 1978), and updates lam by the gain
     ratio (Madsen, Nielsen & Tingleff 2004, section 3.2).  The gradient,
     step and cost-reduction tests are MINPACK's gtol, xtol and ftol.
+    `residuals` and `jacobian` are functions of x alone.
     """
-    r = _residuals(x, *args)
+    r = residuals(x)
     cost, nfev, jac, d = r @ r, 1, None, None
     if not math.isfinite(cost):  # a residual, or the sum of their squares, overflowed
         raise FloatingPointError("residuals are not finite at the start point")
     lam, nu = 1e-3, 2.0  # the damping and the factor it grows by after a failed step
     while True:
         if jac is None:  # at the start and after each accepted step
-            jac = _jacobian(x, *args)
+            jac = jacobian(x)
             a, g = jac.T @ jac, jac.T @ r
             diag = a.diagonal()
             d = np.where(diag > 0, diag, 1.0) if d is None else np.maximum(d, diag)
@@ -148,7 +199,7 @@ def _levenberg_marquardt(x, args, max_nfev, xtol, gtol, ftol=1e-14):
         h = np.linalg.solve(a + np.diag(lam * d), -g)
         if math.sqrt(h @ (d * h)) <= xtol * math.sqrt(x @ (d * x)):
             return x, r, nfev, True
-        r_new = _residuals(x + h, *args)
+        r_new = residuals(x + h)
         nfev += 1
         cost_new = r_new @ r_new if np.all(np.isfinite(r_new)) else math.inf
         predicted = h @ (lam * d * h - g)  # the fall of ||r + J h||^2 from ||r||^2
@@ -166,34 +217,42 @@ def _levenberg_marquardt(x, args, max_nfev, xtol, gtol, ftol=1e-14):
 def fit_spectra(problem):
     """Weighted least-squares fit of the forward model to a FitProblem.
 
-    Levenberg-Marquardt with the analytic Jacobian from each point of a
-    fixed parameter grid, so the result is deterministic.  Each start may
-    spend _MAX_ITER * (p + 1) residual evaluations (p fitted parameters);
-    one whose residuals are not finite is skipped, and the converged start
-    of least cost is reported.  `converged` is true when the gradient
+    The product is solved by linear least squares at every step, so
+    Levenberg-Marquardt with the analytic Jacobian runs over bandwidth and
+    pump ratio only, from each point of a fixed 3 x 3 grid of the two (3
+    starts when there is no phase channel), and the result is
+    deterministic.  Each start may spend _MAX_ITER * (p + 1) residual
+    evaluations, p the number of fitted parameters with the product among
+    them; one whose residuals are not finite is skipped, and the converged
+    start of least cost is reported.  `converged` is true when the gradient
     (_GRAD_TOL), step (_STEP_TOL) or cost-reduction test stopped it, and
     false when its budget ran out or the damping overflowed; `iterations`
-    counts its residual evaluations.  When only the amplitude channel is
-    present the pump ratio is excluded from the fit and flagged
-    unidentifiable (the amplitude model does not contain it).
+    counts its evaluations of the residual, each of which also solves for
+    the product.  When only the amplitude channel is present the pump ratio
+    is excluded from the fit and flagged unidentifiable (the amplitude model
+    does not contain it).
     """
     fit_pump = problem.phase_observed is not None
     sqrt_w = (np.sqrt(np.asarray(problem.weights, dtype=float))
               if problem.weights is not None else np.ones(len(problem.frequencies)))
+    residuals, jacobian, product_at = _projection(problem, fit_pump, sqrt_w)
 
     fits = []
     # the model may overflow at a start or a trial step; what is kept is checked finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x0 in _start_grid(problem, fit_pump):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for theta in _start_grid(problem, fit_pump):
             try:
-                fits.append(_levenberg_marquardt(
-                    x0, (problem, fit_pump, sqrt_w), _MAX_ITER * (len(x0) + 1),
-                    xtol=_STEP_TOL, gtol=_GRAD_TOL))
+                theta, r, nfev, converged = _levenberg_marquardt(
+                    theta, residuals, jacobian, _MAX_ITER * (len(theta) + 2),
+                    xtol=_STEP_TOL, gtol=_GRAD_TOL)
             except FloatingPointError:
                 continue
+            fits.append((theta, r @ r, nfev, converged))  # every start's r would set the peak
         if not fits:
             raise DomainError("every start point failed to evaluate: its cost is not finite")
-        x, r, nfev, converged = min(fits, key=lambda res: (not res[3], res[1] @ res[1], res[2]))
+        theta, _, nfev, converged = min(fits, key=lambda res: (not res[3], res[1], res[2]))
+        x = np.concatenate(([product_at(theta)], theta))
+        r = _residuals(x, problem, fit_pump, sqrt_w)
         jac = _jacobian(x, problem, fit_pump, sqrt_w)
     if not np.all(np.isfinite(jac)):  # the SVD in _check_rank would not converge
         raise DomainError("the Jacobian is not finite at the fit: frequencies beyond its reach")
@@ -216,7 +275,7 @@ def fit_spectra(problem):
 def _check_rank(jac, fit_pump):
     names = ("efficiency_product", "bandwidth", "pump_ratio")[: jac.shape[1]]
     singular = np.linalg.svd(jac, compute_uv=False)
-    if singular[-1] < 1e-10 * singular[0]:
+    if singular[0] == 0 or singular[-1] < 1e-10 * singular[0]:
         _, _, vt = np.linalg.svd(jac)
         direction = names[int(np.argmax(np.abs(vt[-1])))]
         raise IdentifiabilityError(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,17 @@ class TestBandPowerRelSnl:
         meas, ref = self.estimates()
         with pytest.warns(UserWarning, match="nearest bin"):
             dsp.band_power_rel_snl(meas, ref, 51e6)  # past the grid edge at Nyquist
+
+    def test_bin_beyond_half_the_rbw_warns_inside_the_grid(self):
+        # welch_psd's bins lie at most rbw/3 apart; a library caller's estimate
+        # on a 1 MHz grid at the 150 kHz RBW does not
+        grid = np.arange(1, 6) * 1e6
+        estimate = dsp.SpectrumEstimate(grid, np.ones(5), num_averages=1, settings=SETTINGS)
+        with pytest.warns(UserWarning, match="beyond half the RBW"):
+            assert dsp.band_power_rel_snl(estimate, estimate, 2.4e6) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dsp.band_power_rel_snl(estimate, estimate, 2.05e6) == 0.0  # 50 kHz off
 
 
 class TestSpectrumEstimateInvariants:

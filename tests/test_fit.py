@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class TestStopping:
         grid = fit._start_grid
 
         def grid_with_a_nan_start(problem, fit_pump):
-            yield np.array([np.nan, np.log(24.7e6), 0.0])
+            yield np.array([np.nan, 0.0])  # (log bandwidth, log(pump ratio - 1))
             yield from grid(problem, fit_pump)
 
         expected = fit_spectra(FitProblem(FREQS, S_I, S_P))
@@ -89,19 +91,29 @@ class TestStopping:
 
     def test_every_start_non_finite_fails(self, monkeypatch):
         monkeypatch.setattr(fit, "_start_grid",
-                            lambda problem, fit_pump: [np.array([np.nan, 0.0, 0.0])])
+                            lambda problem, fit_pump: [np.array([np.nan, 0.0])])
         with pytest.raises(DomainError, match="every start"):
             fit_spectra(FitProblem(FREQS, S_I, S_P))
 
 
+def _full_model_grid(problem, fit_pump):
+    """27 starts (product x bandwidth x pump ratio) in the full model's coordinates."""
+    f = np.asarray(problem.frequencies, dtype=float)
+    span = max(f.max() - f.min(), f.min())
+    for a in (0.3, 0.6, 0.9):
+        for b in (span / 8.0, span / 2.0, 2.0 * span):
+            for s in ((1.1, 1.5, 3.0) if fit_pump else (None,)):
+                yield np.array([a, np.log(b)] + ([np.log(s - 1.0)] if fit_pump else []))
+
+
 def _scipy_fit(problem):
-    """The reference: fit_spectra's multi-start with scipy's MINPACK Levenberg-Marquardt."""
+    """The reference: a full-model multi-start with scipy's MINPACK Levenberg-Marquardt."""
     least_squares = pytest.importorskip("scipy.optimize").least_squares
     fit_pump = problem.phase_observed is not None
     sqrt_w = (np.sqrt(problem.weights) if problem.weights is not None
               else np.ones(len(problem.frequencies)))
     best = None
-    for x0 in fit._start_grid(problem, fit_pump):
+    for x0 in _full_model_grid(problem, fit_pump):
         try:
             res = least_squares(
                 _residuals, x0, jac=_jacobian, method="lm", args=(problem, fit_pump, sqrt_w),
@@ -166,6 +178,38 @@ class TestJacobian:
             scale = np.abs(analytic) + np.abs(numeric) + 1e-9
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
 
+    @pytest.mark.parametrize("phase", [True, False], ids=["both", "amplitude_only"])
+    def test_projected_matches_central_differences(self, phase):
+        rng = np.random.default_rng(1)
+        noisy_i = S_I * (1 + 0.01 * rng.standard_normal(FREQS.size))
+        noisy_p = S_P * (1 + 0.01 * rng.standard_normal(FREQS.size)) if phase else None
+        problem = FitProblem(FREQS, noisy_i, noisy_p)
+        residuals, jacobian, _ = fit._projection(problem, phase, np.ones(FREQS.size))
+        for _ in range(20):
+            theta = np.array([np.log(rng.uniform(5e6, 6e7)), np.log(rng.uniform(0.05, 2.5))])
+            theta = theta[:2 if phase else 1]
+            analytic = jacobian(theta)
+            numeric = np.zeros_like(analytic)
+            for j in range(len(theta)):
+                step = np.eye(len(theta))[j] * 1e-5  # in log units
+                numeric[:, j] = (residuals(theta + step) - residuals(theta - step)) / 2e-5
+            scale = np.abs(analytic) + np.abs(numeric) + 1e-9
+            assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
+
+    def test_projected_residual_is_the_full_one_at_the_least_squares_product(self):
+        rng = np.random.default_rng(2)
+        problem = FitProblem(FREQS, S_I * (1 + 0.01 * rng.standard_normal(FREQS.size)),
+                             S_P * (1 + 0.01 * rng.standard_normal(FREQS.size)))
+        weights = np.ones(FREQS.size)
+        residuals, _, product_at = fit._projection(problem, True, weights)
+        theta = np.array([np.log(30e6), np.log(0.5)])
+        product = product_at(theta)
+        full = lambda a: _residuals(np.array([a, *theta]), problem, True, weights)
+        np.testing.assert_allclose(residuals(theta), full(product), rtol=0, atol=1e-14)
+        cost = full(product) @ full(product)
+        assert cost < min(full(product * (1 + 1e-4)) @ full(product * (1 + 1e-4)),
+                          full(product * (1 - 1e-4)) @ full(product * (1 - 1e-4)))
+
 
 class TestInvariants:
     def test_scale_equivariance(self):
@@ -210,7 +254,43 @@ class TestValidation:
         with pytest.raises(DomainError):
             FitProblem(f, S_I, S_P)
 
+    def test_weights_without_a_positive_entry_rejected(self):
+        # such a fit sees no data: it would report its first start as converged
+        with pytest.raises(DomainError, match="positive entry"):
+            FitProblem(FREQS, S_I, S_P, weights=np.zeros(FREQS.size))
+
     def test_narrow_coverage_warns(self):
         f = np.linspace(10e6, 15e6, 8)
         with pytest.warns(UserWarning, match="octave"):
             FitProblem(f, model.intensity_diff_psd(f, 0.7, 24.7e6), None)
+
+
+class TestRankCheck:
+    def test_all_zero_jacobian_is_rank_deficient(self):
+        # every singular value is 0, so the relative test alone (0 < 1e-10 * 0) passes it
+        with pytest.raises(IdentifiabilityError):
+            fit._check_rank(np.zeros((8, 3)), True)
+
+
+class TestStartGrid:
+    def test_bandwidth_by_pump_ratio(self):
+        # the product is solved at every step, so the grid spans the other two only
+        assert len(list(fit._start_grid(FitProblem(FREQS, S_I, S_P), True))) == 9
+        assert len(list(fit._start_grid(FitProblem(FREQS, S_I, None), False))) == 3
+
+
+def test_traced_peak_on_a_1001_point_spectrum():
+    # one start's vectors at a time: each start keeps only its cost, not its residuals
+    rng = np.random.default_rng(3)
+    f = np.linspace(1e5, 100e6, 1001)
+    problem = FitProblem(
+        f, model.intensity_diff_psd(f, *TRUTH[:2]) * (1 + 0.01 * rng.standard_normal(f.size)),
+        model.phase_sum_psd(f, *TRUTH) * (1 + 0.01 * rng.standard_normal(f.size)))
+    fit_spectra(problem)  # first-call costs stay out of the peak
+    tracemalloc.start()
+    try:
+        fit_spectra(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024
