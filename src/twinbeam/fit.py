@@ -11,8 +11,10 @@ fit is separable (variable projection; Golub & Pereyra, SIAM J. Numer.
 Anal. 10, 413 (1973)): at each (B, s) the product is solved by linear
 least squares, and a Levenberg-Marquardt loop in numpy minimises the
 residual that is left over the log-space bandwidth and pump ratio alone,
-one 2x2 solve per step.  The winner is then judged in the full
-three-parameter model: residual norm, rank check and covariance.
+one 2x2 solve per step.  The model and its derivatives are evaluated in
+one place, the projection's basis: the winner's residual norm and its
+full-model Jacobian come from the same basis, and one thin SVD of that
+Jacobian gives both the rank check and the covariance.
 """
 
 import math
@@ -22,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import model
 from .errors import DomainError, IdentifiabilityError
 
 _MAX_ITER = 200
@@ -50,7 +51,7 @@ class FitProblem:
             raise DomainError("frequencies must be finite and nonnegative")
         if not np.any(f > 0):
             raise DomainError("no positive frequency: f = 0 alone cannot identify the bandwidth")
-        for name in ("amplitude_observed", "phase_observed"):
+        for name in ("amplitude_observed", "phase_observed", "weights"):
             arr = getattr(self, name)
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} must be finite")
@@ -90,44 +91,26 @@ def _unpack(x, fit_pump):
 
 
 def _residuals(x, problem, fit_pump, sqrt_w):
-    product, bandwidth, ratio = _unpack(x, fit_pump)
-    parts = []
-    if problem.amplitude_observed is not None:
-        pred = model.intensity_diff_psd(problem.frequencies, product, bandwidth)
-        parts.append(sqrt_w * (pred - problem.amplitude_observed))
-    if problem.phase_observed is not None:
-        pred = model.phase_sum_psd(problem.frequencies, product, bandwidth, ratio)
-        parts.append(sqrt_w * (pred - problem.phase_observed))
-    return np.concatenate(parts)
+    """The weighted residual z - a psi at x = (a, theta); see _projection."""
+    return _projection(problem, fit_pump, sqrt_w)[3](x)[0]
 
 
 def _jacobian(x, problem, fit_pump, sqrt_w):
     """Analytic Jacobian of the residual vector in the packed coordinates."""
-    product, bandwidth, ratio = _unpack(x, fit_pump)
-    f = np.asarray(problem.frequencies, dtype=float)
-    n, u2 = len(f), (f / bandwidth) ** 2
-    channels = (problem.amplitude_observed is not None) + (problem.phase_observed is not None)
-    jac = np.zeros((channels * n, 3 if fit_pump else 2))
-    if problem.amplitude_observed is not None:  # the first n rows
-        denom = 1.0 + u2
-        jac[:n, 0] = -sqrt_w / denom
-        jac[:n, 1] = -2.0 * product * sqrt_w * u2 / denom ** 2
-    if problem.phase_observed is not None:  # the last n rows
-        denom = ratio ** 2 + u2
-        jac[-n:, 0] = -sqrt_w / denom
-        jac[-n:, 1] = -2.0 * product * sqrt_w * u2 / denom ** 2
-        jac[-n:, 2] = (ratio - 1.0) * 2.0 * product * ratio * sqrt_w / denom ** 2
-    return jac
+    return _projection(problem, fit_pump, sqrt_w)[3](x, derivatives=True)[1]
 
 
 def _projection(problem, fit_pump, sqrt_w):
-    """The residual with the product solved out, as functions of theta = x[1:].
+    """The weighted model and its derivatives, as functions of theta = x[1:].
 
     The weighted residual is z - a psi(theta), with z = sqrt_w (1 - observed)
-    and psi = sqrt_w phi.  At each theta the product that minimises it is
-    a*(theta) = psi.z / psi.psi (0 if psi = 0), and the projected residual
-    z - a* psi has the exact Jacobian -(psi (x) da* + a* dpsi) (Golub &
-    Pereyra 1973).  Returns the functions (residuals, jacobian, a*).
+    and psi = sqrt_w phi; `basis` is the one place the model is evaluated.
+    At each theta the product that minimises it is a*(theta) = psi.z /
+    psi.psi (0 if psi = 0), and the projected residual z - a* psi has the
+    exact Jacobian -(psi (x) da* + a* dpsi) (Golub & Pereyra 1973).  At x =
+    (a, theta) the full residual's Jacobian is -[psi | a dpsi].  Returns
+    the functions (residuals, jacobian, a*) of theta and full(x, derivatives)
+    -> (residual, its Jacobian or None).
     """
     observed = [y for y in (problem.amplitude_observed, problem.phase_observed) if y is not None]
     n = len(problem.frequencies)
@@ -135,7 +118,7 @@ def _projection(problem, fit_pump, sqrt_w):
     w = np.tile(sqrt_w, len(observed))
     z = w * (1.0 - np.concatenate(observed))
 
-    def basis(theta):
+    def basis(theta, derivatives=False):
         bandwidth, ratio = _unpack_theta(theta, fit_pump)
         u2 = (f_rows / bandwidth) ** 2
         phi = 1.0 + u2
@@ -144,22 +127,30 @@ def _projection(problem, fit_pump, sqrt_w):
         phi = 1.0 / phi
         psi = w * phi
         norm2 = psi @ psi  # 0 once every u^2 overflows: then P = 0, a* = 0 and r = z
-        return psi, psi @ z / norm2 if norm2 > 0 else 0.0, phi, u2, ratio
-
-    def residuals(theta):
-        psi, product = basis(theta)[:2]
-        return z - product * psi
-
-    def jacobian(theta):
-        psi, product, phi, u2, ratio = basis(theta)
+        product = psi @ z / norm2 if norm2 > 0 else 0.0
+        if not derivatives:
+            return psi, product, None
         dpsi = np.zeros((len(theta), len(z)))  # row j: d psi / d theta_j
         dpsi[0] = 2.0 * u2 * psi * phi
         if fit_pump:
             dpsi[1, -n:] = -2.0 * ratio * (ratio - 1.0) * psi[-n:] * phi[-n:]
+        return psi, product, dpsi
+
+    def residuals(theta):
+        psi, product, _ = basis(theta)
+        return z - product * psi
+
+    def jacobian(theta):
+        psi, product, dpsi = basis(theta, derivatives=True)
         dproduct = dpsi @ (z - 2.0 * product * psi) / (psi @ psi)
         return -(product * dpsi + dproduct[:, None] * psi).T
 
-    return residuals, jacobian, lambda theta: basis(theta)[1]
+    def full(x, derivatives=False):
+        psi, _, dpsi = basis(x[1:], derivatives)
+        jac = -np.column_stack((psi, x[0] * dpsi.T)) if derivatives else None
+        return z - x[0] * psi, jac
+
+    return residuals, jacobian, lambda theta: basis(theta)[1], full
 
 
 def _start_grid(problem, fit_pump):
@@ -228,14 +219,16 @@ def fit_spectra(problem):
     (_GRAD_TOL), step (_STEP_TOL) or cost-reduction test stopped it, and
     false when its budget ran out or the damping overflowed; `iterations`
     counts its evaluations of the residual, each of which also solves for
-    the product.  When only the amplitude channel is present the pump ratio
-    is excluded from the fit and flagged unidentifiable (the amplitude model
-    does not contain it).
+    the product.  The winner's residual norm and full-model Jacobian come
+    from the same projected model, and one thin SVD of that Jacobian
+    gives both the rank check and the covariance.  When only the amplitude
+    channel is present the pump ratio is excluded from the fit and flagged
+    unidentifiable (the amplitude model does not contain it).
     """
     fit_pump = problem.phase_observed is not None
     sqrt_w = (np.sqrt(np.asarray(problem.weights, dtype=float))
               if problem.weights is not None else np.ones(len(problem.frequencies)))
-    residuals, jacobian, product_at = _projection(problem, fit_pump, sqrt_w)
+    residuals, jacobian, product_at, full = _projection(problem, fit_pump, sqrt_w)
 
     fits = []
     # the model may overflow at a start or a trial step; what is kept is checked finite
@@ -252,46 +245,40 @@ def fit_spectra(problem):
             raise DomainError("every start point failed to evaluate: its cost is not finite")
         theta, _, nfev, converged = min(fits, key=lambda res: (not res[3], res[1], res[2]))
         x = np.concatenate(([product_at(theta)], theta))
-        r = _residuals(x, problem, fit_pump, sqrt_w)
-        jac = _jacobian(x, problem, fit_pump, sqrt_w)
-    if not np.all(np.isfinite(jac)):  # the SVD in _check_rank would not converge
+        r, jac = full(x, derivatives=True)
+    if not np.all(np.isfinite(jac)):  # the SVD would not converge
         raise DomainError("the Jacobian is not finite at the fit: frequencies beyond its reach")
-    _check_rank(jac, fit_pump)
-
+    packed_cov = _packed_covariance(jac, r)
     product, bandwidth, ratio = _unpack(x, fit_pump)
-    covariance = _covariance(jac, r, bandwidth, ratio, fit_pump)
+    scale = np.array([1.0, bandwidth] + ([ratio - 1.0] if fit_pump else []))
     return FitResult(
         efficiency_product=product,
         bandwidth=bandwidth,
         pump_ratio=ratio,
         residual_norm=float(np.linalg.norm(r)),
-        covariance=covariance,
+        covariance=packed_cov * np.outer(scale, scale),  # the log-space chain rule
         converged=converged,
         iterations=nfev,
         unidentifiable=() if fit_pump else ("pump_ratio",),
     )
 
 
-def _check_rank(jac, fit_pump):
+def _packed_covariance(jac, residuals):
+    """Rank check and covariance in the packed coordinates, from one thin SVD of jac.
+
+    A singular value below 1e-10 of the largest (or an all-zero Jacobian)
+    raises IdentifiabilityError naming the parameter that dominates the
+    weakest right singular vector.  The covariance is V diag(1/s^2) V^T
+    times the residual variance, NaN when no degree of freedom is left.
+    """
     names = ("efficiency_product", "bandwidth", "pump_ratio")[: jac.shape[1]]
-    singular = np.linalg.svd(jac, compute_uv=False)
+    _, singular, vt = np.linalg.svd(jac, full_matrices=False)
     if singular[0] == 0 or singular[-1] < 1e-10 * singular[0]:
-        _, _, vt = np.linalg.svd(jac)
         direction = names[int(np.argmax(np.abs(vt[-1])))]
         raise IdentifiabilityError(
             f"Jacobian is rank deficient along the {direction} direction "
             f"(singular values {singular})", direction=direction)
-
-
-def _covariance(jac, residuals, bandwidth, ratio, fit_pump):
-    """Parameter covariance in physical units via the log-space chain rule."""
     m, p = jac.shape
     if m <= p:
         return np.full((p, p), np.nan)
-    variance = residuals @ residuals / (m - p)
-    try:
-        packed_cov = np.linalg.inv(jac.T @ jac) * variance
-    except np.linalg.LinAlgError:
-        return np.full((p, p), np.nan)
-    scale = np.array([1.0, bandwidth] + ([ratio - 1.0] if fit_pump else []))
-    return packed_cov * np.outer(scale, scale)
+    return (vt.T / singular ** 2) @ vt * (residuals @ residuals / (m - p))

@@ -85,6 +85,33 @@ UNUSABLE_SEGMENTS = {"zero-length": (3e8, 3e8), "all-zero-window": (1e8, 1e8),
                      "infinite-length": (1e-320, 1e-320)}
 
 
+# {case: (document text, message)}: documents the schema refuses (exit 1)
+_GOOD_TEXT = json.dumps(BASE_CONFIG)
+MALFORMED_CONFIGS = {
+    "not-an-object": ("[]", "config root must be a JSON object"),
+    "missing-key": (_GOOD_TEXT.replace('"pump_power": 1.9044, ', ""),
+                    "missing required key nopo.pump_power"),
+    "wrong-type": (_GOOD_TEXT.replace('"pump_power": 1.9044', '"pump_power": "1.9"'),
+                   "nopo.pump_power must be a number, got str"),
+    "nan-literal": (_GOOD_TEXT.replace('"pump_power": 1.9044', '"pump_power": NaN'),
+                    "nopo.pump_power must be finite"),
+    "infinity-literal": (_GOOD_TEXT.replace('"pump_power": 1.9044', '"pump_power": Infinity'),
+                         "nopo.pump_power must be finite"),
+    "not-json": ("{not json", "config is not valid JSON"),
+}
+
+# {case: (section, key, value, message)}: values outside the physics (exit 2)
+INFEASIBLE_VALUES = {
+    "enl-at-one": ("chain", "enl", 1.0, "chain.enl must be in [0, 1)"),
+    "pump-at-threshold": ("nopo", "pump_power", 1.0, "not above threshold"),
+    "pump-below-threshold": ("nopo", "pump_power", 0.5, "not above threshold"),
+    "zero-transmission": ("nopo", "transmission", 0.0, "need transmission > 0"),
+    "zero-bandwidth": ("nopo", "cavity_bandwidth_hz", 0.0, "cavity bandwidth must be positive"),
+    "efficiency-above-one": ("nopo", "detection_efficiency", 1.5,
+                             "detection efficiency must be in (0, 1]"),
+}
+
+
 class TestConfigSchema:
     def test_parses(self):
         cfg = parse_config(copy.deepcopy(BASE_CONFIG))
@@ -207,6 +234,25 @@ class TestConfigSchema:
         assert "samples, outside [16, 2^62]" in captured.err and len(captured.err) < 200
         assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+    def test_malformed_document_is_usage_error(self, tmp_path, capsys, case):
+        text, message = MALFORMED_CONFIGS[case]
+        path = tmp_path / "mut.json"
+        path.write_text(text)
+        assert main(config_argv("synth", str(path), tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert os.listdir(tmp_path) == ["mut.json"]
+
+    @pytest.mark.parametrize("case", INFEASIBLE_VALUES)
+    def test_unphysical_value_is_infeasible_at_load(self, tmp_path, capsys, case):
+        section, key, value, message = INFEASIBLE_VALUES[case]
+        path = write_config(tmp_path, lambda d: d[section].update({key: value}))
+        assert main(config_argv("synth", path, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert os.listdir(tmp_path) == ["mut.json"]
+
     @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
     def test_float_key_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, command):
         # an integer of 401 digits is valid JSON, but no float holds it
@@ -266,6 +312,14 @@ class TestSpectraCommand:
         assert report["converged"]
         assert report["efficiency_product"] == pytest.approx(0.88 * 0.84, rel=1e-6)
         assert report["bandwidth_hz"] == pytest.approx(24.7e6, rel=1e-6)
+
+    def test_json_summary(self, config_path, tmp_path, capsys):
+        out = tmp_path / "spectra.csv"
+        assert main(["spectra", "--config", config_path, "--out", str(out), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["out"] == str(out) and summary["num_points"] == 1001
+        assert summary["config_hash"] == parse_config(copy.deepcopy(BASE_CONFIG)).hash
+        assert len(fileio.read_spectrum_csv(out)[0]) == 1001
 
     def test_invalid_range_is_usage_error(self, config_path, tmp_path):
         assert main(["spectra", "--config", config_path, "--f-min", "5e6",
@@ -476,6 +530,34 @@ class TestAnalyzeCertifyPipeline:
         assert "Hann segments of 10 samples" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_missing_channel_is_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        trace, out = tmp_path / "t.twbm", tmp_path / "a.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        rate, channels = fileio.read_trace(trace)
+        kept = {name: series.array() for name, series in channels.items() if name != "enl"}
+        with fileio.trace_writer(trace, rate, list(kept), 2 ** 16) as writer:
+            for name, series in kept.items():
+                writer.write_channel(name, [series])
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "trace file lacks required channel 'enl'" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_zero_sample_rate_reports_offset(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        trace = tmp_path / "t.twbm"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        data = bytearray(trace.read_bytes())
+        data[8:16] = np.array([0.0], dtype="<f8").tobytes()  # the header's sample rate
+        trace.write_bytes(bytes(data))
+        assert main(["analyze", str(trace), "--config", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid sample rate 0.0 (byte offset 8)" in captured.err
+        assert captured.out == ""
+
     def test_nonfinite_sample_is_infeasible(self, config_path, tmp_path, capsys):
         trace = tmp_path / "run4.twbm"
         assert main(["synth", "--config", config_path, "--out", str(trace)]) == 0
@@ -555,9 +637,11 @@ class TestAnalyzeCertifyPipeline:
         with fileio.trace_writer(trace, rate, list(channels), 2 ** 16) as writer:
             for name, series in channels.items():
                 writer.write_channel(name, [series])
-        assert main(["analyze", str(trace), "--config", path]) == 2
+        out = tmp_path / "a.json"
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 2
         offset = trace.stat().st_size - 4 * (2 ** 16 - 7)
         assert f"byte offset {offset}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCertifyCommand:
@@ -623,8 +707,9 @@ class TestCertifyCommand:
         b'{"amplitude_db": -1.2, "phase_db": [-0.6]}',
         b"-1.2",
         b"[]",
+        b'{"phase_db": -0.6}',
     ], ids=["not-json", "not-utf8", "text-reading", "text-enl", "bool-reading",
-            "list-reading", "number", "list"])
+            "list-reading", "number", "list", "no-amplitude"])
     def test_malformed_analysis_is_usage_error(self, content, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -657,6 +742,16 @@ class TestCertifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("twinbeam: infeasible: electronics noise level")
+
+    @pytest.mark.parametrize("vy, mode_match, message", [
+        ("0.7", "0", "mode-matching efficiency must be in (0, 1], got 0.0"),
+        ("0.05", "0.9", "reading 0.05 below the vacuum admixture floor for overlap 0.9"),
+    ], ids=["zero-overlap", "below-vacuum-floor"])
+    def test_mode_match_out_of_reach_is_infeasible(self, vy, mode_match, message, capsys):
+        assert main(["certify", "--vx", "0.5", "--vy", vy, "--mode-match", mode_match,
+                     "--json"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_mode_match_deembedding(self, capsys):
         penalized = model.mode_match_penalty(0.7113, 0.90)
@@ -708,7 +803,8 @@ class TestFitCommand:
         (b"1e6,abc,0.5,,", "line 3 holds a cell that is not a number"),
         (b"1e6,0.5,\xff\xfe,,", "not UTF-8 text (byte offset 49)"),
         (b"1e6,nan,0.5,,", "amplitude_observed must be finite"),
-    ], ids=["non-numeric", "non-utf8", "nan-observation"])
+        (b"1e6,,0.5,,", "spectrum CSV has a partially filled channel column"),
+    ], ids=["non-numeric", "non-utf8", "nan-observation", "partial-column"])
     def test_malformed_spectrum_is_infeasible(self, row, message, tmp_path, capsys):
         header = b"f_hz,s_i,s_p,s_i_db,s_p_db\n2e6,0.6,0.7,,\n"
         path = tmp_path / "bad.csv"

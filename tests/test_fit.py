@@ -155,6 +155,19 @@ def test_agrees_with_scipy_minpack():
     assert worst <= 1e-6, f"largest relative deviation from scipy {worst:.3g}"
 
 
+def test_residual_norm_is_that_of_the_public_model():
+    rng = np.random.default_rng(4)
+    weights = np.linspace(0.5, 2.0, FREQS.size)
+    noisy_i = S_I * (1 + 0.01 * rng.standard_normal(FREQS.size))
+    noisy_p = S_P * (1 + 0.01 * rng.standard_normal(FREQS.size))
+    result = fit_spectra(FitProblem(FREQS, noisy_i, noisy_p, weights=weights))
+    a, b, s = result.efficiency_product, result.bandwidth, result.pump_ratio
+    residuals = np.sqrt(np.tile(weights, 2)) * np.concatenate((
+        model.intensity_diff_psd(FREQS, a, b) - noisy_i,
+        model.phase_sum_psd(FREQS, a, b, s) - noisy_p))
+    assert result.residual_norm == pytest.approx(np.linalg.norm(residuals), rel=1e-12)
+
+
 class TestJacobian:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(0)
@@ -184,7 +197,7 @@ class TestJacobian:
         noisy_i = S_I * (1 + 0.01 * rng.standard_normal(FREQS.size))
         noisy_p = S_P * (1 + 0.01 * rng.standard_normal(FREQS.size)) if phase else None
         problem = FitProblem(FREQS, noisy_i, noisy_p)
-        residuals, jacobian, _ = fit._projection(problem, phase, np.ones(FREQS.size))
+        residuals, jacobian, _, _ = fit._projection(problem, phase, np.ones(FREQS.size))
         for _ in range(20):
             theta = np.array([np.log(rng.uniform(5e6, 6e7)), np.log(rng.uniform(0.05, 2.5))])
             theta = theta[:2 if phase else 1]
@@ -201,7 +214,7 @@ class TestJacobian:
         problem = FitProblem(FREQS, S_I * (1 + 0.01 * rng.standard_normal(FREQS.size)),
                              S_P * (1 + 0.01 * rng.standard_normal(FREQS.size)))
         weights = np.ones(FREQS.size)
-        residuals, _, product_at = fit._projection(problem, True, weights)
+        residuals, _, product_at, _ = fit._projection(problem, True, weights)
         theta = np.array([np.log(30e6), np.log(0.5)])
         product = product_at(theta)
         full = lambda a: _residuals(np.array([a, *theta]), problem, True, weights)
@@ -259,6 +272,14 @@ class TestValidation:
         with pytest.raises(DomainError, match="positive entry"):
             FitProblem(FREQS, S_I, S_P, weights=np.zeros(FREQS.size))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # NaN passes a test of w < 0, and the fit would then fail at every start
+        weights = np.ones(FREQS.size)
+        weights[5] = bad
+        with pytest.raises(DomainError, match="weights must be finite"):
+            FitProblem(FREQS, S_I, S_P, weights=weights)
+
     def test_narrow_coverage_warns(self):
         f = np.linspace(10e6, 15e6, 8)
         with pytest.warns(UserWarning, match="octave"):
@@ -269,7 +290,7 @@ class TestRankCheck:
     def test_all_zero_jacobian_is_rank_deficient(self):
         # every singular value is 0, so the relative test alone (0 < 1e-10 * 0) passes it
         with pytest.raises(IdentifiabilityError):
-            fit._check_rank(np.zeros((8, 3)), True)
+            fit._packed_covariance(np.zeros((8, 3)), np.zeros(8))
 
 
 class TestStartGrid:
@@ -294,3 +315,19 @@ def test_traced_peak_on_a_1001_point_spectrum():
     finally:
         tracemalloc.stop()
     assert peak < 400 * 1024
+
+
+def test_rank_deficient_fit_on_a_1001_point_spectrum_stays_small():
+    # one thin SVD: a full one would build a 1001 x 1001 U to name the direction
+    f = np.linspace(1e5, 100e6, 1001)
+    problem = FitProblem(f, None, model.phase_sum_psd(f, *TRUTH))
+    with pytest.raises(IdentifiabilityError):
+        fit_spectra(problem)  # first-call costs stay out of the peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdentifiabilityError):
+            fit_spectra(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
