@@ -6,16 +6,15 @@ a realistic electronics floor, reads the dips off an emulated spectrum
 analyzer, corrects for the electronics, and certifies entanglement.
 
 The chain is twinbeam.pipeline, the one the command line runs as
-``twinbeam synth`` / ``twinbeam analyze`` / ``twinbeam certify``, set up
-from the same config document; this script streams each channel's float64
-blocks straight into its Welch estimate instead of writing a float32 trace
-file, so no channel is held whole.
+``twinbeam synth`` / ``twinbeam analyze``, set up from the same config
+document; this script streams each channel's float64 blocks straight into
+its Welch estimate instead of writing a float32 trace file, so no channel
+is held whole.  The readings then go through certify.analysis_readings and
+certify.report, the one path from readings to verdict that
+``twinbeam certify`` runs.
 """
 
-from twinbeam import (
-    QuadratureVariancePair, correct_for_electronic_noise, duan_certify, from_db, model,
-    pipeline, welch_psd,
-)
+from twinbeam import certify, model, pipeline, welch_psd
 from twinbeam.config import parse_config
 
 # output coupling 0.84, pump at 1.38x threshold, 24.7 MHz cavity bandwidth,
@@ -57,11 +56,9 @@ for name, key in (("amplitude", "amplitude_db"), ("phase", "phase_db"),
                   ("electronics", "enl_db")):
     print(f"raw {name:<11} reading = {readings[key]:+.2f} dB rel SNL")
 
-# 4. remove the electronics floor and certify
-enl = from_db(readings["enl_db"])
-vx = correct_for_electronic_noise(from_db(readings["amplitude_db"]), enl)
-vy = correct_for_electronic_noise(from_db(readings["phase_db"]), enl)
-verdict = duan_certify(QuadratureVariancePair(vx, vy))
-print(f"corrected variances   = ({vx:.3f}, {vy:.3f})")
-print(f"Duan sum              = {verdict.total:.3f}  "
-      f"({'entangled' if verdict.entangled else 'separable'}, bound 2)")
+# 4. remove the electronics floor and certify, as `twinbeam certify` does
+report = certify.report(*certify.analysis_readings(readings))
+print(f"corrected variances   = ({report['amplitude_diff_variance']:.3f}, "
+      f"{report['phase_sum_variance']:.3f})")
+print(f"Duan sum              = {report['duan_sum']:.3f}  "
+      f"({'entangled' if report['entangled'] else 'separable'}, bound {report['snl_bound']:g})")

@@ -1,15 +1,19 @@
-"""The arithmetic of `twinbeam certify`: dB to linear, the chain corrections
+"""The one path from readings to verdict: dB to linear, the chain corrections
 and the Duan inseparability verdict.
 
-Every reading here is one float, so the module needs no numpy, and
-`twinbeam certify` starts without loading it.  model imports these names
-back, beside the spectra they correct.
+analysis_readings checks an analysis object and gives its linear readings;
+report corrects them and certifies.  `twinbeam certify` and
+demos/synthetic_experiment.py both run these two.  Every reading is one
+float, so the module needs no numpy, and `twinbeam certify` starts without
+loading it.  model imports the scalar steps back, beside the spectra.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleMeasurementError
+from .errors import DomainError, InfeasibleMeasurementError, SchemaError
+
+SNL_BOUND = 2.0  # the Duan sum of two SNL-limited (separable) variances
 
 
 def from_db(db):
@@ -74,4 +78,55 @@ def duan_certify(pair):
     if not math.isfinite(total):
         raise InfeasibleMeasurementError(f"variance sum {pair.amplitude_diff_variance} + "
                                          f"{pair.phase_sum_variance} overflows a float")
-    return DuanVerdict(total=total, entangled=total < 2.0)
+    return DuanVerdict(total=total, entangled=total < SNL_BOUND)
+
+
+def analysis_readings(analysis):
+    """Linear (amplitude, phase, enl or None) from a parsed analysis object.
+
+    amplitude_db and phase_db are required; each of them and enl_db must be
+    a float or None, as json.load(..., parse_int=float) reads them, or
+    SchemaError is raised.  A None signal reading gives a NaN variance,
+    which report rejects; a None or absent enl_db means no floor.
+    """
+    if not isinstance(analysis, dict):
+        raise SchemaError("analysis JSON must be an object")
+    for key in ("amplitude_db", "phase_db"):
+        if key not in analysis:
+            raise SchemaError(f"analysis JSON lacks {key!r}")
+    keys = ("amplitude_db", "phase_db", "enl_db")
+    for key in keys:
+        value = analysis.get(key)
+        if value is not None and not isinstance(value, float):
+            raise SchemaError(f"analysis JSON {key} must be a number or null, got {value!r}")
+    amplitude, phase, enl = (analysis.get(key) for key in keys)
+    return (math.nan if amplitude is None else from_db(amplitude),
+            math.nan if phase is None else from_db(phase),
+            None if enl is None else from_db(enl))
+
+
+def report(amplitude, phase, enl=None, mode_match=None):
+    """The certify report of linear readings, each relative to the SNL.
+
+    Removes the floor enl from both channels, then de-embeds mode_match
+    from the phase channel, skipping a step whose argument is None; records
+    each step in "corrections" and certifies the corrected pair.
+    """
+    variances = {"amplitude": amplitude, "phase": phase}
+    corrections = []
+
+    def correct(channel, name, step, argument):
+        before, variances[channel] = variances[channel], step(variances[channel], argument)
+        corrections.append({"channel": channel, "correction": name,
+                            "before": before, "after": variances[channel]})
+
+    if enl is not None:
+        correct("amplitude", "electronic_noise", correct_for_electronic_noise, enl)
+        correct("phase", "electronic_noise", correct_for_electronic_noise, enl)
+    if mode_match is not None:
+        correct("phase", "mode_match", remove_mode_match_penalty, mode_match)
+    verdict = duan_certify(QuadratureVariancePair(variances["amplitude"], variances["phase"]))
+    return {"raw": {"amplitude": amplitude, "phase": phase}, "corrections": corrections,
+            "amplitude_diff_variance": variances["amplitude"],
+            "phase_sum_variance": variances["phase"], "duan_sum": verdict.total,
+            "entangled": verdict.entangled, "snl_bound": SNL_BOUND}

@@ -32,7 +32,8 @@ Every command that takes --config checks the whole config before any
 work: its analyzer settings, and that the analysis frequency lies between
 0 and the Nyquist frequency.  The seed and f0 come only from the config.
 certify reads either an analysis JSON, which alone gives the electronics
-floor, or the already-corrected --vx/--vy, never both.
+floor, or the already-corrected --vx/--vy, never both; certify.report, the
+one path from readings to verdict, makes the report, as in the demo.
 
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
@@ -44,9 +45,8 @@ import json
 import math
 import sys
 
+from . import certify
 from .atomic import write_json
-from .certify import (QuadratureVariancePair, correct_for_electronic_noise, duan_certify,
-                      from_db, remove_mode_match_penalty)
 from .errors import SchemaError, TwinbeamError
 
 
@@ -82,17 +82,17 @@ def _build_parser():
     analyze.add_argument("--out", default=None)
     analyze.add_argument("--json", action="store_true")
 
-    certify = sub.add_parser("certify", help="correct readings and apply the Duan test")
-    certify.add_argument("analysis", nargs="?", default=None,
-                         help="analysis JSON from the analyze step")
-    certify.add_argument("--vx", type=float, default=None,
-                         help="already-corrected amplitude-difference variance (linear)")
-    certify.add_argument("--vy", type=float, default=None,
-                         help="already-corrected phase-sum variance (linear)")
-    certify.add_argument("--mode-match", type=float, default=None,
-                         help="de-embed this mode-matching efficiency from the phase channel")
-    certify.add_argument("--out", default=None)
-    certify.add_argument("--json", action="store_true")
+    certify_cmd = sub.add_parser("certify", help="correct readings and apply the Duan test")
+    certify_cmd.add_argument("analysis", nargs="?", default=None,
+                             help="analysis JSON from the analyze step")
+    certify_cmd.add_argument("--vx", type=float, default=None,
+                             help="already-corrected amplitude-difference variance (linear)")
+    certify_cmd.add_argument("--vy", type=float, default=None,
+                             help="already-corrected phase-sum variance (linear)")
+    certify_cmd.add_argument("--mode-match", type=float, default=None,
+                             help="de-embed this mode-matching efficiency from the phase channel")
+    certify_cmd.add_argument("--out", default=None)
+    certify_cmd.add_argument("--json", action="store_true")
 
     fit_cmd = sub.add_parser("fit", help="fit model parameters to a spectrum CSV")
     fit_cmd.add_argument("spectrum")
@@ -213,79 +213,24 @@ def _cmd_analyze(args):
     return 0
 
 
-def _read_analysis(path):
-    """(amplitude_db, phase_db, enl_db) from an analysis JSON written by analyze.
-
-    Each reading must be a number or null.  A null, NaN or overflowing
-    signal reading gives a non-finite variance, which the Duan test rejects
-    as infeasible; a null enl_db means there is no floor to correct for.
-    """
-    with open(path) as handle:
-        try:
-            # integers read as floats, so one too large for a float reads as inf
-            analysis = json.load(handle, parse_int=float)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise UsageError(f"analysis JSON cannot be read: {exc}") from exc
-    if not isinstance(analysis, dict):
-        raise UsageError("analysis JSON must be an object")
-    for key in ("amplitude_db", "phase_db"):
-        if key not in analysis:
-            raise UsageError(f"analysis JSON lacks {key!r}")
-    keys = ("amplitude_db", "phase_db", "enl_db")
-    for key in keys:
-        value = analysis.get(key)
-        if value is not None and not isinstance(value, float):
-            raise UsageError(f"analysis JSON {key} must be a number or null, got {value!r}")
-    amp_db, phase_db, enl_db = (analysis.get(key) for key in keys)
-    return (math.nan if amp_db is None else amp_db,
-            math.nan if phase_db is None else phase_db, enl_db)
-
-
 def _cmd_certify(args):
-    corrections = []
-
-    def record(channel, name, before, after):
-        corrections.append({"channel": channel, "correction": name,
-                            "before": before, "after": after})
-
     if args.vx is not None or args.vy is not None:
         if args.vx is None or args.vy is None:
             raise UsageError("--vx and --vy must be given together")
         if args.analysis is not None:
             raise UsageError("give an analysis JSON or --vx/--vy, not both")
-        amp, phase = args.vx, args.vy
-        raw = {"amplitude": amp, "phase": phase}
+        readings = args.vx, args.vy, None
     else:
         if args.analysis is None:
             raise UsageError("provide an analysis JSON or --vx/--vy")
-        amp_db, phase_db, enl_db = _read_analysis(args.analysis)
-        amp, phase = from_db(amp_db), from_db(phase_db)
-        raw = {"amplitude": amp, "phase": phase}
-        if enl_db is not None:
-            enl = from_db(enl_db)
-            corrected = correct_for_electronic_noise(amp, enl)
-            record("amplitude", "electronic_noise", amp, corrected)
-            amp = corrected
-            corrected = correct_for_electronic_noise(phase, enl)
-            record("phase", "electronic_noise", phase, corrected)
-            phase = corrected
-
-    if args.mode_match is not None:
-        corrected = remove_mode_match_penalty(phase, args.mode_match)
-        record("phase", "mode_match", phase, corrected)
-        phase = corrected
-
-    verdict = duan_certify(QuadratureVariancePair(amp, phase))
-    payload = {
-        "raw": raw,
-        "corrections": corrections,
-        "amplitude_diff_variance": amp,
-        "phase_sum_variance": phase,
-        "duan_sum": verdict.total,
-        "entangled": verdict.entangled,
-        "snl_bound": 2.0,
-    }
-    _emit(payload, args.out, args.json)
+        with open(args.analysis) as handle:
+            try:
+                # integers read as floats, so one too large for a float reads as inf
+                analysis = json.load(handle, parse_int=float)
+            except ValueError as exc:  # not JSON, or not UTF-8 text
+                raise UsageError(f"analysis JSON cannot be read: {exc}") from exc
+        readings = certify.analysis_readings(analysis)
+    _emit(certify.report(*readings, mode_match=args.mode_match), args.out, args.json)
     return 0
 
 

@@ -18,7 +18,7 @@ class InfeasibleMeasurementError(TwinbeamError):
 
 
 class SchemaError(TwinbeamError):
-    """The config document violates the strict schema; maps to exit code 1."""
+    """A config or analysis document violates its strict schema; maps to exit code 1."""
 
 
 class ConfigurationError(TwinbeamError):

@@ -70,10 +70,20 @@ class TraceWriter:
         self._written = dict.fromkeys(names, 0)
 
     def write_channel(self, name, blocks):
-        """Write the float series `blocks`, in order, as channel `name`'s samples."""
+        """Write the float series `blocks`, in order, as channel `name`'s samples.
+
+        A sample that is not finite as a float32 raises DomainError, naming
+        it, so no trace holds one.
+        """
         count = 0
         for block in blocks:
-            data = np.ascontiguousarray(block, dtype="<f4")
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                data = np.ascontiguousarray(block, dtype="<f4")
+            finite = np.isfinite(data)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise DomainError(f"channel {name!r} sample {count + bad} is {block[bad]}, "
+                                  "not finite as a float32")
             with self._lock:
                 self._handle.seek(self._offsets[name] + 4 * count)
                 self._handle.write(data)

@@ -64,7 +64,7 @@ class FitProblem:
         if len(f) < 4 or f.max() < 2.0 * f.min():
             warnings.warn(
                 "fewer than 4 points or less than one octave of frequency coverage; "
-                "bandwidth may be poorly identified", stacklevel=2)
+                "bandwidth may be poorly identified", stacklevel=3)  # past the dataclass __init__
 
 
 @dataclass(frozen=True)
@@ -266,19 +266,24 @@ def fit_spectra(problem):
 def _packed_covariance(jac, residuals):
     """Rank check and covariance in the packed coordinates, from one thin SVD of jac.
 
-    A singular value below 1e-10 of the largest (or an all-zero Jacobian)
-    raises IdentifiabilityError naming the parameter that dominates the
-    weakest right singular vector.  The covariance is V diag(1/s^2) V^T
-    times the residual variance, NaN when no degree of freedom is left.
+    Fewer rows than parameters raise IdentifiabilityError: the rank is at
+    most m < p, and the thin SVD's m singular values cannot show it.  So
+    does a singular value below 1e-10 of the largest (or an all-zero
+    Jacobian), naming the parameter that dominates the weakest right
+    singular vector.  The covariance is V diag(1/s^2) V^T times the
+    residual variance, NaN when no degree of freedom is left.
     """
-    names = ("efficiency_product", "bandwidth", "pump_ratio")[: jac.shape[1]]
+    m, p = jac.shape
+    if m < p:
+        raise IdentifiabilityError(f"residual count {m} below the parameter count {p}: "
+                                   "the parameters cannot all be identified")
+    names = ("efficiency_product", "bandwidth", "pump_ratio")[:p]
     _, singular, vt = np.linalg.svd(jac, full_matrices=False)
     if singular[0] == 0 or singular[-1] < 1e-10 * singular[0]:
         direction = names[int(np.argmax(np.abs(vt[-1])))]
         raise IdentifiabilityError(
             f"Jacobian is rank deficient along the {direction} direction "
             f"(singular values {singular})", direction=direction)
-    m, p = jac.shape
-    if m <= p:
+    if m == p:
         return np.full((p, p), np.nan)
     return (vt.T / singular ** 2) @ vt * (residuals @ residuals / (m - p))

@@ -156,11 +156,15 @@ def with_electronic_noise(value, enl):
 
 
 def mode_match_penalty(value, mode_match):
-    """Vacuum admixture from imperfect spatial overlap at the recombiner, elementwise on arrays."""
+    """Vacuum admixture from imperfect spatial overlap at the recombiner, elementwise on arrays.
+
+    A noise power of 0 (s_i at f = 0 of an ideal cavity) maps to the
+    vacuum admixture 1 - mode_match alone; a negative one is rejected.
+    """
     if not 0 < mode_match <= 1:
         raise DomainError(f"mode-matching efficiency must be in (0, 1], got {mode_match}")
-    if np.any(np.asarray(value) <= 0):
-        raise DomainError("noise power must be positive")
+    if np.any(np.asarray(value) < 0):
+        raise DomainError("noise power must be nonnegative")
     return mode_match * value + (1.0 - mode_match)
 
 

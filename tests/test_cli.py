@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,11 +9,13 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twinbeam
 from twinbeam import dsp, fileio, model, pipeline, synth
@@ -403,6 +407,18 @@ class TestSynthCommand:
         assert "too large for a file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mut.json"]  # no trace, nor its temp file
 
+    def test_sample_beyond_float32_is_infeasible(self, tmp_path, capsys):
+        # the phase channel's samples reach about 1e40: finite in float64, not
+        # in the trace's float32, which analyze would then refuse to read
+        path = write_config(tmp_path, lambda d: (
+            d["synth"].update(num_samples=2 ** 16),
+            d["chain"]["phase"].update(excess_noise=1e80)))
+        assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
+        captured = capsys.readouterr()
+        assert "channel 'phase_signal' sample 0 is" in captured.err
+        assert "not finite as a float32" in captured.err and captured.out == ""
+        assert os.listdir(tmp_path) == ["mut.json"]  # no trace, nor its temp file
+
     def test_block_size_moves_no_trace_byte(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 17))
         digests = []
@@ -481,6 +497,23 @@ class TestAnalyzeCertifyPipeline:
         report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert "electronic_noise" not in {c["correction"] for c in report["corrections"]}
         assert report["amplitude_diff_variance"] == report["raw"]["amplitude"]
+
+    def test_ideal_chain_reads_its_closed_form(self, tmp_path, capsys):
+        # s_i is exactly 0 at f = 0 on the kernel's design grid; the mode-match
+        # step maps it to the vacuum admixture, as expected_readings does
+        path = write_config(tmp_path, lambda d: (
+            d["synth"].update(num_samples=2 ** 16),
+            d["nopo"].update(transmission=1.0, intracavity_loss=0.0,
+                             detection_efficiency=1.0)))
+        trace, out = tmp_path / "ideal.twbm", tmp_path / "ideal.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 0
+        reading = json.loads(out.read_text())
+        with open(path) as handle:
+            expected = pipeline.expected_readings(parse_config(json.load(handle)))
+        sigma_db = 10 / math.log(10) * math.sqrt(2.0 / reading["num_averages"])
+        for key in ("amplitude_db", "phase_db", "enl_db"):
+            assert abs(reading[key] - expected[key]) < 5 * sigma_db, key
 
     def test_amplitude_excess_noise_is_applied(self, tmp_path, capsys):
         # the closed-form chain at f0, within 5 sigma of the averaged reading
@@ -633,13 +666,15 @@ class TestAnalyzeCertifyPipeline:
         rate, channels = fileio.read_trace(trace)
         channels = {name: series.array() for name, series in channels.items()}
         channels["aux"] = np.zeros(2 ** 16)
-        channels["aux"][7] = np.nan
         with fileio.trace_writer(trace, rate, list(channels), 2 ** 16) as writer:
             for name, series in channels.items():
                 writer.write_channel(name, [series])
+        data = bytearray(trace.read_bytes())
+        offset = len(data) - 4 * (2 ** 16 - 7)  # aux's sample 7; the writer refuses a NaN
+        data[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        trace.write_bytes(bytes(data))
         out = tmp_path / "a.json"
         assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 2
-        offset = trace.stat().st_size - 4 * (2 ** 16 - 7)
         assert f"byte offset {offset}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -761,6 +796,69 @@ class TestCertifyCommand:
         assert report["phase_sum_variance"] == pytest.approx(0.7113, rel=1e-9)
 
 
+# JSON texts of an analysis reading: ordinary dB values, ±0, subnormals, the
+# extremes, the non-standard NaN/Infinity literals, integers too large for a
+# float, and values of the wrong type
+_READINGS = st.one_of(
+    st.floats(-10.0, 3.0).map(repr),
+    st.sampled_from(["0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e308",
+                     "-1e308", "NaN", "Infinity", "-Infinity"]),
+    st.sampled_from(["9" * 400, "-" + "9" * 400, "4000", "-4000"]),
+    st.sampled_from(["null", "true", "false", '"-1.2"', "[-1.2]", "{}"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 30, 10 ** 30).map(str))
+_KEYS = ("amplitude_db", "phase_db", "enl_db")
+_ANALYSIS = st.one_of(
+    st.fixed_dictionaries(dict.fromkeys(_KEYS[:2], _READINGS), optional={"enl_db": _READINGS}),
+    st.dictionaries(st.sampled_from(_KEYS), _READINGS),  # keys may be missing
+    st.sampled_from(["[]", "-1.2", "null", "{not json", ""]),
+).map(lambda doc: doc if isinstance(doc, str) else
+      "{" + ", ".join(f'"{key}": {text}' for key, text in doc.items()) + "}")
+# the text of a numeric flag: ordinary values, the same extremes, and a word
+_FLAGS = st.one_of(
+    st.floats(0.0, 3.0).map(repr),
+    st.sampled_from(["0", "-0.0", "5e-324", "1e308", "-1e308", "nan", "inf", "-inf",
+                     "9" * 400, "abc"]),
+    st.floats().map(repr))
+# (analysis, --vx, --vy): an analysis, the variances, or any mix of them
+_INPUTS = st.one_of(st.tuples(_ANALYSIS, st.none(), st.none()),
+                    st.tuples(st.none(), _FLAGS, _FLAGS),
+                    st.tuples(*[st.one_of(st.none(), inputs)
+                                for inputs in (_ANALYSIS, _FLAGS, _FLAGS)]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(inputs=_INPUTS, mode_match=st.one_of(st.none(), _FLAGS))
+def test_certify_inputs_exit_cleanly(inputs, mode_match):
+    # every input exits 0, 1 or 2 without a traceback; a report is strict
+    # JSON, and a failure writes no report
+    analysis, vx, vy = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        argv = ["certify", "--out", out, "--json"]
+        if analysis is not None:
+            path = os.path.join(tmp, "analysis.json")
+            with open(path, "w") as handle:
+                handle.write(analysis)
+            argv.append(path)
+        for flag, value in (("--vx", vx), ("--vy", vy), ("--mode-match", mode_match)):
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = main(argv)
+        assert status in (0, 1, 2)
+        if status == 0:
+            report = json.loads(stdout.getvalue(), parse_constant=pytest.fail)
+            with open(out) as handle:
+                assert json.load(handle, parse_constant=pytest.fail) == report
+            assert stderr.getvalue() == ""
+        else:
+            assert not os.path.exists(out)
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("twinbeam: ")
+
+
 class TestFitCommand:
     def test_fit_round_trip(self, tmp_path, capsys):
         freqs = np.linspace(1e6, 80e6, 64)
@@ -788,6 +886,19 @@ class TestFitCommand:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["fit", "/nonexistent/spec.csv"]) == 1
+
+    @pytest.mark.parametrize("row, residuals, parameters", [
+        ("3e6,0.5,0.6,,", 2, 3), ("3e6,0.5,,,", 1, 2)], ids=["two-channel", "amplitude-only"])
+    def test_fewer_residuals_than_parameters_is_infeasible(self, row, residuals, parameters,
+                                                           tmp_path, capsys):
+        # one row gives fewer residuals than the fit has parameters
+        path, out = tmp_path / "one.csv", tmp_path / "fit.json"
+        path.write_text(f"f_hz,s_i,s_p,s_i_db,s_p_db\n{row}\n")
+        with pytest.warns(UserWarning, match="octave"):
+            assert main(["fit", str(path), "--out", str(out), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert f"residual count {residuals} below the parameter count {parameters}" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_spectrum_at_zero_frequency_alone_is_infeasible(self, config_path, tmp_path,
                                                             capsys):

@@ -39,6 +39,13 @@ def encode_trace(sample_rate, channels):
     return handle.getvalue()
 
 
+def with_sample(data, channel, index, value, n=64, count=3):
+    """Trace bytes `data` of `count` channels of n samples, with sample `index`
+    of the channel-th channel set to value, which the writer may refuse."""
+    offset = len(data) - 4 * n * (count - channel) + 4 * index
+    return data[:offset] + np.array([value], dtype="<f4").tobytes() + data[offset + 4:]
+
+
 def read_bytes(directory, data):
     """read_trace of a file holding data, with every channel read whole."""
     path = os.path.join(directory, "t.twbm")
@@ -99,9 +106,7 @@ class TestTraceFormat:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_sample_reports_its_offset(self, tmp_path, bad):
-        channels = sample_channels()
-        channels["ch1"][5] = bad
-        data = encode_trace(1e8, channels)
+        data = with_sample(encode_trace(1e8, sample_channels()), 1, 5, bad)
         with pytest.raises(TraceFormatError) as err:
             read_bytes(tmp_path, data)
         payload_start = len(data) - 3 * 4 * 64
@@ -110,10 +115,8 @@ class TestTraceFormat:
     def test_nonfinite_sample_in_a_later_block(self, tmp_path, monkeypatch):
         # the blocks before it are handed out; the block holding it raises
         monkeypatch.setattr(fileio, "_READ_SAMPLES", 7)
-        channels = sample_channels()
-        channels["ch2"][40] = np.nan
         path = tmp_path / "t.twbm"
-        path.write_bytes(encode_trace(1e8, channels))
+        path.write_bytes(with_sample(encode_trace(1e8, sample_channels()), 2, 40, np.nan))
         _, back = fileio.read_trace(path)
         blocks = back["ch2"].blocks()
         for _ in range(40 // 7):
@@ -205,6 +208,17 @@ class TestTraceWriter:
         with pytest.raises(DomainError, match="too large for a file"):
             fileio.TraceWriter(handle, 1e8, ["a"], num_samples)
         assert handle.getvalue() == b""
+
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan], ids=["float32-overflow",
+                                                                   "-inf", "nan"])
+    def test_sample_not_finite_as_float32_leaves_no_file(self, tmp_path, value):
+        # 1e39 is finite as a float64 but overflows the trace's float32
+        series = np.zeros(1000)
+        series[700] = value
+        with pytest.raises(DomainError, match="channel 'a' sample 700 is"):
+            with fileio.trace_writer(tmp_path / "t.twbm", 1e8, ["a"], 1000) as writer:
+                writer.write_channel("a", self.blocks(series, 333))
+        assert os.listdir(tmp_path) == []
 
     def test_failure_inside_leaves_no_file(self, tmp_path):
         path = tmp_path / "t.twbm"

@@ -282,8 +282,10 @@ class TestValidation:
 
     def test_narrow_coverage_warns(self):
         f = np.linspace(10e6, 15e6, 8)
-        with pytest.warns(UserWarning, match="octave"):
+        with pytest.warns(UserWarning, match="octave") as record:
             FitProblem(f, model.intensity_diff_psd(f, 0.7, 24.7e6), None)
+        # the caller's line, not the dataclass's generated __init__ (<string>)
+        assert [warning.filename for warning in record] == [__file__]
 
 
 class TestRankCheck:

@@ -163,12 +163,14 @@ class TestModeMatchPenalty:
         for mu in (0.5, 0.9, 1.0):
             assert model.mode_match_penalty(1.0, mu) == pytest.approx(1.0, rel=1e-15)
 
-    def test_arrays_map_elementwise_and_reject_any_nonpositive(self):
-        values = np.array([0.2, 0.7113, 1.0])
+    def test_arrays_map_elementwise_and_reject_any_negative(self):
+        # 0 (s_i at f = 0 of an ideal cavity) leaves the vacuum admixture alone
+        values = np.array([0.0, 0.2, 0.7113, 1.0])
         np.testing.assert_array_equal(model.mode_match_penalty(values, 0.9),
                                       [model.mode_match_penalty(v, 0.9) for v in values])
-        with pytest.raises(DomainError):
-            model.mode_match_penalty(np.array([0.5, 0.0]), 0.9)
+        assert model.mode_match_penalty(0.0, 0.9) == pytest.approx(0.1, rel=1e-15)
+        with pytest.raises(DomainError, match="nonnegative"):
+            model.mode_match_penalty(np.array([0.5, -1e-300]), 0.9)
 
     @given(st.floats(min_value=1e-3, max_value=10.0),
            st.floats(min_value=1e-3, max_value=10.0),
