@@ -7,7 +7,8 @@ representative above-threshold run, prints the markers at the usual
 
 import numpy as np
 
-from twinbeam import NopoParams, fileio, model
+from twinbeam import fileio, model
+from twinbeam.model import NopoParams
 
 # A cavity with 84% useful output coupling, pumped 1.9x above threshold,
 # seen through 88% detection efficiency.

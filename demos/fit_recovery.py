@@ -10,7 +10,8 @@ fit reports.
 
 import numpy as np
 
-from twinbeam import FitProblem, fit_spectra, model
+from twinbeam import model
+from twinbeam.fit import FitProblem, fit_spectra
 
 rng = np.random.default_rng(42)
 

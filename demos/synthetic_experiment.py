@@ -14,8 +14,9 @@ certify.report, the one path from readings to verdict that
 ``twinbeam certify`` runs.
 """
 
-from twinbeam import certify, model, pipeline, welch_psd
+from twinbeam import certify, model, pipeline
 from twinbeam.config import parse_config
+from twinbeam.dsp import welch_psd
 
 # output coupling 0.84, pump at 1.38x threshold, 24.7 MHz cavity bandwidth,
 # detection efficiency 0.88; electronics floor 0.4074 (-3.9 dB rel SNL)

@@ -37,7 +37,8 @@ one path from readings to verdict, makes the report, as in the demo.
 
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error), 1 usage/validation problems, 2 data or configuration
-infeasibility.
+infeasibility, a trace too large for the free disk space of its directory,
+or a run too large for memory.
 """
 
 import argparse
@@ -120,8 +121,9 @@ def _cmd_spectra(args):
             f"invalid frequency range [{args.f_min}, {args.f_max}] / {args.num_points} points")
     if args.f_min == args.f_max:
         freqs = np.array([args.f_min])
-    else:
-        freqs = np.linspace(args.f_min, args.f_max, args.num_points)
+    else:  # only the last point can overflow, and linspace then sets it to f_max
+        with np.errstate(over="ignore"):
+            freqs = np.linspace(args.f_min, args.f_max, args.num_points)
     s_i = np.atleast_1d(model.intensity_diff_spectrum(cfg.nopo, freqs))
     s_p = np.atleast_1d(model.phase_sum_spectrum(cfg.nopo, freqs))
     fileio.write_spectrum_csv(args.out, freqs, amplitude=s_i, phase=s_p)
@@ -280,6 +282,9 @@ def main(argv=None):
         offset = getattr(exc, "byte_offset", None)
         suffix = f" (byte offset {offset})" if offset is not None else ""
         print(f"twinbeam: infeasible: {exc}{suffix}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an output too large for this machine's memory
+        print(f"twinbeam: infeasible: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"twinbeam: error: {exc}", file=sys.stderr)

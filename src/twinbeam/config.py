@@ -3,7 +3,7 @@
 The config is a versioned JSON document; unknown keys are rejected so a
 typo can never silently fall back to a default.  Schema problems raise
 SchemaError (usage-class failure); values that describe an impossible
-chain raise ConfigurationError or DomainError (infeasibility-class).
+chain raise DomainError (infeasibility-class).
 """
 
 import hashlib
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .dsp import AnalyzerSettings, segment_length
-from .errors import ConfigurationError, DomainError, SchemaError
+from .errors import DomainError, SchemaError
 from .model import NopoParams
 from .synth import DetectionChain, SynthConfig
 
@@ -135,7 +135,7 @@ def parse_config(document):
     chain_doc = document["chain"]
     enl = chain_doc["enl"]
     if not 0 <= enl < 1:
-        raise ConfigurationError(f"chain.enl must be in [0, 1), got {enl}")
+        raise DomainError(f"chain.enl must be in [0, 1), got {enl}")
 
     def channel_chain(doc):
         return DetectionChain(mode_match=doc["mode_match"], excess_noise=doc["excess_noise"])

@@ -52,6 +52,14 @@ class AnalyzerSettings:
             raise DomainError("resolution bandwidth must be positive")
         if not 0 < self.vbw <= self.rbw:
             raise DomainError(f"video bandwidth must satisfy 0 < vbw <= rbw, got {self.vbw}")
+        if not math.isfinite(self.time_constant):  # vbw below about 8.9e-310 Hz
+            raise DomainError(f"video bandwidth {self.vbw:.6g} Hz gives an infinite "
+                              "video-filter time constant")
+
+    @property
+    def time_constant(self):
+        """The video filter's time constant, 1/(2 pi vbw), in seconds."""
+        return 1.0 / (2.0 * math.pi * self.vbw)
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     num_segments = (num_samples - length) // hop + 1
     # Video filter: decay per update set by the VBW time constant 1/(2 pi vbw).
     dt = hop / sample_rate
-    tau = 1.0 / (2.0 * math.pi * settings.vbw)
+    tau = settings.time_constant
     decay = tau / (tau + dt)
     weights = decay ** np.arange(num_segments - 1, -1, -1, dtype=float)
     block = max(1, _BLOCK_SAMPLES // length)

@@ -6,7 +6,7 @@ class TwinbeamError(Exception):
 
 
 class DomainError(TwinbeamError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
+    """An argument or config value is outside the domain of an operation; maps to exit code 2."""
 
 
 class BelowThresholdError(DomainError):
@@ -19,10 +19,6 @@ class InfeasibleMeasurementError(TwinbeamError):
 
 class SchemaError(TwinbeamError):
     """A config or analysis document violates its strict schema; maps to exit code 1."""
-
-
-class ConfigurationError(TwinbeamError):
-    """A configuration violates an operating condition of the detection chain."""
 
 
 class IdentifiabilityError(TwinbeamError):

@@ -24,6 +24,7 @@ import hashlib
 import io
 import math
 import os
+import shutil
 import struct
 import threading
 
@@ -49,20 +50,26 @@ class TraceWriter:
     that channel's fixed offset, in the order its blocks come, so channels
     can be written in any order and from several threads at once.
     check_complete raises unless every channel got exactly num_samples.
-    A trace whose bytes would pass the largest file offset, 2^63 - 1, is
-    refused with DomainError before anything is written.
+    A trace whose bytes would pass the largest file offset, 2^63 - 1, or
+    number more than free_bytes, is refused with DomainError before
+    anything is written.
     """
 
-    def __init__(self, handle, sample_rate, names, num_samples):
+    def __init__(self, handle, sample_rate, names, num_samples, free_bytes=math.inf):
         self._handle = handle
         self._num_samples = num_samples
         self._lock = threading.Lock()
         table = b"".join(struct.pack("<I", len(raw)) + raw
                          for raw in (name.encode("utf-8") for name in names))
-        payload = handle.tell() + len(TRACE_MAGIC) + struct.calcsize("<IdIQ") + len(table)
-        if payload + 4 * num_samples * len(names) > 2 ** 63 - 1:  # the largest file offset
+        start = handle.tell()
+        payload = start + len(TRACE_MAGIC) + struct.calcsize("<IdIQ") + len(table)
+        end = payload + 4 * num_samples * len(names)
+        if end > 2 ** 63 - 1:  # the largest file offset
             raise DomainError(f"a trace of {len(names)} channels of {num_samples} samples "
                               "is too large for a file")
+        if end - start > free_bytes:
+            raise DomainError(f"a trace of {end - start} bytes does not fit in the "
+                              f"{free_bytes} bytes free for it")
         handle.write(TRACE_MAGIC)
         handle.write(struct.pack("<IdIQ", TRACE_VERSION, sample_rate, len(names), num_samples))
         handle.write(table)
@@ -105,10 +112,12 @@ def trace_writer(path, sample_rate, names, num_samples):
     The file appears at path only if the block succeeds and every channel
     is complete; the writer's sha256 then holds the hex digest of its bytes,
     read back from the temp file before the rename.  On failure no file is
-    left behind.
+    left behind.  A trace larger than the free space of path's directory is
+    refused before anything is written.
     """
+    free_bytes = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
     with atomic_file(path) as handle:
-        writer = TraceWriter(handle, sample_rate, names, num_samples)
+        writer = TraceWriter(handle, sample_rate, names, num_samples, free_bytes)
         yield writer
         writer.check_complete()
         handle.flush()

@@ -1,12 +1,13 @@
 """Closed-form physics of above-threshold twin beams.
 
-Everything here is a pure function: parameter derivations, the analytic
-intensity-difference / phase-sum noise spectra of a non-degenerate OPO
-above threshold, dB bookkeeping relative to the shot noise limit (SNL),
-the electronics floor and the mode-matching vacuum admixture, and the
-geometry of the unbalanced interferometer locked at the analysis
-frequency.  All noise powers are linear and normalized so that the SNL of
-each quadrature combination equals 1.
+Everything here is a pure function or a frozen value: the cavity's
+parameters (NopoParams, which derives its output coupling and pump ratio),
+the analytic intensity-difference / phase-sum noise spectra of a
+non-degenerate OPO above threshold, dB bookkeeping relative to the shot
+noise limit (SNL), the electronics floor and the mode-matching vacuum
+admixture, and the geometry of the unbalanced interferometer locked at the
+analysis frequency.  All noise powers are linear and normalized so that the
+SNL of each quadrature combination equals 1.
 The steps of `twinbeam certify` (from_db, the inverse corrections and the
 Duan verdict) are defined in certify, which needs no numpy; model imports
 them back under the same names.
@@ -25,34 +26,15 @@ SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
 
 
 # ---------------------------------------------------------------------------
-# parameter derivations
-
-def output_coupling_efficiency(transmission, intracavity_loss):
-    """Fraction of the intracavity field usefully extracted: T / (T + loss)."""
-    if transmission <= 0:
-        raise DomainError(f"mirror transmission must be positive, got {transmission}")
-    if intracavity_loss < 0:
-        raise DomainError(f"intracavity loss must be nonnegative, got {intracavity_loss}")
-    return transmission / (transmission + intracavity_loss)
-
-
-def pump_parameter(pump_power, threshold_power):
-    """How far above oscillation threshold the pump sits: sqrt(P / P_threshold)."""
-    if threshold_power <= 0:
-        raise DomainError(f"threshold power must be positive, got {threshold_power}")
-    if pump_power < threshold_power:
-        raise BelowThresholdError(
-            f"pump power {pump_power} below threshold {threshold_power}; "
-            "the above-threshold model does not apply")
-    return math.sqrt(pump_power / threshold_power)
-
+# cavity parameters
 
 @dataclass(frozen=True)
 class NopoParams:
     """Physical parameters of the NOPO cavity and detection.
 
     Powers may be in any consistent unit (only their ratio matters);
-    cavity_bandwidth is in Hz.
+    cavity_bandwidth is in Hz.  The two quantities the spectra depend on
+    are derived from these: output_coupling and pump_ratio.
     """
     transmission: float
     intracavity_loss: float
@@ -61,33 +43,37 @@ class NopoParams:
     threshold_power: float
     detection_efficiency: float
 
-    def __post_init__(self):
-        if self.transmission <= 0 or self.intracavity_loss < 0:
+    def __post_init__(self):  # each test is false for nan, so nan is refused too
+        if not (self.transmission > 0 and self.intracavity_loss >= 0):
             raise DomainError("need transmission > 0 and intracavity_loss >= 0")
-        if self.cavity_bandwidth <= 0:
+        if not self.cavity_bandwidth > 0:
             raise DomainError(f"cavity bandwidth must be positive, got {self.cavity_bandwidth}")
         if not 0 < self.detection_efficiency <= 1:
             raise DomainError(
                 f"detection efficiency must be in (0, 1], got {self.detection_efficiency}")
-        if self.threshold_power <= 0:
+        if not self.threshold_power > 0:
             raise DomainError("threshold power must be positive")
-        if self.pump_power <= self.threshold_power:
+        if not self.pump_power > self.threshold_power:
             raise BelowThresholdError(
                 f"pump power {self.pump_power} not above threshold {self.threshold_power}")
 
     @property
     def output_coupling(self):
-        return output_coupling_efficiency(self.transmission, self.intracavity_loss)
+        """Fraction of the intracavity field usefully extracted: T / (T + loss)."""
+        return self.transmission / (self.transmission + self.intracavity_loss)
 
     @property
     def pump_ratio(self):
-        return pump_parameter(self.pump_power, self.threshold_power)
+        """How far above oscillation threshold the pump sits: sqrt(P / P_threshold)."""
+        return math.sqrt(self.pump_power / self.threshold_power)
 
     @classmethod
     def from_derived(cls, output_coupling, pump_ratio, cavity_bandwidth, detection_efficiency):
-        """Build params directly from the derived quantities (exact back-solve)."""
-        if not 0 < output_coupling <= 1:
-            raise DomainError(f"output coupling must be in (0, 1], got {output_coupling}")
+        """Build params directly from the derived quantities (exact back-solve).
+
+        An output coupling outside (0, 1] or a pump ratio not above 1 is
+        refused by the checks of the params it gives.
+        """
         return cls(
             transmission=output_coupling,
             intracavity_loss=1.0 - output_coupling,
@@ -101,17 +87,22 @@ class NopoParams:
 # ---------------------------------------------------------------------------
 # analytic noise spectra (SNL = 1)
 
+# Far above the bandwidth (f / bandwidth) ** 2 overflows to inf, which gives
+# each PSD its exact limit 1, so the overflow is not reported.
+
 def intensity_diff_psd(f, efficiency_product, bandwidth):
     """Low-level Lorentzian dip of the amplitude-difference combination."""
     f = np.asarray(f, dtype=float)
-    out = 1.0 - efficiency_product / (1.0 + (f / bandwidth) ** 2)
+    with np.errstate(over="ignore"):
+        out = 1.0 - efficiency_product / (1.0 + (f / bandwidth) ** 2)
     return out if out.ndim else float(out)
 
 
 def phase_sum_psd(f, efficiency_product, bandwidth, pump_ratio):
     """Low-level dip of the phase-sum combination, valid above threshold only."""
     f = np.asarray(f, dtype=float)
-    out = 1.0 - efficiency_product / (pump_ratio ** 2 + (f / bandwidth) ** 2)
+    with np.errstate(over="ignore"):
+        out = 1.0 - efficiency_product / (pump_ratio ** 2 + (f / bandwidth) ** 2)
     return out if out.ndim else float(out)
 
 

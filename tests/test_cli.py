@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -7,18 +8,20 @@ import math
 import os
 import pathlib
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinbeam
-from twinbeam import dsp, fileio, model, pipeline, synth
+from twinbeam import config, dsp, fileio, model, pipeline, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
 from twinbeam.errors import DomainError
@@ -81,12 +84,17 @@ RETIRED_KEYS = {"arm_length_difference_m": ("interferometer", model.arm_length_d
                 "span_hz": ("analyzer", 10e6)}
 
 
-# {case: (rbw_hz, vbw_hz)}: Hann segments of 0.5, 1.5, 0.75, 1.5e308 and
-# infinitely many samples at 100 MS/s.  Each once crashed analyze, read DC as
-# f0, or printed the length in 309 digits.
+# {case: (rbw_hz, vbw_hz)}: Hann segments of 0.5, 1.5, 0.75 and 1.5e308
+# samples at 100 MS/s.  Each once crashed analyze, read DC as f0, or printed
+# the length in 309 digits.
 UNUSABLE_SEGMENTS = {"zero-length": (3e8, 3e8), "all-zero-window": (1e8, 1e8),
-                     "dc-bin-only": (2e8, 1e8), "beyond-any-trace": (1e-300, 1e-300),
-                     "infinite-length": (1e-320, 1e-320)}
+                     "dc-bin-only": (2e8, 1e8), "beyond-any-trace": (1e-300, 1e-300)}
+
+# {case: (rbw_hz, vbw_hz)}: VBWs whose time constant 1/(2 pi vbw) overflows to
+# inf.  The first crashed analyze on a nan video-filter decay; the second
+# (infinitely long segments too) is refused for its VBW before its RBW.
+INFINITE_TIME_CONSTANTS = {"smallest-subnormal": (150e3, 5e-324),
+                           "infinite-length": (1e-320, 1e-320)}
 
 
 # {case: (document text, message)}: documents the schema refuses (exit 1)
@@ -238,6 +246,24 @@ class TestConfigSchema:
         assert "samples, outside [16, 2^62]" in captured.err and len(captured.err) < 200
         assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    @pytest.mark.parametrize("case", INFINITE_TIME_CONSTANTS)
+    def test_vbw_of_infinite_time_constant_is_infeasible_at_load(self, tmp_path, capsys, case,
+                                                                 command):
+        if command == "analyze":  # a trace the analyzer could otherwise read
+            good = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16),
+                                name="good.json")
+            assert main(["synth", "--config", good, "--out", str(tmp_path / "t.twbm")]) == 0
+            capsys.readouterr()
+        rbw, vbw = INFINITE_TIME_CONSTANTS[case]
+        path = write_config(tmp_path, lambda d: d["analyzer"].update(rbw_hz=rbw, vbw_hz=vbw))
+        before = sorted(os.listdir(tmp_path))
+        assert main(config_argv(command, path, tmp_path) + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"twinbeam: infeasible: video bandwidth {vbw:.6g} Hz gives an "
+                                "infinite video-filter time constant\n")
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
+
     @pytest.mark.parametrize("case", MALFORMED_CONFIGS)
     def test_malformed_document_is_usage_error(self, tmp_path, capsys, case):
         text, message = MALFORMED_CONFIGS[case]
@@ -329,6 +355,40 @@ class TestSpectraCommand:
         assert main(["spectra", "--config", config_path, "--f-min", "5e6",
                      "--f-max", "1e6", "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f_max, num_points, bandwidth", [
+        ("1e308", "1001", 24.7e6), ("100e6", "1001", 1e-300),
+        (repr(sys.float_info.max), "4096", 24.7e6)],
+        ids=["far-f-max", "narrow-cavity", "largest-f-max"])
+    def test_overflowing_detuning_warns_nothing(self, tmp_path, capsys, f_max, num_points,
+                                                bandwidth):
+        # (f / bandwidth) ** 2 overflows to inf, which gives each dip its exact
+        # limit 1, and at the largest float np.linspace's last point overflows
+        # before it is set to f_max; the warnings are errors here
+        path = write_config(tmp_path, lambda d: d["nopo"].update(cavity_bandwidth_hz=bandwidth))
+        assert main(config_argv("spectra", path, tmp_path)
+                    + [f"--f-max={f_max}", f"--num-points={num_points}"]) == 0
+        assert capsys.readouterr().err == ""
+        freqs, s_i, s_p = fileio.read_spectrum_csv(tmp_path / "s.csv")
+        assert (len(freqs), freqs[-1], s_i[-1], s_p[-1]) == (int(num_points), float(f_max),
+                                                             1.0, 1.0)
+
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 1.49 GiB for an array with shape (200000000,) and data type "
+         "float64", None), ("", "out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_is_infeasible(self, config_path, tmp_path, monkeypatch, capsys,
+                                         message, printed):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        out = tmp_path / "o.csv"
+        assert main(["spectra", "--config", config_path, "--num-points", "200000000",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"twinbeam: infeasible: {printed or message}\n"
+        assert captured.out == "" and os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("bounds", [("0", "nan"), ("0", "inf"), ("nan", "1e6"),
                                         ("-inf", "1e6")])
     def test_non_finite_range_is_usage_error(self, config_path, tmp_path, capsys, bounds):
@@ -406,6 +466,36 @@ class TestSynthCommand:
         assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
         assert "too large for a file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mut.json"]  # no trace, nor its temp file
+
+    @pytest.mark.parametrize("spare", [-1, 0], ids=["one-byte-short", "exact-fit"])
+    def test_trace_beyond_the_free_disk_space_is_infeasible(self, tmp_path, monkeypatch,
+                                                            capsys, spare):
+        # as a 2^40-sample trace would on a real disk: refused before any byte is written
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 12))
+        names = pipeline.TRACE_CHANNELS  # the header: magic, fields, name table; then samples
+        size = 4 + 24 + sum(4 + len(name) for name in names) + 4 * len(names) * 2 ** 12
+        free = size + spare
+        usage = shutil.disk_usage(tmp_path)._replace(free=free)
+        monkeypatch.setattr(shutil, "disk_usage", lambda where: usage)
+        status = main(config_argv("synth", path, tmp_path))
+        if spare < 0:
+            assert status == 2
+            assert capsys.readouterr().err == (f"twinbeam: infeasible: a trace of {size} bytes "
+                                               f"does not fit in the {free} bytes free for it\n")
+            assert os.listdir(tmp_path) == ["mut.json"]  # no trace, nor its temp file
+        else:
+            assert status == 0 and (tmp_path / "t.twbm").stat().st_size == size
+
+    @pytest.mark.filterwarnings("error")
+    def test_narrow_cavity_is_refused_without_warnings(self, tmp_path, capsys):
+        # the dips' detuning overflows on the kernel's design grid, then the
+        # kernel of a 1e-300 Hz dip is refused
+        path = write_config(tmp_path, lambda d: (
+            d["synth"].update(num_samples=2 ** 12),
+            d["nopo"].update(cavity_bandwidth_hz=1e-300)))
+        assert main(config_argv("synth", path, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("twinbeam: infeasible: the shaping kernel")
+        assert os.listdir(tmp_path) == ["mut.json"]
 
     def test_sample_beyond_float32_is_infeasible(self, tmp_path, capsys):
         # the phase channel's samples reach about 1e40: finite in float64, not
@@ -859,6 +949,74 @@ def test_certify_inputs_exit_cleanly(inputs, mode_match):
             assert stderr.getvalue().startswith("twinbeam: ")
 
 
+def _number_leaves(schema, path=()):
+    """The (path, type) of each number in a config schema, depth first."""
+    for key, kind in schema.items():
+        if isinstance(kind, dict):
+            yield from _number_leaves(kind, path + (key,))
+        elif kind in (int, float):
+            yield path + (key,), kind
+
+
+# the edges each number is swept over; num_samples and --num-points are capped
+# at 2^12 so that no example takes much memory or time
+_SWEEP_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 1e300, sys.float_info.max, -1.0)
+_SWEEP_INTS = (0, 1, 2 ** 31, 2 ** 63, -1)
+_SWEEP_CAP = 2 ** 12
+_SWEEP_COUNTS = tuple(dict.fromkeys(min(value, _SWEEP_CAP) for value in _SWEEP_INTS))
+
+
+def _leaf_edges(leaf):
+    path, kind = leaf
+    edges = _SWEEP_FLOATS if kind is float else (
+        _SWEEP_COUNTS if path[-1] == "num_samples" else _SWEEP_INTS)
+    return st.tuples(st.just(path), st.sampled_from(edges))
+
+
+# up to two config leaves at their edges, and any of spectra's numeric flags
+_LEAF_VALUES = st.lists(st.sampled_from(list(_number_leaves(config._SCHEMA))).flatmap(
+    _leaf_edges), max_size=2, unique_by=lambda leaf_value: leaf_value[0])
+_SPECTRA_FLAGS = st.fixed_dictionaries({}, optional={
+    "--f-min": st.sampled_from(_SWEEP_FLOATS), "--f-max": st.sampled_from(_SWEEP_FLOATS),
+    "--num-points": st.sampled_from(_SWEEP_COUNTS)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(leaf_values=_LEAF_VALUES, flags=_SPECTRA_FLAGS)
+def test_config_and_spectra_inputs_exit_cleanly(leaf_values, flags):
+    # spectra, synth and analyze exit 0, 1 or 2 without a traceback or a
+    # RuntimeWarning; stdout is strict JSON, and a failure writes no file
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc["synth"]["num_samples"] = _SWEEP_CAP
+    for path, value in leaf_values:
+        functools.reduce(dict.__getitem__, path[:-1], doc)[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config_file, trace = os.path.join(tmp, "config.json"), os.path.join(tmp, "t.twbm")
+        with open(config_file, "w") as handle:
+            json.dump(doc, handle)
+        written = {"config.json"}
+        for argv in (["spectra", "--config", config_file, "--out", os.path.join(tmp, "s.csv"),
+                      *(f"{flag}={value}" for flag, value in flags.items())],
+                     ["synth", "--config", config_file, "--out", trace],
+                     ["analyze", trace, "--config", config_file,
+                      "--out", os.path.join(tmp, "analysis.json")]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                status = main(argv + ["--json"])
+            assert status in (0, 1, 2)
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] \
+                == []
+            if status == 0:
+                json.loads(stdout.getvalue(), parse_constant=pytest.fail)
+                written.add(os.path.basename(argv[argv.index("--out") + 1]))
+            else:
+                assert stdout.getvalue() == ""
+                assert stderr.getvalue().startswith("twinbeam: ")
+            assert set(os.listdir(tmp)) == written  # no output, nor a temp file, of a failure
+
+
 class TestFitCommand:
     def test_fit_round_trip(self, tmp_path, capsys):
         freqs = np.linspace(1e6, 80e6, 64)
@@ -1012,6 +1170,15 @@ def _clean_spectrum_csv(tmp_path):
         str(path), freqs, amplitude=model.intensity_diff_psd(freqs, *CRITERION_7_TRUTH[:2]),
         phase=model.phase_sum_psd(freqs, *CRITERION_7_TRUTH))
     return str(path)
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # the package holds only its version; each name is imported from its module
+    code = ("import sys, twinbeam; "
+            "print('numpy' in sys.modules, [n for n in vars(twinbeam) if n[:2] != '__'])")
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False []\n"
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -63,8 +64,26 @@ class TestAnalyzerSettings:
                              ids=["15.9-samples", "1.5-samples", "0.5-samples", "1.5e308-samples",
                                   "infinite"])
     def test_unusable_segment_length_rejected(self, rbw):
+        # segment_length reads only the RBW; below 8.9e-310 Hz no VBW <= RBW has a
+        # finite time constant, so the settings are a stand-in
         with pytest.raises(DomainError, match=r"outside \[16, 2\^62\]"):
-            dsp.segment_length(FS, dsp.AnalyzerSettings(rbw=rbw, vbw=rbw))
+            dsp.segment_length(FS, types.SimpleNamespace(rbw=rbw))
+
+    @pytest.mark.parametrize("vbw", [5e-324, 8.8e-310], ids=["smallest-subnormal", "8.8e-310"])
+    def test_vbw_of_infinite_time_constant_rejected(self, vbw):
+        # 1/(2 pi vbw) overflows to inf here; the video filter's decay per
+        # segment, inf/(inf + dt), was nan and analyze crashed on it
+        with pytest.raises(DomainError, match="infinite video-filter time constant"):
+            dsp.AnalyzerSettings(rbw=150e3, vbw=vbw)
+
+    def test_slowest_video_filter_weighs_every_segment_alike(self):
+        # 8.9e-310 Hz is about the slowest VBW whose time constant is finite; the
+        # decay per segment rounds to 1 there, as it does at 1e-13 Hz
+        series = np.random.default_rng(8).standard_normal(2 ** 14)
+        slowest = dsp.welch_psd(series, FS, dsp.AnalyzerSettings(rbw=150e3, vbw=8.9e-310))
+        uniform = dsp.welch_psd(series, FS, dsp.AnalyzerSettings(rbw=150e3, vbw=1e-13))
+        np.testing.assert_array_equal(slowest.psd, uniform.psd)
+        assert slowest.num_averages == uniform.num_averages == (2 ** 14 - 1000) // 500 + 1
 
     def test_shortest_segment_realizes_the_rbw_within_10_percent(self):
         # np.hanning's symmetric window has an ENBW of 1.5 L/(L - 1) bins

@@ -209,6 +209,16 @@ class TestTraceWriter:
             fileio.TraceWriter(handle, 1e8, ["a"], num_samples)
         assert handle.getvalue() == b""
 
+    def test_trace_beyond_the_free_bytes_writes_nothing(self):
+        size = len(encode_trace(1e8, {"a": np.zeros(10)}))
+        handle = io.BytesIO(b"x")  # a trace after one byte: only its own bytes count
+        handle.seek(1)
+        with pytest.raises(DomainError, match=f"a trace of {size} bytes does not fit in the "
+                                              f"{size - 1} bytes free for it"):
+            fileio.TraceWriter(handle, 1e8, ["a"], 10, free_bytes=size - 1)
+        assert handle.getvalue() == b"x"
+        fileio.TraceWriter(handle, 1e8, ["a"], 10, free_bytes=size)  # an exact fit
+
     @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan], ids=["float32-overflow",
                                                                    "-inf", "nan"])
     def test_sample_not_finite_as_float32_leaves_no_file(self, tmp_path, value):

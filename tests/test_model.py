@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,34 +15,49 @@ from twinbeam.errors import (
 REF_PARAMS = model.NopoParams.from_derived(0.84, 1.38, 24.7e6, 0.88)
 
 
+# the measured cavity: T = 3.2%, 0.6% loss, pumped at 0.230 over a 0.120 threshold
+MEASURED_CAVITY = model.NopoParams(transmission=0.032, intracavity_loss=0.006,
+                                   cavity_bandwidth=24.7e6, pump_power=0.230,
+                                   threshold_power=0.120, detection_efficiency=0.88)
+
+
 class TestDerivations:
     def test_output_coupling_measured_cavity(self):
-        assert model.output_coupling_efficiency(0.032, 0.006) == pytest.approx(0.8421, abs=1e-4)
+        assert MEASURED_CAVITY.output_coupling == pytest.approx(0.8421, abs=1e-4)
 
     def test_output_coupling_lossless(self):
-        assert model.output_coupling_efficiency(0.032, 0.0) == 1.0
+        assert replace(MEASURED_CAVITY, intracavity_loss=0.0).output_coupling == 1.0
 
     def test_output_coupling_symmetric(self):
-        assert model.output_coupling_efficiency(0.01, 0.01) == 0.5
+        params = replace(MEASURED_CAVITY, transmission=0.01, intracavity_loss=0.01)
+        assert params.output_coupling == 0.5
 
     def test_output_coupling_domain(self):
         with pytest.raises(DomainError):
-            model.output_coupling_efficiency(0.0, 0.01)
+            replace(MEASURED_CAVITY, transmission=0.0)
         with pytest.raises(DomainError):
-            model.output_coupling_efficiency(0.03, -0.01)
+            replace(MEASURED_CAVITY, intracavity_loss=-0.01)
 
-    def test_pump_parameter_experiment(self):
-        assert model.pump_parameter(0.230, 0.120) == pytest.approx(1.3844, abs=1e-4)
+    def test_pump_ratio_experiment(self):
+        assert MEASURED_CAVITY.pump_ratio == pytest.approx(1.3844, abs=1e-4)
 
-    def test_pump_parameter_at_threshold(self):
-        assert model.pump_parameter(0.12, 0.12) == 1.0
+    def test_pump_ratio_perfect_square(self):
+        assert replace(MEASURED_CAVITY, pump_power=0.48).pump_ratio == 2.0
 
-    def test_pump_parameter_perfect_square(self):
-        assert model.pump_parameter(0.48, 0.12) == 2.0
-
-    def test_pump_parameter_below_threshold(self):
+    def test_pump_ratio_below_threshold(self):
         with pytest.raises(BelowThresholdError):
-            model.pump_parameter(0.1, 0.12)
+            replace(MEASURED_CAVITY, pump_power=0.1)
+
+    @pytest.mark.parametrize("key", ["transmission", "intracavity_loss", "cavity_bandwidth",
+                                     "pump_power", "threshold_power", "detection_efficiency"])
+    def test_nan_parameter_refused(self, key):
+        with pytest.raises(DomainError):
+            replace(MEASURED_CAVITY, **{key: math.nan})
+
+    @pytest.mark.parametrize("coupling", [0.0, -0.1, 1.5, math.nan])
+    def test_from_derived_refuses_coupling_outside_unit_interval(self, coupling):
+        with pytest.raises(DomainError):
+            model.NopoParams.from_derived(coupling, 1.38, 24.7e6, 0.88)
 
 
 class TestSpectra:
@@ -50,6 +66,16 @@ class TestSpectra:
 
     def test_intensity_dip_vanishes_far_out(self):
         assert model.intensity_diff_spectrum(REF_PARAMS, 1e12) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f, bandwidth", [(1e308, 24.7e6), (1e6, 1e-300), (1e308, 1e-300)],
+                             ids=["far-frequency", "narrow-cavity", "both"])
+    def test_overflowing_detuning_gives_the_limit_silently(self, f, bandwidth):
+        # (f / bandwidth) ** 2 overflows to inf, and each dip to its exact limit 1
+        assert model.intensity_diff_psd(f, 0.74, bandwidth) == 1.0
+        assert model.phase_sum_psd(f, 0.74, bandwidth, 1.38) == 1.0
+        np.testing.assert_array_equal(model.intensity_diff_psd([0.0, f], 0.74, bandwidth),
+                                      [1.0 - 0.74, 1.0])
 
     def test_intensity_dip_at_dc(self):
         # direct substitution 1 - 0.88*0.84
