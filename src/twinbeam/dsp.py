@@ -9,14 +9,11 @@ filter on a noise-like trace.
 That filter is linear in the periodograms, so its output is one weighted
 sum with exponential segment weights (the newest segment weighs 1), equal
 to the single-pole recursion.  The segments are windowed, transformed and
-summed in groups of about _BLOCK_SAMPLES samples, in buffers made once per
-call (only each group's transform is new), so the memory beyond the input
-series is bounded by one group, whatever the series length.  Each sample
-is copied once, as float64, into a buffer that holds one group, so no
-series is copied whole.  A streamed series, such as a trace channel from
-fileio.read_trace, is averaged as its blocks are read, and only one block
-of it is held at a time; the groups do not depend on how the series is
-split into blocks, so neither does any bit of the result.
+summed in groups of about _BLOCK_SAMPLES samples as a series' blocks are
+read (a trace channel from fileio.read_trace is never held whole), with one
+buffer kept across groups: it holds a group's samples and carries their
+overlap into the next.  So memory beyond one block is bounded by a group,
+and no bit of the result depends on how the series is split into blocks.
 
 With frequencies=None, welch_psd returns the whole grid from an rfft of
 each segment; given frequencies, only the bins nearest them, each by a
@@ -31,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
+from .series import BlockSeries
 
 _HANN_ENBW_BINS = 1.5
 # np.hanning's symmetric window of L points has an ENBW of 1.5 L/(L - 1) bins,
@@ -47,9 +45,9 @@ class AnalyzerSettings:
     rbw: float
     vbw: float
 
-    def __post_init__(self):
-        if self.rbw <= 0:
-            raise DomainError("resolution bandwidth must be positive")
+    def __post_init__(self):  # each test is false for nan, so nan is refused too
+        if not 0 < self.rbw < math.inf:
+            raise DomainError(f"resolution bandwidth must be positive and finite, got {self.rbw}")
         if not 0 < self.vbw <= self.rbw:
             raise DomainError(f"video bandwidth must satisfy 0 < vbw <= rbw, got {self.vbw}")
         if not math.isfinite(self.time_constant):  # vbw below about 8.9e-310 Hz
@@ -96,26 +94,24 @@ def segment_length(sample_rate, settings):
 def welch_psd(series, sample_rate, settings, frequencies=None):
     """Averaged periodogram of a real series in SNL-relative units.
 
-    series is an array, or a streamed series: anything with len() and
-    blocks(), the iterator of its consecutive blocks (a series.BlockSeries).
-    Both take one path: an array is a single block.
+    series is an array or a series.BlockSeries; both take one path, as an
+    array is wrapped as a BlockSeries of one block.  Its blocks() refuses,
+    with RuntimeError, blocks that hold more or fewer samples than len().
     Hann window, 50% overlap; the per-segment periodogram stream is
     smoothed by a single-pole filter whose time constant is 1/(2 pi vbw)
     against the segment update rate.  That filter is evaluated as the
     weighted sum sum_k w_k p_k / sum_k w_k with w_k = decay**(K-1-k)
     over the K segment periodograms p_k, which equals the recursion
     accum = decay * accum + p.  Segments are transformed in groups of about
-    _BLOCK_SAMPLES samples as the series' blocks arrive, so memory beyond
-    one block of the series is one group; the groups do not depend on how
-    the series is split into blocks, so neither does any bit of the result.
-    The leading groups whose weights all underflow to 0.0 (a fast video
-    filter over a long series) add exactly 0 and are not transformed,
-    though their samples are still read.  Each sample is copied once into
-    a float64 buffer that holds one group (an exact up-cast of float32),
-    so no series is copied whole.  DC, and the last bin when the segment
-    length is even (the Nyquist bin), carry no one-sided doubling.  The
-    reported num_averages is the filter's effective count
-    sum(w)^2 / sum(w^2), computed from the weights themselves.
+    _BLOCK_SAMPLES samples as the series' blocks arrive; each sample is
+    copied once into `held`, a float64 buffer of one group (an exact
+    up-cast of float32) that carries the overlap into the next group, and
+    the only buffer kept across groups.  A group whose weights all
+    underflow to 0.0 (a fast video filter over a long series) adds exactly
+    0 and is not transformed, though its samples are still read.  DC, and
+    the last bin when the segment length is even (the Nyquist bin), carry
+    no one-sided doubling.  The reported num_averages is the filter's
+    effective count sum(w)^2 / sum(w^2), computed from the weights themselves.
 
     The grid is rfftfreq of the segment length.  With frequencies=None the
     estimate holds the whole grid, from an rfft of each segment.  Given
@@ -126,11 +122,9 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     per segment of L samples.  Raises DomainError unless every frequency
     lies in [0, sample_rate/2].
     """
-    if hasattr(series, "blocks"):
-        num_samples, blocks = len(series), series.blocks()
-    else:
-        series = np.asarray(series)
-        num_samples, blocks = len(series), (series,)
+    if not isinstance(series, BlockSeries):
+        series = BlockSeries(len(series), (np.asarray(series),))
+    num_samples = len(series)
     length = segment_length(sample_rate, settings)
     hop = length // 2
     if num_samples < length + hop:
@@ -146,9 +140,8 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
         bins = np.arange(len(freqs))
 
         def quadratures(rows):
-            """The real and imaginary parts of every bin of each row, windowed in place."""
-            rows *= win
-            spectra = np.fft.rfft(rows, axis=1)
+            """The real and imaginary parts of every bin of each windowed row."""
+            spectra = np.fft.rfft(rows * win, axis=1)
             return spectra.real, spectra.imag
     else:
         bins = _nearest_bins(freqs, frequencies, sample_rate)
@@ -158,7 +151,8 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
 
         def quadratures(rows):
             """The real and (negated) imaginary parts of the selected bins of each row."""
-            parts = rows @ basis
+            # overlapping rows are no BLAS operand; numpy would multiply them more slowly
+            parts = np.ascontiguousarray(rows) @ basis
             return parts[:, :len(bins)], parts[:, len(bins):]
 
     num_segments = (num_samples - length) // hop + 1
@@ -168,21 +162,11 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     decay = tau / (tau + dt)
     weights = decay ** np.arange(num_segments - 1, -1, -1, dtype=float)
     block = max(1, _BLOCK_SAMPLES // length)
-    # Leading groups whose weights all underflowed to 0.0 add exactly 0.
-    first = int(np.argmax(weights > 0)) // block * block
-    rows = min(block, num_segments - first)
-    held = np.empty((block - 1) * hop + length)  # a full group: those before first are full
+    held = np.empty((block - 1) * hop + length)  # a full group
     held_rows = np.lib.stride_tricks.sliding_window_view(held, length)[::hop]  # its segments
-    windowed = np.empty((rows, length))
-    power = np.empty((rows, len(bins)))
-    imag_power = np.empty(power.shape)
     accum = np.zeros(len(bins))
-    start, filled, read = 0, 0, 0  # the group being filled: its first segment, samples held
-    for data in blocks:
-        data = np.asarray(data)
-        read += len(data)
-        if read > num_samples:
-            raise RuntimeError(f"series blocks hold more than its {num_samples} samples")
+    start, filled = 0, 0  # the group being filled: its first segment, samples held
+    for data in series.blocks():
         while len(data) and start < num_segments:
             count = min(block, num_segments - start)
             need = (count - 1) * hop + length
@@ -192,19 +176,13 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
             data = data[taken:]
             if filled < need:
                 break
-            if start >= first:
-                windowed[:count] = held_rows[:count]  # the full-grid path windows in place
-                real, imag = quadratures(windowed[:count])
-                np.square(real, out=power[:count])
-                np.square(imag, out=imag_power[:count])
-                power[:count] += imag_power[:count]
-                accum += weights[start:start + count] @ power[:count]
+            # a group whose newest weight underflowed to 0.0 weighs 0 throughout
+            if weights[start + count - 1] > 0:
+                real, imag = quadratures(held_rows[:count])
+                accum += weights[start:start + count] @ (real ** 2 + imag ** 2)
             # the next group starts count segments on, overlapping this one's end
             held[:length - hop] = held[count * hop:need]
             start, filled = start + count, length - hop
-    if read != num_samples:
-        raise RuntimeError(f"series blocks hold {read} of its {num_samples} samples: "
-                           "blocks already read?")
     sum_w = weights.sum()
     psd = accum / (power_norm * sum_w)
     # DC carries no one-sided doubling, nor does Nyquist, which is the last
@@ -241,8 +219,7 @@ def band_power_rel_snl(measured, reference, f0):
     """
     if measured.settings != reference.settings:
         raise DomainError("measured and reference estimates use different analyzer settings")
-    if len(measured.frequencies) != len(reference.frequencies) or \
-            not np.array_equal(measured.frequencies, reference.frequencies):
+    if not np.array_equal(measured.frequencies, reference.frequencies):
         raise DomainError("measured and reference estimates live on different grids")
     idx = _nearest(measured.frequencies, f0)
     offset = abs(measured.frequencies[idx] - f0)

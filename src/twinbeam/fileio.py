@@ -266,12 +266,13 @@ def read_spectrum_csv(path):
     """Read the spectrum CSV back into (frequencies, amplitude|None, phase|None).
 
     Text that is not UTF-8 or a cell that is not a number raises
-    TraceFormatError, naming the byte offset or the row.
+    TraceFormatError, naming the byte offset or the row.  A leading UTF-8
+    byte-order mark, as spreadsheets write, is skipped.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise TraceFormatError("spectrum CSV is not UTF-8 text", byte_offset=exc.start) from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))

@@ -157,6 +157,8 @@ def _start_grid(problem, fit_pump):
     f = np.asarray(problem.frequencies, dtype=float)
     span = max(f.max() - f.min(), f.min())
     bandwidths = (span / 8.0, span / 2.0, 2.0 * span)
+    if not bandwidths[0] > 0:  # a subnormal span: its eighth rounds to 0
+        raise DomainError(f"frequency span {span:.6g} Hz too narrow to start the fit from")
     ratios = (1.1, 1.5, 3.0) if fit_pump else (None,)
     for b in bandwidths:
         for s in ratios:
@@ -168,7 +170,8 @@ def _levenberg_marquardt(x, residuals, jacobian, max_nfev, xtol, gtol, ftol=1e-1
 
     Each step solves (J^T J + lam D) h = -J^T r, D the running maximum of
     diag(J^T J) (Marquardt 1963; More 1978), and updates lam by the gain
-    ratio (Madsen, Nielsen & Tingleff 2004, section 3.2).  The gradient,
+    ratio (Madsen, Nielsen & Tingleff 2004, section 3.2); a damped system
+    too singular to solve counts as a failed step.  The gradient,
     step and cost-reduction tests are MINPACK's gtol, xtol and ftol.
     `residuals` and `jacobian` are functions of x alone.
     """
@@ -187,7 +190,11 @@ def _levenberg_marquardt(x, residuals, jacobian, max_nfev, xtol, gtol, ftol=1e-1
                 return x, r, nfev, True
         if nfev >= max_nfev or not math.isfinite(lam):
             return x, r, nfev, False
-        h = np.linalg.solve(a + np.diag(lam * d), -g)
+        try:
+            h = np.linalg.solve(a + np.diag(lam * d), -g)
+        except np.linalg.LinAlgError:  # damped too little for a singular J^T J: damp more
+            lam, nu = lam * nu, 2.0 * nu
+            continue
         if math.sqrt(h @ (d * h)) <= xtol * math.sqrt(x @ (d * x)):
             return x, r, nfev, True
         r_new = residuals(x + h)

@@ -44,10 +44,11 @@ class NopoParams:
     detection_efficiency: float
 
     def __post_init__(self):  # each test is false for nan, so nan is refused too
-        if not (self.transmission > 0 and self.intracavity_loss >= 0):
-            raise DomainError("need transmission > 0 and intracavity_loss >= 0")
-        if not self.cavity_bandwidth > 0:
-            raise DomainError(f"cavity bandwidth must be positive, got {self.cavity_bandwidth}")
+        if not (0 < self.transmission < math.inf and 0 <= self.intracavity_loss < math.inf):
+            raise DomainError("need transmission > 0 and intracavity_loss >= 0, both finite")
+        if not 0 < self.cavity_bandwidth < math.inf:
+            raise DomainError(
+                f"cavity bandwidth must be positive and finite, got {self.cavity_bandwidth}")
         if not 0 < self.detection_efficiency <= 1:
             raise DomainError(
                 f"detection efficiency must be in (0, 1], got {self.detection_efficiency}")
@@ -56,6 +57,8 @@ class NopoParams:
         if not self.pump_power > self.threshold_power:
             raise BelowThresholdError(
                 f"pump power {self.pump_power} not above threshold {self.threshold_power}")
+        if not self.pump_power < math.inf:
+            raise DomainError("pump power must be finite")
 
     @property
     def output_coupling(self):
@@ -74,11 +77,15 @@ class NopoParams:
         An output coupling outside (0, 1] or a pump ratio not above 1 is
         refused by the checks of the params it gives.
         """
+        try:
+            pump_power = pump_ratio ** 2
+        except OverflowError:  # a float ratio above about 1.3e154
+            raise DomainError(f"pump ratio {pump_ratio:.6g} squared overflows") from None
         return cls(
             transmission=output_coupling,
             intracavity_loss=1.0 - output_coupling,
             cavity_bandwidth=cavity_bandwidth,
-            pump_power=pump_ratio ** 2,
+            pump_power=pump_power,
             threshold_power=1.0,
             detection_efficiency=detection_efficiency,
         )
@@ -88,7 +95,9 @@ class NopoParams:
 # analytic noise spectra (SNL = 1)
 
 # Far above the bandwidth (f / bandwidth) ** 2 overflows to inf, which gives
-# each PSD its exact limit 1, so the overflow is not reported.
+# each PSD its exact limit 1, so the overflow is not reported.  So does the
+# square of a pump ratio above about 1.3e154, taken as a float64 because a
+# Python float's ** 2 raises OverflowError there (both round alike).
 
 def intensity_diff_psd(f, efficiency_product, bandwidth):
     """Low-level Lorentzian dip of the amplitude-difference combination."""
@@ -102,7 +111,7 @@ def phase_sum_psd(f, efficiency_product, bandwidth, pump_ratio):
     """Low-level dip of the phase-sum combination, valid above threshold only."""
     f = np.asarray(f, dtype=float)
     with np.errstate(over="ignore"):
-        out = 1.0 - efficiency_product / (pump_ratio ** 2 + (f / bandwidth) ** 2)
+        out = 1.0 - efficiency_product / (np.float64(pump_ratio) ** 2 + (f / bandwidth) ** 2)
     return out if out.ndim else float(out)
 
 

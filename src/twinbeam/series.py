@@ -3,7 +3,7 @@
 synth.colored_gaussian_series shapes a channel as its blocks are read,
 fileio.read_trace reads a trace channel back block by block, and
 dsp.welch_psd averages either as it reads it, so no stage holds a whole
-series.
+series.  Each reads it through BlockSeries.blocks(), which checks its length.
 """
 
 import numpy as np
@@ -25,8 +25,17 @@ class BlockSeries:
         return self.length
 
     def blocks(self):
-        """The iterator of the consecutive blocks, in order."""
-        return self._blocks
+        """The iterator of the consecutive blocks, in order; RuntimeError if they
+        hold more or fewer than `length` samples, as on a second read."""
+        count = 0
+        for block in self._blocks:
+            count += len(block)
+            if count > self.length:
+                raise RuntimeError(f"series blocks hold more than its {self.length} samples")
+            yield block
+        if count != self.length:
+            raise RuntimeError(f"series blocks hold {count} of its {self.length} samples: "
+                               "blocks already read?")
 
     def array(self):
         """The whole series as one new float64 array."""
@@ -35,6 +44,4 @@ class BlockSeries:
         for block in self.blocks():
             out[start:start + len(block)] = block
             start += len(block)
-        if start != self.length:
-            raise RuntimeError(f"read {start} of {self.length} samples: blocks already read")
         return out

@@ -16,6 +16,7 @@ the kernel length, so a series has the same bits whichever thread reads it.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,9 @@ class SynthConfig:
     num_samples: int
     seed: int
 
-    def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise DomainError("sample rate must be positive")
+    def __post_init__(self):  # each test is false for nan, so nan is refused too
+        if not 0 < self.sample_rate < math.inf:
+            raise DomainError(f"sample rate must be positive and finite, got {self.sample_rate}")
         if self.num_samples < 1:
             raise DomainError(f"num_samples must be positive, got {self.num_samples}")
         if self.seed < 0:
@@ -61,11 +62,11 @@ class DetectionChain:
     mode_match: float
     excess_noise: float  # white PSD added after the mode-match vacuum
 
-    def __post_init__(self):
+    def __post_init__(self):  # each test is false for nan, so nan is refused too
         if not 0 < self.mode_match <= 1:
             raise DomainError("mode-matching efficiency must be in (0, 1]")
-        if self.excess_noise < 0:
-            raise DomainError("excess noise must be nonnegative")
+        if not 0 <= self.excess_noise < math.inf:
+            raise DomainError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
 
 
 def shaping_kernel(psd, sample_rate):
@@ -113,22 +114,24 @@ def _overlap_save(kernel, rng, length):
     """The `length` samples of np.convolve(normals, kernel, "valid"), segment by segment.
 
     normals are the next length + len(kernel) - 1 draws of rng.  Each
-    segment is one FFT of a size fixed by the kernel length alone.
+    segment is one FFT of a size fixed by the kernel length alone, zero-padded
+    by rfft when short (the last).  The one buffer, `segment`, takes each
+    segment's draws and carries its last len(kernel) - 1 into the next.
     """
     taps = kernel.size
     size = max(2 ** 15, 1 << (8 * taps - 1).bit_length())
     step = size - taps + 1
     response = np.fft.rfft(kernel, size)
-    segment = np.zeros(size)
+    segment = np.empty(size)
     rng.standard_normal(out=segment[:taps - 1])
     for start in range(0, length, step):
         count = min(step, length - start)
-        rng.standard_normal(out=segment[taps - 1:taps - 1 + count])
-        segment[taps - 1 + count:] = 0.0  # only the last segment is short
-        spectrum = np.fft.rfft(segment)
+        end = taps - 1 + count
+        rng.standard_normal(out=segment[taps - 1:end])
+        spectrum = np.fft.rfft(segment[:end], size)
         spectrum *= response
-        yield np.fft.irfft(spectrum, size)[taps - 1:taps - 1 + count]
-        segment[:taps - 1] = segment[count:count + taps - 1]
+        yield np.fft.irfft(spectrum, size)[taps - 1:end]
+        segment[:taps - 1] = segment[count:end]
 
 
 def _white(gain, rng, length):

@@ -1017,6 +1017,67 @@ def test_config_and_spectra_inputs_exit_cleanly(leaf_values, flags):
             assert set(os.listdir(tmp)) == written  # no output, nor a temp file, of a failure
 
 
+def _spectrum_bytes(header, rows, edits, bom, tail):
+    """A spectrum CSV: the header, then the rows of cells as edited, each edit
+    (row, column, text) setting a cell, appending one past the row's end or,
+    with text None, cutting the row there."""
+    rows = [list(row) for row in rows]
+    for index, column, text in edits:
+        if rows:
+            row = rows[index % len(rows)]
+            if text is None:
+                del row[column:]
+            elif column < len(row):
+                row[column] = text
+            else:
+                row.append(text)
+    return (bom + "\n".join([header, *map(",".join, rows)]) + "\n").encode() + tail
+
+
+# 0-5 rows of distinct frequencies and two PSDs below the SNL, as spectra writes them;
+# up to two cells set to ±0, the smallest subnormal, the largest decade, a
+# non-finite or empty text or one that is not a number, or cut or added; a
+# header with a column missing or extra; a UTF-8 BOM; bytes that are not UTF-8
+_SPECTRUM = st.builds(
+    _spectrum_bytes,
+    header=st.sampled_from([",".join(fileio.SPECTRUM_COLUMNS)] * 6
+                           + ["f_hz,s_i,s_p", "f_hz,s_i", "f_hz,s_i,s_p,s_i_db,s_p_db,extra"]),
+    rows=st.lists(st.tuples(st.integers(1, 80).map(lambda mhz: repr(mhz * 1e6)),
+                            st.floats(0.05, 1.0).map(repr), st.floats(0.05, 1.0).map(repr),
+                            st.just(""), st.just("")), max_size=5, unique_by=lambda row: row[0]),
+    edits=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6), st.one_of(
+        st.none(), st.sampled_from(["0", "-0", "5e-324", "1e308", "-1e308", "inf", "-inf",
+                                    "nan", "", "abc", "1e", "0x10"]))), max_size=2),
+    bom=st.sampled_from(["", "\ufeff"]),
+    tail=st.sampled_from([b""] * 8 + [b"\xff", b"\xc3\x28"]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spectrum=_SPECTRUM)
+def test_fit_inputs_exit_cleanly(spectrum):
+    # every spectrum CSV exits 0, 1 or 2 without a traceback or a
+    # RuntimeWarning; a fit is strict JSON, and a failure writes no file
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "spectrum.csv"), os.path.join(tmp, "fit.json")
+        with open(path, "wb") as handle:
+            handle.write(spectrum)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            status = main(["fit", path, "--out", out, "--json"])
+        assert status in (0, 1, 2)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        if status == 0:
+            report = json.loads(stdout.getvalue(), parse_constant=pytest.fail)
+            with open(out) as handle:
+                assert json.load(handle, parse_constant=pytest.fail) == report
+        else:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("twinbeam: ")
+            assert sorted(os.listdir(tmp)) == ["spectrum.csv"]
+
+
 class TestFitCommand:
     def test_fit_round_trip(self, tmp_path, capsys):
         freqs = np.linspace(1e6, 80e6, 64)
@@ -1083,6 +1144,35 @@ class TestFitCommand:
         assert message in captured.err
         assert captured.out == ""
 
+
+    @pytest.mark.parametrize("rows, message", [
+        # the span's eighth, the narrowest start bandwidth, rounds to 0 Hz
+        ("0,0.5,0.6,,\n5e-324,0.5,0.6,,", "frequency span 4.94066e-324 Hz too narrow"),
+        # the bandwidth and a growing pump ratio pull alike: J^T J turns singular
+        ("47000000.0,0.99999,0.99999,,\n1000000.0,0.05,0.8766777449977223,,",
+         "Jacobian is rank deficient"),
+    ], ids=["subnormal-span", "singular-step"])
+    def test_degenerate_spectrum_is_infeasible(self, rows, message, tmp_path, capsys):
+        # both once raised an exception past main (ValueError, LinAlgError)
+        path, out = tmp_path / "degenerate.csv", tmp_path / "fit.json"
+        path.write_text(f"f_hz,s_i,s_p,s_i_db,s_p_db\n{rows}\n")
+        with pytest.warns(UserWarning, match="octave"):
+            assert main(["fit", str(path), "--out", str(out), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: infeasible:")
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # a spreadsheet's UTF-8 CSV starts with a BOM, once read into the
+        # first column's name ("missing columns ['f_hz']")
+        plain = _clean_spectrum_csv(tmp_path)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(plain).read_bytes())
+        assert main(["fit", plain, "--json"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["fit", str(marked), "--json"]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("freqs, value, message", [
         (np.linspace(1e6, 64e6, 64), 1e308, "every start point failed to evaluate"),

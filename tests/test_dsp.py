@@ -274,13 +274,6 @@ class TestWelchPsd:
             assert streamed.num_averages == whole.num_averages
             assert sum(taken) == len(series)  # zero-weight groups' samples are read too
 
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_streamed_series_of_another_length_is_refused(self, extra):
-        series = np.random.default_rng(7).standard_normal(2 ** 14 + extra)
-        blocks = iter(np.array_split(series, 5))
-        with pytest.raises(RuntimeError, match=f"{2 ** 14}"):
-            dsp.welch_psd(BlockSeries(2 ** 14, blocks), FS, SETTINGS)
-
     @RBW_SCALES
     @pytest.mark.parametrize("rbw, vbw, frequencies", [
         (150e3, 2.0, (20e6,)),                   # even L = 1000 (Hann)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twinbeam import model
+from twinbeam import dsp, model, synth
 from twinbeam.errors import (
     BelowThresholdError,
     DomainError,
@@ -59,6 +59,35 @@ class TestDerivations:
         with pytest.raises(DomainError):
             model.NopoParams.from_derived(coupling, 1.38, 24.7e6, 0.88)
 
+    def test_from_derived_refuses_a_pump_ratio_whose_square_overflows(self):
+        # a Python float's square raises OverflowError past about 1.3e154
+        with pytest.raises(DomainError, match="pump ratio 1e\\+200 squared overflows"):
+            model.NopoParams.from_derived(0.8, 1e200, 1e6, 0.9)
+
+
+# (valid dataclass, field, its name in the message): each field the config
+# schema only lets through finite
+NONFINITE_FIELDS = [
+    (MEASURED_CAVITY, "transmission", "transmission"),
+    (MEASURED_CAVITY, "intracavity_loss", "intracavity_loss"),
+    (MEASURED_CAVITY, "cavity_bandwidth", "cavity bandwidth"),
+    (MEASURED_CAVITY, "pump_power", "pump power"),
+    (synth.SynthConfig(sample_rate=1e8, num_samples=2 ** 16, seed=0), "sample_rate",
+     "sample rate"),
+    (synth.DetectionChain(mode_match=0.9, excess_noise=0.04), "excess_noise", "excess noise"),
+    (dsp.AnalyzerSettings(rbw=150e3, vbw=2.0), "rbw", "resolution bandwidth"),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("valid, field, name", NONFINITE_FIELDS,
+                         ids=[f"{type(case[0]).__name__}.{case[1]}" for case in NONFINITE_FIELDS])
+def test_library_dataclass_refuses_a_nonfinite_field(valid, field, name, value):
+    # NopoParams(transmission=inf) once read nan spectra, and rbw=nan was
+    # refused with the VBW's message
+    with pytest.raises(DomainError, match=name):
+        replace(valid, **{field: value})
+
 
 class TestSpectra:
     def test_intensity_dip_at_20mhz(self):
@@ -76,6 +105,13 @@ class TestSpectra:
         assert model.phase_sum_psd(f, 0.74, bandwidth, 1.38) == 1.0
         np.testing.assert_array_equal(model.intensity_diff_psd([0.0, f], 0.74, bandwidth),
                                       [1.0 - 0.74, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pump_ratio_gives_the_limit_silently(self):
+        # the pump ratio's square overflows to inf, and the phase dip to its limit 1
+        assert model.phase_sum_psd(1e6, 0.7, 1e6, 1e200) == 1.0
+        np.testing.assert_array_equal(model.phase_sum_psd([0.0, 1e6], 0.7, 1e6, 1e200),
+                                      [1.0, 1.0])
 
     def test_intensity_dip_at_dc(self):
         # direct substitution 1 - 0.88*0.84

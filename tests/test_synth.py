@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import math
 import tracemalloc
@@ -226,6 +227,26 @@ class TestMzMeasure:
             assert np.array_equal(first[name], second[name])
 
 
+def _write_channel(series):
+    handle = io.BytesIO()
+    writer = fileio.TraceWriter(handle, FS, ["ch"], len(series))
+    end = handle.tell() + 4 * len(series)
+    try:
+        writer.write_channel("ch", series.blocks())
+    finally:  # a block that would pass the channel's end is refused before it is written
+        assert len(handle.getvalue()) <= end
+
+
+# every reader of a BlockSeries, each taking its blocks once
+STREAM_CONSUMERS = {
+    "iteration": lambda series: list(series.blocks()),
+    "array": synth.BlockSeries.array,
+    "welch-full-grid": lambda series: welch_psd(series, FS, SETTINGS),
+    "welch-f0": lambda series: welch_psd(series, FS, SETTINGS, (20e6,)),
+    "trace-writer": _write_channel,
+}
+
+
 class TestBlockSeries:
     def test_blocks_join_into_the_array(self):
         series = np.arange(2 ** 16 + 123, dtype=float)
@@ -240,6 +261,19 @@ class TestBlockSeries:
         np.testing.assert_array_equal(once.array(), series)
         with pytest.raises(RuntimeError, match="already read"):
             once.array()
+
+    @pytest.mark.parametrize("stream", ["one-more", "one-fewer", "second-read"])
+    @pytest.mark.parametrize("consumer", STREAM_CONSUMERS)
+    def test_stream_of_another_length_is_refused(self, consumer, stream):
+        # blocks() checks the count for every consumer; a second read finds none
+        n = 2 ** 14
+        extra = {"one-more": 1, "one-fewer": -1, "second-read": 0}[stream]
+        samples = np.random.default_rng(7).standard_normal(n + extra)
+        series = synth.BlockSeries(n, iter(np.array_split(samples, 5)))
+        if stream == "second-read":
+            STREAM_CONSUMERS[consumer](series)
+        with pytest.raises(RuntimeError, match=f"its {n} samples"):
+            STREAM_CONSUMERS[consumer](series)
 
     @pytest.mark.parametrize("mode", ["amplitude", "phase"])
     def test_chain_block_size_moves_no_bit(self, monkeypatch, mode):
