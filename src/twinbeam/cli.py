@@ -3,20 +3,21 @@
 A trace file written by synth holds the four measured channels analyze
 reads (pipeline.TRACE_CHANNELS): the amplitude and phase signal
 photocurrents, the shot-noise reference and the electronics floor.
-pipeline makes them and reads them; this module schedules that work and
-handles files, flags and exit codes.  The quadrature combinations behind
-the signal channels are not stored: each channel is shaped straight from
-its chain PSD (pipeline.channel_psds), and per-beam series are not
-modelled.
+pipeline makes them and reads them, and fileio writes and reads the
+trace; this module handles flags and exit codes.  The quadrature
+combinations behind the signal channels are not stored: each channel is
+shaped straight from its chain PSD (pipeline.channel_psds), and per-beam
+series are not modelled.
 
-synth and analyze use up to two threads; their output does not depend on
-how many run.  synth shapes and writes the channels on two workers, each
-streaming its channel into the trace file as float32 blocks, so its memory
-does not grow with the trace length.  analyze checks the trace's header
-and size, then runs the file's sha256 and the four Welch estimates on two
-workers, in that order: each estimate reads its channel block by block,
-checks every block finite and averages it, so no channel is held whole and
-its memory does not grow with the trace length either.  An estimate
+synth and analyze use up to two threads (fileio.on_two_workers); their
+output does not depend on how many run.  synth hands the four channels to
+fileio.write_trace, whose two workers shape them as they stream them into
+the trace file as float32 blocks, the two signal channels first, so its
+memory does not grow with the trace length.  analyze checks the trace's
+header and size, then runs the file's sha256 and the four Welch estimates
+on two workers, in that order: each estimate reads its channel block by
+block, checks every block finite and averages it, so no channel is held
+whole and its memory does not grow with the trace length either.  An estimate
 transforms only the analyzer bin nearest f0, the one analyze reads, by a
 direct DFT of each segment (dsp.welch_psd with frequencies=(f0,)): O(L)
 per segment of L samples, where the full grid takes an rfft.  The
@@ -133,25 +134,6 @@ def _cmd_spectra(args):
     return 0
 
 
-def _on_two_workers(calls):
-    """Run each call, a (function, *args) tuple, on two worker threads, in order.
-
-    Each call is queued as soon as the iterable `calls` yields it, so a
-    worker can start on it while the next is made.  Returns the results in
-    call order.  A failure cancels the calls still queued, and the first
-    failure in call order is raised here, once the calls already running
-    are done.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # here: only synth and analyze use it
-
-    pool = ThreadPoolExecutor(max_workers=2)
-    try:
-        futures = [pool.submit(*call) for call in calls]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _read_through(series):
     """Read every block of series, for the checks its reader makes."""
     for _ in series.blocks():
@@ -161,23 +143,18 @@ def _read_through(series):
 def _cmd_synth(args):
     from . import fileio, pipeline
     from .config import load_config
-    from .pipeline import TRACE_CHANNELS
 
     cfg = load_config(args.config)
-    with fileio.trace_writer(args.out, cfg.synth.sample_rate, TRACE_CHANNELS,
-                             cfg.synth.num_samples) as writer:
-        # each worker shapes a channel block by block as it writes it, the
-        # two signal channels (the long kernels) first
-        _on_two_workers((writer.write_channel, name, stream.blocks())
-                        for name, stream in pipeline.trace_channels(cfg))
-    summary = {"out": args.out, "seed": cfg.synth.seed, "sha256": writer.sha256,
-               "channels": list(TRACE_CHANNELS), "num_samples": cfg.synth.num_samples,
+    sha256 = fileio.write_trace(args.out, cfg.synth.sample_rate,
+                                dict(pipeline.trace_channels(cfg)))
+    summary = {"out": args.out, "seed": cfg.synth.seed, "sha256": sha256,
+               "channels": list(pipeline.TRACE_CHANNELS), "num_samples": cfg.synth.num_samples,
                "config_hash": cfg.hash}
     if args.json:
         print(json.dumps(summary, sort_keys=True, allow_nan=False))
     else:
         print(f"seed {cfg.synth.seed}")
-        print(f"sha256 {writer.sha256}")
+        print(f"sha256 {sha256}")
     return 0
 
 
@@ -197,7 +174,7 @@ def _cmd_analyze(args):
             raise UsageError(f"trace file lacks required channel {name!r}")
     # each estimate reads and checks its channel's blocks; a channel analyze
     # does not use is read through all the same, so every sample is checked
-    digest, *results = _on_two_workers(
+    digest, *results = fileio.on_two_workers(
         [(fileio.file_sha256, args.trace)]
         + [(dsp.welch_psd, channels[name], sample_rate, settings, (f0,))
            for name in TRACE_CHANNELS]
@@ -225,11 +202,11 @@ def _cmd_certify(args):
     else:
         if args.analysis is None:
             raise UsageError("provide an analysis JSON or --vx/--vy")
-        with open(args.analysis) as handle:
+        with open(args.analysis, encoding="utf-8") as handle:
             try:
                 # integers read as floats, so one too large for a float reads as inf
                 analysis = json.load(handle, parse_int=float)
-            except ValueError as exc:  # not JSON, or not UTF-8 text
+            except (ValueError, RecursionError) as exc:  # not UTF-8 text, not JSON, too deep
                 raise UsageError(f"analysis JSON cannot be read: {exc}") from exc
         readings = certify.analysis_readings(analysis)
     _emit(certify.report(*readings, mode_match=args.mode_match), args.out, args.json)

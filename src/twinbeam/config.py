@@ -164,9 +164,9 @@ def parse_config(document):
 
 
 def load_config(path):
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8 text, not JSON, or nested too deep
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
     return parse_config(document)

@@ -8,9 +8,9 @@ Trace file layout (all little-endian):
 The format takes any ordered set of named channels.  The CLI writes the four
 measured channels analyze reads (pipeline.TRACE_CHANNELS); the combinations
 behind them and per-beam series are not stored.
-Each channel sits at a fixed offset, so a TraceWriter fills the payload as
-the channels are produced, block by block and from more than one thread,
-and trace_writer hashes the finished file and renames it into place.
+Each channel sits at a fixed offset, so write_trace fills the payload as
+the channels' BlockSeries are produced, block by block on two workers
+(on_two_workers), then hashes the finished file and renames it into place.
 read_trace mirrors it: it checks the header and the file size, then hands
 out each channel as a BlockSeries that reads and checks float32 blocks from
 the channel's offset as they are taken, so no whole channel is held and
@@ -18,12 +18,12 @@ channels can be read from more than one thread.  file_sha256 hashes a file
 in fixed-size chunks, apart from the channel reads.
 """
 
-import contextlib
 import csv
 import hashlib
 import io
 import math
 import os
+import re
 import shutil
 import struct
 import threading
@@ -43,47 +43,63 @@ _HASH_CHUNK = 2 ** 20  # bytes per read while hashing a file
 # ---------------------------------------------------------------------------
 # binary trace format
 
-class TraceWriter:
-    """A trace being written to a seekable binary handle, channel by channel.
+def on_two_workers(calls):
+    """Run each call, a (function, *args) tuple, on two worker threads, in order.
 
-    The header goes out at once.  write_channel puts a channel's samples at
-    that channel's fixed offset, in the order its blocks come, so channels
-    can be written in any order and from several threads at once.
-    check_complete raises unless every channel got exactly num_samples.
-    A trace whose bytes would pass the largest file offset, 2^63 - 1, or
-    number more than free_bytes, is refused with DomainError before
-    anything is written.
+    Each call is queued as soon as the iterable `calls` yields it, so a
+    worker can start on it while the next is made.  Returns the results in
+    call order.  A failure cancels the calls still queued, and the first
+    failure in call order is raised here, once the calls already running
+    are done.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: fit imports fileio and needs none
 
-    def __init__(self, handle, sample_rate, names, num_samples, free_bytes=math.inf):
-        self._handle = handle
-        self._num_samples = num_samples
-        self._lock = threading.Lock()
-        table = b"".join(struct.pack("<I", len(raw)) + raw
-                         for raw in (name.encode("utf-8") for name in names))
-        start = handle.tell()
-        payload = start + len(TRACE_MAGIC) + struct.calcsize("<IdIQ") + len(table)
-        end = payload + 4 * num_samples * len(names)
-        if end > 2 ** 63 - 1:  # the largest file offset
-            raise DomainError(f"a trace of {len(names)} channels of {num_samples} samples "
-                              "is too large for a file")
-        if end - start > free_bytes:
-            raise DomainError(f"a trace of {end - start} bytes does not fit in the "
-                              f"{free_bytes} bytes free for it")
-        handle.write(TRACE_MAGIC)
-        handle.write(struct.pack("<IdIQ", TRACE_VERSION, sample_rate, len(names), num_samples))
-        handle.write(table)
-        self._offsets = {name: payload + 4 * num_samples * i for i, name in enumerate(names)}
-        self._written = dict.fromkeys(names, 0)
+    pool = ThreadPoolExecutor(max_workers=2)
+    try:
+        futures = [pool.submit(*call) for call in calls]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    def write_channel(self, name, blocks):
-        """Write the float series `blocks`, in order, as channel `name`'s samples.
 
-        A sample that is not finite as a float32 raises DomainError, naming
-        it, so no trace holds one.
-        """
+def write_trace(path, sample_rate, channels):
+    """Write the ordered {name: series} `channels` as a new trace file at path.
+
+    Each series is an array or a BlockSeries; an array is wrapped as a
+    BlockSeries of one block.  Channels of unequal length, a trace whose
+    bytes would pass the largest file offset, 2^63 - 1, and a trace larger
+    than the free space of path's directory are refused with DomainError
+    before anything is written.  The channels are then written on two
+    workers, each block at its channel's fixed offset as blocks() yields
+    it, which refuses a series of another length (RuntimeError).  A sample
+    that is not finite as a float32 raises DomainError, naming it, so no
+    trace holds one.  The file appears at path only once every channel is
+    written, and no file is left behind on failure.  Returns the hex sha256
+    of its bytes, read back from the temp file before the rename.
+    """
+    channels = {name: series if isinstance(series, BlockSeries)
+                else BlockSeries(len(series), (np.asarray(series),))
+                for name, series in channels.items()}
+    num_samples = next(iter(channels.values())).length if channels else 0
+    for name, series in channels.items():
+        if series.length != num_samples:
+            raise DomainError(f"channel {name!r} has {series.length} samples, "
+                              f"not the {num_samples} of the first channel")
+    table = b"".join(struct.pack("<I", len(raw)) + raw
+                     for raw in (name.encode("utf-8") for name in channels))
+    payload = len(TRACE_MAGIC) + struct.calcsize("<IdIQ") + len(table)
+    size = payload + 4 * num_samples * len(channels)
+    if size > 2 ** 63 - 1:  # the largest file offset
+        raise DomainError(f"a trace of {len(channels)} channels of {num_samples} samples "
+                          "is too large for a file")
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    if size > free:
+        raise DomainError(f"a trace of {size} bytes does not fit in the {free} bytes free for it")
+    lock = threading.Lock()
+
+    def write_channel(name, offset, series):
         count = 0
-        for block in blocks:
+        for block in series.blocks():
             with np.errstate(over="ignore"):  # an overflow is reported below
                 data = np.ascontiguousarray(block, dtype="<f4")
             finite = np.isfinite(data)
@@ -91,37 +107,19 @@ class TraceWriter:
                 bad = int(np.argmin(finite))
                 raise DomainError(f"channel {name!r} sample {count + bad} is {block[bad]}, "
                                   "not finite as a float32")
-            with self._lock:
-                self._handle.seek(self._offsets[name] + 4 * count)
-                self._handle.write(data)
+            with lock:
+                handle.seek(offset + 4 * count)
+                handle.write(data)
             count += len(data)
-        self._written[name] = count
 
-    def check_complete(self):
-        short = {name: count for name, count in self._written.items()
-                 if count != self._num_samples}
-        if short:
-            raise TraceFormatError(
-                f"channels {short} written, expected {self._num_samples} samples each")
-
-
-@contextlib.contextmanager
-def trace_writer(path, sample_rate, names, num_samples):
-    """A TraceWriter for a new trace file at path.
-
-    The file appears at path only if the block succeeds and every channel
-    is complete; the writer's sha256 then holds the hex digest of its bytes,
-    read back from the temp file before the rename.  On failure no file is
-    left behind.  A trace larger than the free space of path's directory is
-    refused before anything is written.
-    """
-    free_bytes = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
     with atomic_file(path) as handle:
-        writer = TraceWriter(handle, sample_rate, names, num_samples, free_bytes)
-        yield writer
-        writer.check_complete()
+        handle.write(TRACE_MAGIC)
+        handle.write(struct.pack("<IdIQ", TRACE_VERSION, sample_rate, len(channels), num_samples))
+        handle.write(table)
+        on_two_workers((write_channel, name, payload + 4 * num_samples * i, series)
+                       for i, (name, series) in enumerate(channels.items()))
         handle.flush()
-        writer.sha256 = _sha256(handle)
+        return _sha256(handle)
 
 
 def _require(size, offset, count, what):
@@ -237,6 +235,7 @@ def file_sha256(path):
 # spectrum CSV
 
 SPECTRUM_COLUMNS = ("f_hz", "s_i", "s_p", "s_i_db", "s_p_db")
+_NOT_IN_A_NUMBER = re.compile(r"[^!-~]|_")  # a character outside visible ASCII, or "_"
 
 
 def _fmt(value):
@@ -262,11 +261,21 @@ def write_spectrum_csv(path, frequencies, amplitude=None, phase=None):
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
+def _number(cell):
+    """float(cell), but ValueError for spellings float reads and no CSV tool
+    writes: a character that is not visible ASCII (whitespace, non-ASCII
+    digits) or an underscore."""
+    if _NOT_IN_A_NUMBER.search(cell):
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
 def read_spectrum_csv(path):
     """Read the spectrum CSV back into (frequencies, amplitude|None, phase|None).
 
-    Text that is not UTF-8 or a cell that is not a number raises
-    TraceFormatError, naming the byte offset or the row.  A leading UTF-8
+    Text that is not UTF-8 or a cell that is not a number (see _number)
+    raises TraceFormatError, naming the byte offset or the row; nan and inf
+    are numbers here, for the reader's caller to refuse.  A leading UTF-8
     byte-order mark, as spreadsheets write, is skipped.
     """
     with open(path, "rb") as handle:
@@ -282,9 +291,9 @@ def read_spectrum_csv(path):
     freqs, s_i, s_p = [], [], []
     for row in reader:
         try:
-            freqs.append(float(row["f_hz"]))
-            s_i.append(float(row["s_i"]) if row["s_i"] else None)
-            s_p.append(float(row["s_p"]) if row["s_p"] else None)
+            freqs.append(_number(row["f_hz"]))
+            s_i.append(_number(row["s_i"]) if row["s_i"] else None)
+            s_p.append(_number(row["s_p"]) if row["s_p"] else None)
         except (TypeError, ValueError) as exc:
             raise TraceFormatError(
                 f"spectrum CSV line {reader.line_num} holds a cell that is not a number: {exc}"

@@ -274,6 +274,15 @@ class TestConfigSchema:
         assert message in captured.err and captured.out == ""
         assert os.listdir(tmp_path) == ["mut.json"]
 
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "mut.json"
+        path.write_bytes(b'{"version": "\xff"}')
+        assert main(config_argv(command, str(path), tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: error: config is not valid JSON: 'utf-8'")
+        assert captured.out == "" and os.listdir(tmp_path) == ["mut.json"]
+
     @pytest.mark.parametrize("case", INFEASIBLE_VALUES)
     def test_unphysical_value_is_infeasible_at_load(self, tmp_path, capsys, case):
         section, key, value, message = INFEASIBLE_VALUES[case]
@@ -660,9 +669,7 @@ class TestAnalyzeCertifyPipeline:
         capsys.readouterr()
         rate, channels = fileio.read_trace(trace)
         kept = {name: series.array() for name, series in channels.items() if name != "enl"}
-        with fileio.trace_writer(trace, rate, list(kept), 2 ** 16) as writer:
-            for name, series in kept.items():
-                writer.write_channel(name, [series])
+        fileio.write_trace(trace, rate, kept)
         assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "trace file lacks required channel 'enl'" in captured.err
@@ -756,9 +763,7 @@ class TestAnalyzeCertifyPipeline:
         rate, channels = fileio.read_trace(trace)
         channels = {name: series.array() for name, series in channels.items()}
         channels["aux"] = np.zeros(2 ** 16)
-        with fileio.trace_writer(trace, rate, list(channels), 2 ** 16) as writer:
-            for name, series in channels.items():
-                writer.write_channel(name, [series])
+        fileio.write_trace(trace, rate, channels)
         data = bytearray(trace.read_bytes())
         offset = len(data) - 4 * (2 ** 16 - 7)  # aux's sample 7; the writer refuses a NaN
         data[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
@@ -1129,6 +1134,19 @@ class TestFitCommand:
         assert "no positive frequency" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", ["3_000_000,0.5,0.6,,", "\u0663" + "\u0660" * 6 + ",0.5,0.6,,",
+                                     "3e6,0.5, 0.6 ,,"],
+                             ids=["underscore", "arabic-indic-digits", "padded"])
+    def test_spelling_no_csv_tool_writes_is_infeasible(self, row, tmp_path, capsys):
+        # float() reads each of these cells; a spectrum CSV cell is visible ASCII
+        path = tmp_path / "odd.csv"
+        path.write_text(f"f_hz,s_i,s_p,s_i_db,s_p_db\n2e6,0.6,0.7,,\n{row}\n4e6,0.6,0.7,,\n"
+                        "8e6,0.7,0.8,,\n", encoding="utf-8")
+        assert main(["fit", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "line 3 holds a cell that is not a number" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("row, message", [
         (b"1e6,abc,0.5,,", "line 3 holds a cell that is not a number"),
         (b"1e6,0.5,\xff\xfe,,", "not UTF-8 text (byte offset 49)"),
@@ -1193,6 +1211,21 @@ class TestFitCommand:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("where", ["config", "config-version", "analysis"])
+    def test_json_nested_too_deep_is_usage_error(self, tmp_path, capsys, where):
+        # json.load raises RecursionError past about 1000 levels
+        deep = "[" * 10 ** 5 + "]" * 10 ** 5
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"version": {deep}}}' if where == "config-version" else deep)
+        if where == "analysis":
+            argv, message = ["certify", str(path)], "analysis JSON cannot be read"
+        else:
+            argv, message = config_argv("spectra", str(path), tmp_path), "config is not valid JSON"
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"twinbeam: error: {message}")
+        assert captured.out == "" and os.listdir(tmp_path) == ["deep.json"]
 
     def test_missing_required_flag(self, capsys):
         assert main(["spectra"]) == 1

@@ -1,7 +1,9 @@
 import hashlib
-import io
 import math
 import os
+import pathlib
+import shutil
+import struct
 import sys
 import tempfile
 import threading
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from twinbeam import fileio
 from twinbeam.errors import DomainError, TraceFormatError
+from twinbeam.series import BlockSeries
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY_SUBNORMAL = float(np.finfo(np.float32).smallest_subnormal)
@@ -29,14 +32,26 @@ def sample_channels(n=64, count=3, seed=0):
 
 
 def encode_trace(sample_rate, channels):
-    """The trace-file bytes of an ordered {name: series} mapping of equal lengths."""
-    handle = io.BytesIO()
-    names = list(channels)
-    writer = fileio.TraceWriter(handle, sample_rate, names, len(channels[names[0]]))
-    for name in names:
-        writer.write_channel(name, [channels[name]])
-    writer.check_complete()
-    return handle.getvalue()
+    """The trace-file bytes of an ordered {name: series} mapping of equal
+    lengths, packed by hand from the layout in fileio's docstring."""
+    names = [name.encode("utf-8") for name in channels]
+    num_samples = len(next(iter(channels.values()), ()))
+    header = b"TWBM" + struct.pack("<IdIQ", 1, sample_rate, len(names), num_samples)
+    table = b"".join(struct.pack("<I", len(raw)) + raw for raw in names)
+    return header + table + b"".join(np.asarray(series, dtype="<f4").tobytes()
+                                     for series in channels.values())
+
+
+def write(path, channels, sample_rate=1e8):
+    """write_trace of channels to path; returns (the file's bytes, the returned sha256)."""
+    digest = fileio.write_trace(path, sample_rate, channels)
+    return pathlib.Path(path).read_bytes(), digest
+
+
+def in_blocks(series, size):
+    """series as a BlockSeries of blocks of `size` samples, the last one maybe shorter."""
+    return BlockSeries(len(series), (series[start:start + size]
+                                     for start in range(0, len(series), size)))
 
 
 def with_sample(data, channel, index, value, n=64, count=3):
@@ -70,9 +85,9 @@ class TestTraceFormat:
             np.testing.assert_array_equal(np.concatenate(blocks),
                                           channels[name].astype(np.float32))
 
-    def test_encoding_is_deterministic(self):
+    def test_writing_is_deterministic(self, tmp_path):
         channels = sample_channels()
-        assert encode_trace(1e8, channels) == encode_trace(1e8, channels)
+        assert write(tmp_path / "a.twbm", channels) == write(tmp_path / "b.twbm", channels)
 
     def test_bad_magic(self, tmp_path):
         with pytest.raises(TraceFormatError) as err:
@@ -157,67 +172,59 @@ class TestTraceFormat:
         assert fileio.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-class TestTraceWriter:
-    def blocks(self, series, size):
-        return (series[start:start + size] for start in range(0, len(series), size))
-
-    def test_channels_in_any_order_and_blocks_give_the_encoded_bytes(self, tmp_path):
-        channels = sample_channels(n=1000)
-        path = tmp_path / "t.twbm"
-        with fileio.trace_writer(path, 1e8, list(channels), 1000) as writer:
-            for name, size in (("ch2", 7), ("ch0", 1000), ("ch1", 333)):
-                writer.write_channel(name, self.blocks(channels[name], size))
-        data = path.read_bytes()
+class TestWriteTrace:
+    def test_blocks_and_arrays_give_the_encoded_bytes(self, tmp_path):
+        channels = sample_channels(n=1000, count=4)
+        series = {"ch0": in_blocks(channels["ch0"], 7), "ch1": channels["ch1"],
+                  "ch2": in_blocks(channels["ch2"], 1000), "ch3": in_blocks(channels["ch3"], 333)}
+        data, digest = write(tmp_path / "t.twbm", series)
         assert data == encode_trace(1e8, channels)
-        assert writer.sha256 == hashlib.sha256(data).hexdigest()
+        assert digest == hashlib.sha256(data).hexdigest()
 
     def test_concurrent_channel_writes_lose_nothing(self, tmp_path):
-        # more writer threads than cores, switching as often as possible: an
-        # unlocked seek-then-write would put blocks at another thread's offset
+        # both workers switching as often as possible: an unlocked
+        # seek-then-write would put blocks at the other worker's offset
         channels = sample_channels(n=5000, count=6, seed=3)
-        path = tmp_path / "t.twbm"
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with fileio.trace_writer(path, 1e8, list(channels), 5000) as writer:
-                threads = [threading.Thread(target=writer.write_channel,
-                                            args=(name, self.blocks(series, 7)))
-                           for name, series in channels.items()]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
+            data, _ = write(tmp_path / "t.twbm", {name: in_blocks(series, 7)
+                                                  for name, series in channels.items()})
         finally:
             sys.setswitchinterval(interval)
-        assert path.read_bytes() == encode_trace(1e8, channels)
+        assert data == encode_trace(1e8, channels)
 
     @pytest.mark.parametrize("extra", [-1, 1])
-    def test_short_or_long_channel_leaves_no_file(self, tmp_path, extra):
+    def test_channel_of_another_length_writes_nothing(self, tmp_path, extra, monkeypatch):
+        # refused from the lengths alone, before the temp file is made
+        monkeypatch.setattr(fileio, "atomic_file", None)
         channels = sample_channels(n=1000)
-        channels["ch1"] = np.resize(channels["ch1"], 1000 + extra)
-        with pytest.raises(TraceFormatError, match="ch1"):
-            with fileio.trace_writer(tmp_path / "t.twbm", 1e8, list(channels), 1000) as writer:
-                for name, series in channels.items():
-                    writer.write_channel(name, [series])
+        channels["ch1"] = in_blocks(np.resize(channels["ch1"], 1000 + extra), 333)
+        with pytest.raises(DomainError, match=f"channel 'ch1' has {1000 + extra} samples, "
+                                              "not the 1000 of the first channel"):
+            fileio.write_trace(tmp_path / "t.twbm", 1e8, channels)
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("num_samples", [2 ** 61, 2 ** 64], ids=["2^61", "2^64"])
-    def test_trace_too_large_for_a_file_writes_nothing(self, num_samples):
-        handle = io.BytesIO()
+    def test_trace_too_large_for_a_file_writes_nothing(self, tmp_path, num_samples):
+        # BlockSeries.length, as len() raises OverflowError past 2^63 - 1
         with pytest.raises(DomainError, match="too large for a file"):
-            fileio.TraceWriter(handle, 1e8, ["a"], num_samples)
-        assert handle.getvalue() == b""
+            fileio.write_trace(tmp_path / "t.twbm", 1e8, {"a": BlockSeries(num_samples, ())})
+        assert os.listdir(tmp_path) == []
 
-    def test_trace_beyond_the_free_bytes_writes_nothing(self):
+    @pytest.mark.parametrize("spare", [-1, 0], ids=["one-byte-short", "exact-fit"])
+    def test_trace_beyond_the_free_bytes_writes_nothing(self, tmp_path, monkeypatch, spare):
         size = len(encode_trace(1e8, {"a": np.zeros(10)}))
-        handle = io.BytesIO(b"x")  # a trace after one byte: only its own bytes count
-        handle.seek(1)
-        with pytest.raises(DomainError, match=f"a trace of {size} bytes does not fit in the "
-                                              f"{size - 1} bytes free for it"):
-            fileio.TraceWriter(handle, 1e8, ["a"], 10, free_bytes=size - 1)
-        assert handle.getvalue() == b"x"
-        fileio.TraceWriter(handle, 1e8, ["a"], 10, free_bytes=size)  # an exact fit
+        usage = shutil.disk_usage(tmp_path)._replace(free=size + spare)
+        monkeypatch.setattr(shutil, "disk_usage", lambda where: usage)
+        path = tmp_path / "t.twbm"
+        if spare < 0:
+            with pytest.raises(DomainError, match=f"a trace of {size} bytes does not fit in "
+                                                  f"the {size - 1} bytes free for it"):
+                fileio.write_trace(path, 1e8, {"a": np.zeros(10)})
+            assert os.listdir(tmp_path) == []
+        else:
+            assert write(path, {"a": np.zeros(10)})[0] == encode_trace(1e8, {"a": np.zeros(10)})
 
     @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan], ids=["float32-overflow",
                                                                    "-inf", "nan"])
@@ -226,16 +233,17 @@ class TestTraceWriter:
         series = np.zeros(1000)
         series[700] = value
         with pytest.raises(DomainError, match="channel 'a' sample 700 is"):
-            with fileio.trace_writer(tmp_path / "t.twbm", 1e8, ["a"], 1000) as writer:
-                writer.write_channel("a", self.blocks(series, 333))
+            fileio.write_trace(tmp_path / "t.twbm", 1e8, {"a": in_blocks(series, 333)})
         assert os.listdir(tmp_path) == []
 
     def test_failure_inside_leaves_no_file(self, tmp_path):
-        path = tmp_path / "t.twbm"
-        with pytest.raises(RuntimeError):
-            with fileio.trace_writer(path, 1e8, ["a"], 10) as writer:
-                writer.write_channel("a", [np.zeros(5)])
-                raise RuntimeError("stop")
+        def blocks():
+            yield np.zeros(5)
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            fileio.write_trace(tmp_path / "t.twbm", 1e8, {"a": np.zeros(10),
+                                                          "b": BlockSeries(10, blocks())})
         assert os.listdir(tmp_path) == []
 
 
@@ -254,6 +262,16 @@ class TestTraceProperties:
         for name in names:
             # float32 -> float64 -> float32 is exact, signed zeros and subnormals too
             assert back[name].astype(np.float32).tobytes() == channels[name].tobytes()
+
+    @settings(deadline=None)
+    @given(names=st.lists(channel_names, max_size=4, unique=True),
+           samples=st.lists(float32_samples, max_size=40))
+    def test_write_trace_gives_the_reference_bytes(self, names, samples):
+        base = np.array(samples, dtype=np.float32)
+        channels = {name: np.roll(base, i) for i, name in enumerate(names)}
+        with tempfile.TemporaryDirectory() as tmp:
+            data, _ = write(os.path.join(tmp, "t.twbm"), channels, sample_rate=3e7)
+        assert data == encode_trace(3e7, channels)
 
     @settings(deadline=None)
     @given(data=st.data())

@@ -1,7 +1,8 @@
 import copy
-import io
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -227,14 +228,13 @@ class TestMzMeasure:
             assert np.array_equal(first[name], second[name])
 
 
-def _write_channel(series):
-    handle = io.BytesIO()
-    writer = fileio.TraceWriter(handle, FS, ["ch"], len(series))
-    end = handle.tell() + 4 * len(series)
-    try:
-        writer.write_channel("ch", series.blocks())
-    finally:  # a block that would pass the channel's end is refused before it is written
-        assert len(handle.getvalue()) <= end
+def _write_trace(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            fileio.write_trace(os.path.join(tmp, "t.twbm"), FS, {"ch": series})
+        except RuntimeError:
+            assert os.listdir(tmp) == []  # no trace, nor its temp file
+            raise
 
 
 # every reader of a BlockSeries, each taking its blocks once
@@ -243,7 +243,7 @@ STREAM_CONSUMERS = {
     "array": synth.BlockSeries.array,
     "welch-full-grid": lambda series: welch_psd(series, FS, SETTINGS),
     "welch-f0": lambda series: welch_psd(series, FS, SETTINGS, (20e6,)),
-    "trace-writer": _write_channel,
+    "write-trace": _write_trace,
 }
 
 
