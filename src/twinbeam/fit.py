@@ -11,10 +11,13 @@ fit is separable (variable projection; Golub & Pereyra, SIAM J. Numer.
 Anal. 10, 413 (1973)): at each (B, s) the product is solved by linear
 least squares, and a Levenberg-Marquardt loop in numpy minimises the
 residual that is left over the log-space bandwidth and pump ratio alone,
-one 2x2 solve per step.  The model and its derivatives are evaluated in
-one place, the projection's basis: the winner's residual norm and its
-full-model Jacobian come from the same basis, and one thin SVD of that
-Jacobian gives both the rank check and the covariance.
+one 2x2 solve per step.  The dips themselves come from model.dip_terms,
+which the model's PSDs are built on too, so fit holds no second copy of
+them; what fit adds is their derivatives in its log-space coordinates.
+The projection's basis is the one place the two meet: the winner's
+residual norm and its full-model Jacobian come from the same basis, and
+one thin SVD of that Jacobian gives both the rank check and the
+covariance.
 """
 
 import math
@@ -25,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IdentifiabilityError
+from .model import dip_terms
 
 _MAX_ITER = 200
 _GRAD_TOL = 1e-10
@@ -104,34 +108,38 @@ def _projection(problem, fit_pump, sqrt_w):
     """The weighted model and its derivatives, as functions of theta = x[1:].
 
     The weighted residual is z - a psi(theta), with z = sqrt_w (1 - observed)
-    and psi = sqrt_w phi; `basis` is the one place the model is evaluated.
-    At each theta the product that minimises it is a*(theta) = psi.z /
-    psi.psi (0 if psi = 0), and the projected residual z - a* psi has the
-    exact Jacobian -(psi (x) da* + a* dpsi) (Golub & Pereyra 1973).  At x =
-    (a, theta) the full residual's Jacobian is -[psi | a dpsi].  Returns
-    the functions (residuals, jacobian, a*) of theta and full(x, derivatives)
-    -> (residual, its Jacobian or None).
+    and psi = sqrt_w phi.  `basis` reads u^2 and the denominators of
+    phi = 1 / (floor + u^2) from model.dip_terms, one row per channel: the
+    floor is 1 for the amplitude difference and s^2 for the phase sum, whose
+    rows come last.  The floor column is built once per problem, and each
+    call sets only s^2.  The derivatives of psi in theta = (log B,
+    log(s - 1)) are formed here, as they belong to the fit's coordinates.
+
+    At each theta the product that minimises the residual is a*(theta) =
+    psi.z / psi.psi (0 if psi = 0), and the projected residual z - a* psi
+    has the exact Jacobian -(psi (x) da* + a* dpsi) (Golub & Pereyra 1973).
+    At x = (a, theta) the full residual's Jacobian is -[psi | a dpsi].
+    Returns the functions (residuals, jacobian, a*) of theta and
+    full(x, derivatives) -> (residual, its Jacobian or None).
     """
     observed = [y for y in (problem.amplitude_observed, problem.phase_observed) if y is not None]
     n = len(problem.frequencies)
-    f_rows = np.tile(np.asarray(problem.frequencies, dtype=float), len(observed))
+    floor = np.ones((len(observed), 1))  # a dip floor per channel, broadcast over its rows
     w = np.tile(sqrt_w, len(observed))
     z = w * (1.0 - np.concatenate(observed))
 
     def basis(theta, derivatives=False):
         bandwidth, ratio = _unpack_theta(theta, fit_pump)
-        u2 = (f_rows / bandwidth) ** 2
-        phi = 1.0 + u2
-        if fit_pump:  # the last n rows
-            phi[-n:] = ratio ** 2 + u2[-n:]
-        phi = 1.0 / phi
+        floor[-1] = ratio ** 2 if fit_pump else 1.0
+        u2, den = dip_terms(problem.frequencies, bandwidth, floor)  # a row of den per channel
+        phi = 1.0 / den.ravel()
         psi = w * phi
         norm2 = psi @ psi  # 0 once every u^2 overflows: then P = 0, a* = 0 and r = z
         product = psi @ z / norm2 if norm2 > 0 else 0.0
         if not derivatives:
             return psi, product, None
         dpsi = np.zeros((len(theta), len(z)))  # row j: d psi / d theta_j
-        dpsi[0] = 2.0 * u2 * psi * phi
+        dpsi[0] = 2.0 * np.concatenate([u2] * len(observed)) * psi * phi  # on each channel
         if fit_pump:
             dpsi[1, -n:] = -2.0 * ratio * (ratio - 1.0) * psi[-n:] * phi[-n:]
         return psi, product, dpsi

@@ -3,11 +3,14 @@
 Everything here is a pure function or a frozen value: the cavity's
 parameters (NopoParams, which derives its output coupling and pump ratio),
 the analytic intensity-difference / phase-sum noise spectra of a
-non-degenerate OPO above threshold, dB bookkeeping relative to the shot
-noise limit (SNL), the electronics floor and the mode-matching vacuum
-admixture, and the geometry of the unbalanced interferometer locked at the
-analysis frequency.  All noise powers are linear and normalized so that the
-SNL of each quadrature combination equals 1.
+non-degenerate OPO above threshold (Fabre et al., J. Phys. France 50, 1209
+(1989)), dB bookkeeping relative to the shot noise limit (SNL), the
+electronics floor and the mode-matching vacuum admixture, and the geometry
+of the unbalanced interferometer locked at the analysis frequency.  All
+noise powers are linear and normalized so that the SNL of each quadrature
+combination equals 1.
+Both spectra are Lorentzian dips, and their terms come from one function,
+dip_terms; fit's projection reads its model from there too.
 The steps of `twinbeam certify` (from_db, the inverse corrections and the
 Duan verdict) are defined in certify, which needs no numpy; model imports
 them back under the same names.
@@ -94,25 +97,38 @@ class NopoParams:
 # ---------------------------------------------------------------------------
 # analytic noise spectra (SNL = 1)
 
-# Far above the bandwidth (f / bandwidth) ** 2 overflows to inf, which gives
-# each PSD its exact limit 1, so the overflow is not reported.  So does the
+# Each spectrum is a dip 1 - a / (floor + u^2), with u = f / bandwidth and a
+# the efficiency product.  The floor is 1 for the amplitude difference and
+# s^2, s the pump ratio, for the phase sum, so the two dips coincide at
+# threshold.  Far above the bandwidth u^2 overflows to inf, which gives each
+# PSD its exact limit 1, so the overflow is not reported.  So does the
 # square of a pump ratio above about 1.3e154, taken as a float64 because a
 # Python float's ** 2 raises OverflowError there (both round alike).
 
+def dip_terms(f, bandwidth, floor):
+    """The terms of a dip at frequencies f: u^2 = (f / bandwidth)^2 and floor + u^2.
+
+    The floor broadcasts against u^2, so a column of floors gives one row
+    of denominators per dip: fit's projection asks for both at once.
+    """
+    u2 = (np.asarray(f, dtype=float) / bandwidth) ** 2
+    return u2, floor + u2
+
+
+def _dip_psd(f, efficiency_product, bandwidth, pump_ratio):
+    with np.errstate(over="ignore"):
+        out = 1.0 - efficiency_product / dip_terms(f, bandwidth, np.float64(pump_ratio) ** 2)[1]
+    return out if out.ndim else float(out)
+
+
 def intensity_diff_psd(f, efficiency_product, bandwidth):
     """Low-level Lorentzian dip of the amplitude-difference combination."""
-    f = np.asarray(f, dtype=float)
-    with np.errstate(over="ignore"):
-        out = 1.0 - efficiency_product / (1.0 + (f / bandwidth) ** 2)
-    return out if out.ndim else float(out)
+    return _dip_psd(f, efficiency_product, bandwidth, 1.0)  # the floor 1 = 1^2, as at threshold
 
 
 def phase_sum_psd(f, efficiency_product, bandwidth, pump_ratio):
     """Low-level dip of the phase-sum combination, valid above threshold only."""
-    f = np.asarray(f, dtype=float)
-    with np.errstate(over="ignore"):
-        out = 1.0 - efficiency_product / (np.float64(pump_ratio) ** 2 + (f / bandwidth) ** 2)
-    return out if out.ndim else float(out)
+    return _dip_psd(f, efficiency_product, bandwidth, pump_ratio)
 
 
 def intensity_diff_spectrum(params, f):

@@ -113,6 +113,33 @@ class TestSpectra:
         np.testing.assert_array_equal(model.phase_sum_psd([0.0, 1e6], 0.7, 1e6, 1e200),
                                       [1.0, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pump_ratio", [1.38, 2e154], ids=["reference", "square-overflows"])
+    @pytest.mark.parametrize("f", [0.0, np.linspace(1e5, 100e6, 1001), 1e308],
+                             ids=["dc", "bench-grid", "far"])
+    def test_spectra_are_the_literal_dips_bit_for_bit(self, f, pump_ratio):
+        # the bench's fit grid, f = 0, and f = 1e308, where u^2 overflows to the limit 1
+        a, bandwidth = 0.7392, 24.7e6
+        with np.errstate(over="ignore"):
+            for floor, got in [(1.0, model.intensity_diff_psd(f, a, bandwidth)),
+                               (np.float64(pump_ratio) ** 2,
+                                model.phase_sum_psd(f, a, bandwidth, pump_ratio))]:
+                expected = 1.0 - a / (floor + (np.asarray(f) / bandwidth) ** 2)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_scalar_frequency_gives_a_python_float(self):
+        assert type(model.intensity_diff_psd(20e6, 0.7392, 24.7e6)) is float
+        assert type(model.phase_sum_psd(20e6, 0.7392, 24.7e6, 1.38)) is float
+
+    def test_dip_terms_give_a_row_per_floor(self):
+        # a column of floors, as fit's projection passes them: each row is that dip's
+        f = np.linspace(0.0, 100e6, 11)
+        u2, den = model.dip_terms(f, 24.7e6, np.array([[1.0], [1.38 ** 2]]))
+        np.testing.assert_array_equal(u2, (f / 24.7e6) ** 2)
+        np.testing.assert_array_equal(den, [1.0 + u2, 1.38 ** 2 + u2])
+        np.testing.assert_array_equal(1.0 - 0.7 / den, [model.intensity_diff_psd(f, 0.7, 24.7e6),
+                                                        model.phase_sum_psd(f, 0.7, 24.7e6, 1.38)])
+
     def test_intensity_dip_at_dc(self):
         # direct substitution 1 - 0.88*0.84
         assert model.intensity_diff_spectrum(REF_PARAMS, 0.0) == pytest.approx(0.2608, abs=1e-12)
