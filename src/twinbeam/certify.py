@@ -10,6 +10,7 @@ loading it.  model imports the scalar steps back, beside the spectra.
 
 import math
 from dataclasses import dataclass
+from reprlib import repr as _brief  # a long outside value prints cut short
 
 from .errors import DomainError, InfeasibleMeasurementError, SchemaError
 
@@ -98,7 +99,7 @@ def analysis_readings(analysis):
     for key in keys:
         value = analysis.get(key)
         if value is not None and not isinstance(value, float):
-            raise SchemaError(f"analysis JSON {key} must be a number or null, got {value!r}")
+            raise SchemaError(f"analysis JSON {key} must be a number or null, got {_brief(value)}")
     amplitude, phase, enl = (analysis.get(key) for key in keys)
     return (math.nan if amplitude is None else from_db(amplitude),
             math.nan if phase is None else from_db(phase),

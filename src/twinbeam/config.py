@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from reprlib import repr as _brief  # a long outside value prints cut short
 
 from .dsp import AnalyzerSettings, segment_length
 from .errors import DomainError, SchemaError
@@ -54,9 +55,9 @@ _SCHEMA = {
 def _check_node(node, schema, path):
     if not isinstance(node, dict):
         raise SchemaError(f"{path or 'config'} must be a JSON object")
-    unknown = set(node) - set(schema)
+    unknown = sorted(set(node) - set(schema))
     if unknown:
-        raise SchemaError(f"unknown key(s) {sorted(unknown)} under {path or 'config root'}")
+        raise SchemaError(f"unknown key(s) {_brief(unknown)} under {path or 'config root'}")
     for key, expected in schema.items():
         where = f"{path}.{key}" if path else key
         if node.get(key) is None:
@@ -112,7 +113,7 @@ def parse_config(document):
             f"output) and set version to {CONFIG_VERSION!r}")
     if document.get("version") != CONFIG_VERSION:
         raise SchemaError(
-            f"config version must be {CONFIG_VERSION!r}, got {document.get('version')!r}")
+            f"config version must be {CONFIG_VERSION!r}, got {_brief(document.get('version'))}")
     _check_node(document, _SCHEMA, "")
 
     nopo = document["nopo"]

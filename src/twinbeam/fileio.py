@@ -27,6 +27,7 @@ import re
 import shutil
 import struct
 import threading
+from reprlib import repr as _brief  # a long outside value prints cut short
 
 import numpy as np
 
@@ -158,7 +159,7 @@ def _read_header(handle, size):
                 f"channel {i} name is not valid UTF-8 at offset {start}",
                 byte_offset=start) from exc
         if name in names:
-            raise TraceFormatError(f"channel name {name!r} repeats at offset {start}",
+            raise TraceFormatError(f"channel name {_brief(name)} repeats at offset {start}",
                                    byte_offset=start)
         names[name] = None
     return sample_rate, list(names), num_samples
@@ -175,13 +176,13 @@ def _channel_blocks(path, name, offset, num_samples):
             block = np.empty(min(_READ_SAMPLES, num_samples - start), dtype="<f4")
             if handle.readinto(block) != block.nbytes:
                 raise TraceFormatError(
-                    f"trace truncated while reading samples of channel {name!r}",
+                    f"trace truncated while reading samples of channel {_brief(name)}",
                     byte_offset=at)
             finite = np.isfinite(block)
             if not finite.all():
                 bad = int(np.argmin(finite))
                 raise TraceFormatError(
-                    f"channel {name!r} sample {start + bad} is {block[bad]}, not finite",
+                    f"channel {_brief(name)} sample {start + bad} is {block[bad]}, not finite",
                     byte_offset=at + 4 * bad)
             yield block
 
@@ -204,7 +205,7 @@ def read_trace(path):
         offset = handle.tell()
     channels = {}
     for name in names:
-        _require(size, offset, 4 * num_samples, f"samples of channel {name!r}")
+        _require(size, offset, 4 * num_samples, f"samples of channel {_brief(name)}")
         channels[name] = BlockSeries(num_samples,
                                      _channel_blocks(path, name, offset, num_samples))
         offset += 4 * num_samples
@@ -265,9 +266,10 @@ def _number(cell):
     """float(cell), but ValueError for spellings float reads and no CSV tool
     writes: a character that is not visible ASCII (whitespace, non-ASCII
     digits) or an underscore."""
-    if _NOT_IN_A_NUMBER.search(cell):
-        raise ValueError(f"could not convert string to float: {cell!r}")
-    return float(cell)
+    try:
+        return float("" if _NOT_IN_A_NUMBER.search(cell) else cell)  # float("") refuses too
+    except ValueError:  # float's own message would repeat the cell whole
+        raise ValueError(f"could not convert string to float: {_brief(cell)}") from None
 
 
 def read_spectrum_csv(path):
@@ -285,19 +287,19 @@ def read_spectrum_csv(path):
     except UnicodeDecodeError as exc:
         raise TraceFormatError("spectrum CSV is not UTF-8 text", byte_offset=exc.start) from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    missing = set(SPECTRUM_COLUMNS[:3]) - set(reader.fieldnames or ())
-    if missing:
-        raise TraceFormatError(f"spectrum CSV missing columns {sorted(missing)}")
     freqs, s_i, s_p = [], [], []
-    for row in reader:
-        try:
+    try:
+        missing = set(SPECTRUM_COLUMNS[:3]) - set(reader.fieldnames or ())
+        if missing:
+            raise TraceFormatError(f"spectrum CSV missing columns {sorted(missing)}")
+        for row in reader:
             freqs.append(_number(row["f_hz"]))
             s_i.append(_number(row["s_i"]) if row["s_i"] else None)
             s_p.append(_number(row["s_p"]) if row["s_p"] else None)
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(
-                f"spectrum CSV line {reader.line_num} holds a cell that is not a number: {exc}"
-            ) from exc
+    except (TypeError, ValueError, csv.Error) as exc:  # csv.Error: a cell past its size limit
+        raise TraceFormatError(  # the csv reader's count: the DictReader's lags on csv.Error
+            f"spectrum CSV line {reader.reader.line_num} holds a cell that is not a number: {exc}"
+        ) from exc
     def collapse(col):
         if all(v is None for v in col):
             return None

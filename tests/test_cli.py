@@ -9,6 +9,7 @@ import os
 import pathlib
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -1250,6 +1251,84 @@ class TestUsage:
         assert f"unrecognized arguments: {flag} {value}" in captured.err
         assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
         assert main(argv) == 0
+
+
+LONG_NAME = "ch_" + "n" * 200_000
+
+
+def _trace_header(names, num_samples):
+    """The header bytes of a trace holding `names` (repeats allowed) at 100 MS/s."""
+    header = struct.pack("<4sIdIQ", fileio.TRACE_MAGIC, fileio.TRACE_VERSION, 1e8, len(names),
+                         num_samples)
+    for name in names:
+        encoded = name.encode("utf-8")
+        header += struct.pack("<I", len(encoded)) + encoded
+    return header
+
+
+def _long_name_with_a_nan(tmp_path):
+    # the four measured channels, then a long-named one whose last sample is nan
+    path = tmp_path / "t.twbm"
+    rng = np.random.default_rng(0)
+    fileio.write_trace(str(path), 1e8, {**{name: rng.standard_normal(2 ** 16)
+                                           for name in pipeline.TRACE_CHANNELS},
+                                        LONG_NAME: np.zeros(2 ** 16)})
+    with open(path, "r+b") as handle:
+        handle.seek(-4, os.SEEK_END)
+        handle.write(struct.pack("<f", math.nan))
+    return path
+
+
+def _long_value_argv(tmp_path, case):
+    """(argv, exit code, what the message must still name) for one long outside value."""
+    def config(mutate):
+        return write_config(tmp_path, mutate)
+
+    def trace(data):
+        path = tmp_path / "t.twbm"
+        path.write_bytes(data)
+        return path
+
+    def analyze(path):
+        return ["analyze", str(path), "--config", config(lambda d: None)]
+
+    if case == "repeated-channel-name":
+        return analyze(trace(_trace_header([LONG_NAME, LONG_NAME], 4))), 2, "byte offset"
+    if case == "channel-truncated":
+        return analyze(trace(_trace_header([LONG_NAME], 4))), 2, "byte offset"
+    if case == "channel-not-finite":
+        return analyze(_long_name_with_a_nan(tmp_path)), 2, "byte offset"
+    if case.startswith("csv-"):  # the csv module refuses a field past 131072 characters
+        path = tmp_path / "s.csv"
+        cell = "x" * (100_000 if case == "csv-cell" else 200_000)
+        header = "f_hz,s_i," + (cell if case == "csv-header-past-the-field-limit" else "s_p")
+        path.write_text(f"{header}\n1e6,0.5,{cell}\n")
+        return ["fit", str(path)], 2, "line 1" if "header" in case else "line 2"
+    if case == "analysis-reading":
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"amplitude_db": "x" * 100_000, "phase_db": -0.6}))
+        return ["certify", str(path)], 1, "analysis JSON amplitude_db"
+    if case == "unknown-key":
+        path = config(lambda d: d["nopo"].update({"typo_" + "k" * 100_000: 1.0}))
+        return config_argv("spectra", path, tmp_path), 1, "unknown key(s) ['typo_"
+    version = "v" * 100_000 if case == "long-version" else functools.reduce(
+        lambda inner, _: [inner], range(900), 0)  # nested 900 deep, within json's reach
+    path = config(lambda d: d.update(version=version))
+    return config_argv("spectra", path, tmp_path), 1, "config version"
+
+
+@pytest.mark.parametrize("case", ["repeated-channel-name", "channel-truncated",
+                                  "channel-not-finite", "csv-cell", "csv-cell-past-the-field-limit",
+                                  "csv-header-past-the-field-limit", "analysis-reading",
+                                  "unknown-key", "long-version", "nested-version"])
+def test_a_long_outside_value_prints_cut_short(tmp_path, capsys, case):
+    # each message names the value through reprlib, so a 10^5-character one
+    # does not fill the terminal, and still says where the fault is
+    argv, status, named = _long_value_argv(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert named in err and len(err) < 300, err[:300]
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
