@@ -265,7 +265,7 @@ def write_spectrum_csv(path, frequencies, amplitude=None, phase=None):
 def _number(cell):
     """float(cell), but ValueError for spellings float reads and no CSV tool
     writes: a character that is not visible ASCII (whitespace, non-ASCII
-    digits) or an underscore."""
+    digits) or an underscore.  The error shows a long cell cut short."""
     try:
         return float("" if _NOT_IN_A_NUMBER.search(cell) else cell)  # float("") refuses too
     except ValueError:  # float's own message would repeat the cell whole
@@ -275,10 +275,11 @@ def _number(cell):
 def read_spectrum_csv(path):
     """Read the spectrum CSV back into (frequencies, amplitude|None, phase|None).
 
-    Text that is not UTF-8 or a cell that is not a number (see _number)
-    raises TraceFormatError, naming the byte offset or the row; nan and inf
-    are numbers here, for the reader's caller to refuse.  A leading UTF-8
-    byte-order mark, as spreadsheets write, is skipped.
+    Text that is not UTF-8, a cell that is not a number (see _number) or a
+    field past the csv module's size limit raises TraceFormatError, naming
+    the byte offset or the line; nan and inf are numbers here, for the
+    reader's caller to refuse.  A leading UTF-8 byte-order mark, as
+    spreadsheets write, is skipped.
     """
     with open(path, "rb") as handle:
         data = handle.read()

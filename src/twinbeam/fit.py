@@ -123,7 +123,7 @@ def _projection(problem, fit_pump, sqrt_w):
     full(x, derivatives) -> (residual, its Jacobian or None).
     """
     observed = [y for y in (problem.amplitude_observed, problem.phase_observed) if y is not None]
-    n = len(problem.frequencies)
+    f = np.asarray(problem.frequencies, dtype=float)
     floor = np.ones((len(observed), 1))  # a dip floor per channel, broadcast over its rows
     w = np.tile(sqrt_w, len(observed))
     z = w * (1.0 - np.concatenate(observed))
@@ -131,7 +131,7 @@ def _projection(problem, fit_pump, sqrt_w):
     def basis(theta, derivatives=False):
         bandwidth, ratio = _unpack_theta(theta, fit_pump)
         floor[-1] = ratio ** 2 if fit_pump else 1.0
-        u2, den = dip_terms(problem.frequencies, bandwidth, floor)  # a row of den per channel
+        u2, den = dip_terms(f, bandwidth, floor)  # a row of den per channel
         phi = 1.0 / den.ravel()
         psi = w * phi
         norm2 = psi @ psi  # 0 once every u^2 overflows: then P = 0, a* = 0 and r = z
@@ -141,7 +141,7 @@ def _projection(problem, fit_pump, sqrt_w):
         dpsi = np.zeros((len(theta), len(z)))  # row j: d psi / d theta_j
         dpsi[0] = 2.0 * np.concatenate([u2] * len(observed)) * psi * phi  # on each channel
         if fit_pump:
-            dpsi[1, -n:] = -2.0 * ratio * (ratio - 1.0) * psi[-n:] * phi[-n:]
+            dpsi[1, -f.size:] = -2.0 * ratio * (ratio - 1.0) * psi[-f.size:] * phi[-f.size:]
         return psi, product, dpsi
 
     def residuals(theta):
