@@ -130,7 +130,7 @@ def _projection(problem, fit_pump, sqrt_w):
 
     def basis(theta, derivatives=False):
         bandwidth, ratio = _unpack_theta(theta, fit_pump)
-        floor[-1] = ratio ** 2 if fit_pump else 1.0
+        floor[-1] = ratio ** 2 if fit_pump else 1.0  # the phase sum's rows come last
         u2, den = dip_terms(f, bandwidth, floor)  # a row of den per channel
         phi = 1.0 / den.ravel()
         psi = w * phi
