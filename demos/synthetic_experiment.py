@@ -7,16 +7,16 @@ analyzer, corrects for the electronics, and certifies entanglement.
 
 The chain is twinbeam.pipeline, the one the command line runs as
 ``twinbeam synth`` / ``twinbeam analyze``, set up from the same config
-document; this script streams each channel's float64 blocks straight into
-its Welch estimate instead of writing a float32 trace file, so no channel
-is held whole.  The readings then go through certify.analysis_readings and
-certify.report, the one path from readings to verdict that
-``twinbeam certify`` runs.
+document; this script hands the channels straight to pipeline.readings,
+the reading step analyze runs, instead of writing a float32 trace file,
+so each channel's float64 blocks stream into its Welch estimate and no
+channel is held whole.  The readings then go through
+certify.analysis_readings and certify.report, the one path from readings
+to verdict that ``twinbeam certify`` runs.
 """
 
 from twinbeam import certify, model, pipeline
 from twinbeam.config import parse_config
-from twinbeam.dsp import welch_psd
 
 # output coupling 0.84, pump at 1.38x threshold, 24.7 MHz cavity bandwidth,
 # detection efficiency 0.88; electronics floor 0.4074 (-3.9 dB rel SNL)
@@ -40,18 +40,14 @@ CONFIG = {
 }
 
 run = parse_config(CONFIG)
-sample_rate = run.synth.sample_rate
-f0 = run.analysis_frequency
-print(f"arm length difference = {model.arm_length_difference(f0):.4f} m")
+print(f"arm length difference = {model.arm_length_difference(run.analysis_frequency):.4f} m")
 
 # 1-2. synthesize the detected channels, each shaped from its chain PSD:
 #      direct difference for amplitude, unbalanced Mach-Zehnder for phase,
 #      plus the shot-noise reference and the electronics floor
 # 3.   spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
 #      at the f0 bin alone, the one bin read, as `twinbeam analyze` does
-estimates = {name: welch_psd(channel, sample_rate, run.analyzer, (f0,))
-             for name, channel in pipeline.trace_channels(run)}
-readings = pipeline.readings(estimates, f0)
+readings = pipeline.readings(dict(pipeline.trace_channels(run)), run.synth.sample_rate, run)
 print(f"averaged segments     = {readings['num_averages']}")
 for name, key in (("amplitude", "amplitude_db"), ("phase", "phase_db"),
                   ("electronics", "enl_db")):

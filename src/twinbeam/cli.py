@@ -14,15 +14,16 @@ output does not depend on how many run.  synth hands the four channels to
 fileio.write_trace, whose two workers shape them as they stream them into
 the trace file as float32 blocks, the two signal channels first, so its
 memory does not grow with the trace length.  analyze checks the trace's
-header and size, then runs the file's sha256 and the four Welch estimates
-on two workers, in that order: each estimate reads its channel block by
-block, checks every block finite and averages it, so no channel is held
-whole and its memory does not grow with the trace length either.  An estimate
-transforms only the analyzer bin nearest f0, the one analyze reads, by a
-direct DFT of each segment (dsp.welch_psd with frequencies=(f0,)): O(L)
-per segment of L samples, where the full grid takes an rfft.  The
-readings, each with its standard error, are written only once every task
-has finished without error.
+header and size, then runs the file's sha256 and pipeline.readings on two
+workers, and reads any further channel of the trace through, so every
+sample is checked.  readings makes the four channels' Welch estimates one
+after another: each reads its channel block by block, checks every block
+finite and averages it, so no channel is held whole and its memory does
+not grow with the trace length either.  An estimate transforms only the analyzer bin nearest f0,
+the one analyze reads, by a direct DFT of each segment: O(L) per segment
+of L samples, where the full grid takes an rfft.  The readings, each with
+its standard error, are written only once every task has finished without
+error.
 
 Each subcommand imports the numpy-backed modules it runs when it starts,
 so spectra, synth, analyze and fit load numpy and certify does not: its
@@ -46,10 +47,11 @@ import argparse
 import json
 import math
 import sys
+from reprlib import repr as _brief  # a long outside value prints cut short
 
 from . import certify
 from .atomic import write_json
-from .errors import SchemaError, TwinbeamError
+from .errors import DomainError, SchemaError, TwinbeamError
 
 
 class UsageError(TwinbeamError):
@@ -119,7 +121,11 @@ def _cmd_spectra(args):
     cfg = load_config(args.config)
     if not 0 <= args.f_min <= args.f_max < math.inf or args.num_points < 1:  # rejects nan too
         raise UsageError(
-            f"invalid frequency range [{args.f_min}, {args.f_max}] / {args.num_points} points")
+            f"invalid frequency range [{args.f_min}, {args.f_max}] / {_brief(args.num_points)} "
+            "points")
+    if 8 * args.num_points > sys.maxsize:  # numpy refuses such an array with no MemoryError
+        raise DomainError(f"{_brief(args.num_points)} frequency points of 8 bytes each "
+                          "are too large for memory")
     if args.f_min == args.f_max:
         freqs = np.array([args.f_min])
     else:  # only the last point can overflow, and linspace then sets it to f_max
@@ -159,32 +165,28 @@ def _cmd_synth(args):
 
 
 def _cmd_analyze(args):
-    from . import dsp, fileio, pipeline
+    from . import fileio, pipeline
     from .config import load_config
     from .pipeline import TRACE_CHANNELS
 
     cfg = load_config(args.config)
     f0 = cfg.analysis_frequency
-    settings = cfg.analyzer
     sample_rate, channels = fileio.read_trace(args.trace)
     if not f0 < sample_rate / 2.0:  # the trace may come from a config of a lower rate
         raise UsageError(f"f0 {f0:.6g} Hz not below the trace's Nyquist {sample_rate / 2:.6g} Hz")
     for name in TRACE_CHANNELS:
         if name not in channels:
             raise UsageError(f"trace file lacks required channel {name!r}")
-    # each estimate reads and checks its channel's blocks; a channel analyze
-    # does not use is read through all the same, so every sample is checked
-    digest, *results = fileio.on_two_workers(
-        [(fileio.file_sha256, args.trace)]
-        + [(dsp.welch_psd, channels[name], sample_rate, settings, (f0,))
-           for name in TRACE_CHANNELS]
+    # readings reads and checks its channels' blocks; a channel analyze does
+    # not use is read through all the same, so every sample is checked
+    digest, readings, *_ = fileio.on_two_workers(
+        [(fileio.file_sha256, args.trace), (pipeline.readings, channels, sample_rate, cfg)]
         + [(_read_through, channels[name]) for name in channels if name not in TRACE_CHANNELS])
-    estimates = dict(zip(TRACE_CHANNELS, results))
     payload = {
         "f0_hz": f0,
-        **pipeline.readings(estimates, f0),
-        "rbw_hz": settings.rbw,
-        "vbw_hz": settings.vbw,
+        **readings,
+        "rbw_hz": cfg.analyzer.rbw,
+        "vbw_hz": cfg.analyzer.vbw,
         "config_hash": cfg.hash,
         "trace_sha256": digest,
     }

@@ -15,14 +15,13 @@ buffer kept across groups: it holds a group's samples and carries their
 overlap into the next.  So memory beyond one block is bounded by a group,
 and no bit of the result depends on how the series is split into blocks.
 
-With frequencies=None, welch_psd returns the whole grid from an rfft of
-each segment; given frequencies, only the bins nearest them, each by a
-direct DFT, O(L) per segment of L samples.  `twinbeam analyze` reads one
-bin per channel, at f0, so that is the only bin it transforms.
+With frequency=None, welch_psd returns the whole grid from an rfft of
+each segment; given a frequency, only the bin nearest it, by a direct DFT,
+O(L) per segment of L samples.  pipeline.readings reads one bin per
+channel, at f0, so that is the only bin it transforms.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,6 @@ class SpectrumEstimate:
     frequencies: np.ndarray
     psd: np.ndarray
     num_averages: int
-    settings: AnalyzerSettings
 
     def __post_init__(self):
         if len(self.frequencies) != len(self.psd):
@@ -91,7 +89,7 @@ def segment_length(sample_rate, settings):
     return int(round(length))
 
 
-def welch_psd(series, sample_rate, settings, frequencies=None):
+def welch_psd(series, sample_rate, settings, frequency=None):
     """Averaged periodogram of a real series in SNL-relative units.
 
     series is an array or a series.BlockSeries; both take one path, as an
@@ -113,14 +111,13 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     no one-sided doubling.  The reported num_averages is the filter's
     effective count sum(w)^2 / sum(w^2), computed from the weights themselves.
 
-    The grid is rfftfreq of the segment length.  With frequencies=None the
-    estimate holds the whole grid, from an rfft of each segment.  Given
-    frequencies, it holds only the grid bins nearest them (the bins
-    band_power_rel_snl reads, first of ties), and transforms each segment
-    at those bins alone by a direct DFT, one product with a matrix of
-    windowed cosines and sines made once per call: O(L) per selected bin
-    per segment of L samples.  Raises DomainError unless every frequency
-    lies in [0, sample_rate/2].
+    The grid is rfftfreq of the segment length.  With frequency=None the
+    estimate holds the whole grid, from an rfft of each segment.  Given a
+    frequency, it holds only the grid bin nearest it (the first of ties),
+    and transforms each segment at that bin alone by a direct DFT, one
+    product with a windowed cosine and sine made once per call: O(L) per
+    segment of L samples.  Raises DomainError unless the frequency lies in
+    [0, sample_rate/2].
     """
     if not isinstance(series, BlockSeries):
         series = BlockSeries(len(series), (np.asarray(series),))
@@ -136,7 +133,7 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
     win = np.hanning(length)
     power_norm = np.sum(win ** 2)
-    if frequencies is None:
+    if frequency is None:
         bins = np.arange(len(freqs))
 
         def quadratures(rows):
@@ -144,13 +141,16 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
             spectra = np.fft.rfft(rows * win, axis=1)
             return spectra.real, spectra.imag
     else:
-        bins = _nearest_bins(freqs, frequencies, sample_rate)
+        if not 0.0 <= frequency <= sample_rate / 2.0:  # rejects nan too
+            raise DomainError(f"frequency {frequency:.6g} Hz outside [0, Nyquist "
+                              f"{sample_rate / 2:.6g} Hz]")
+        bins = np.argmin(np.abs(freqs - frequency), keepdims=True)  # the first of ties
         # (k n) mod L in integers keeps every angle in [0, 2 pi) exactly
         angles = (2.0 * np.pi / length) * (np.outer(np.arange(length), bins) % length)
         basis = np.hstack((win[:, None] * np.cos(angles), win[:, None] * np.sin(angles)))
 
         def quadratures(rows):
-            """The real and (negated) imaginary parts of the selected bins of each row."""
+            """The real and (negated) imaginary parts of the selected bin of each row."""
             # overlapping rows are no BLAS operand; numpy would multiply them more slowly
             parts = np.ascontiguousarray(rows) @ basis
             return parts[:, :len(bins)], parts[:, len(bins):]
@@ -189,47 +189,4 @@ def welch_psd(series, sample_rate, settings, frequencies=None):
     # rfft bin only for an even length
     psd[(bins == 0) | (2 * bins == length)] *= 0.5
     num_averages = max(1, int(round(sum_w ** 2 / (weights @ weights))))
-    return SpectrumEstimate(frequencies=freqs[bins], psd=psd,
-                            num_averages=num_averages, settings=settings)
-
-
-def _nearest_bins(freqs, frequencies, sample_rate):
-    """The bins of the grid freqs nearest each of frequencies, in increasing
-    order and each once."""
-    frequencies = np.asarray(frequencies, dtype=float)
-    if frequencies.ndim != 1 or not len(frequencies):
-        raise DomainError("frequencies must be a non-empty sequence")
-    for f in frequencies:
-        if not 0.0 <= f <= sample_rate / 2.0:  # rejects nan too
-            raise DomainError(f"frequency {f:.6g} Hz outside [0, Nyquist "
-                              f"{sample_rate / 2:.6g} Hz]")
-    return np.unique([_nearest(freqs, f) for f in frequencies])
-
-
-def _nearest(grid, frequency):
-    """The index of the grid frequency nearest frequency, the first of ties."""
-    return int(np.argmin(np.abs(grid - frequency)))
-
-
-def band_power_rel_snl(measured, reference, f0):
-    """Nearest-bin reading of 10 log10(measured/reference) at f0, in dB.
-
-    Raises DomainError if the two estimates differ in settings or grid, or
-    if either reads zero power in that bin (the reading would be -inf).
-    """
-    if measured.settings != reference.settings:
-        raise DomainError("measured and reference estimates use different analyzer settings")
-    if not np.array_equal(measured.frequencies, reference.frequencies):
-        raise DomainError("measured and reference estimates live on different grids")
-    idx = _nearest(measured.frequencies, f0)
-    offset = abs(measured.frequencies[idx] - f0)
-    if offset > measured.settings.rbw / 2.0:
-        warnings.warn(
-            f"requested frequency {f0:.6g} Hz is {offset:.6g} Hz from the nearest bin, "
-            f"beyond half the RBW", stacklevel=2)
-    ref_power = reference.psd[idx]
-    if ref_power <= 0:
-        raise DomainError(f"reference power is zero at {measured.frequencies[idx]:.6g} Hz")
-    if measured.psd[idx] <= 0:
-        raise DomainError(f"measured power is zero at {measured.frequencies[idx]:.6g} Hz")
-    return 10.0 * math.log10(measured.psd[idx] / ref_power)
+    return SpectrumEstimate(frequencies=freqs[bins], psd=psd, num_averages=num_averages)

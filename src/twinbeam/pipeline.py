@@ -6,10 +6,12 @@ The chain's noise sources (the quadrature combination, the mode-match
 vacuum, excess noise, the electronics) are independent stationary
 Gaussians, so each channel is itself a stationary Gaussian series with
 that PSD, and trace_channels shapes it as one from its own stream.
-readings turns the channels' Welch estimates into the analyzer readings
-relative to the shot-noise reference, and expected_readings gives their
-closed form.  `twinbeam synth`, `twinbeam analyze` and
-demos/synthetic_experiment.py all go through these functions.
+readings is the one reading step: it makes each channel's Welch
+estimate at the analysis frequency f0 and reads it relative to the
+shot-noise reference, as a spectrum analyzer does, and expected_readings
+gives the readings' closed form.  `twinbeam synth`, `twinbeam analyze`,
+demos/synthetic_experiment.py and the seed-sweep tests all go through
+these functions.
 """
 
 import math
@@ -74,30 +76,42 @@ def trace_channels(run_config):
                                                   cfg.num_samples, cfg.seed, source=name)
 
 
-def readings(estimates, f0):
-    """The analyzer readings at f0 from {channel: dsp.SpectrumEstimate}.
+def readings(channels, sample_rate, run_config):
+    """The analyzer readings at the config's f0 from {name: series} holding TRACE_CHANNELS.
 
-    Returns amplitude_db, phase_db and enl_db, each in dB relative to the
-    snl estimate, and that estimate's num_averages.  enl_db is None when
-    the electronics floor reads zero power (chain.enl 0): there is no floor
-    to correct for.  Each reading's standard error, *_db_stderr, is that of
-    a ratio of two independent estimates of num_averages averages each,
-    10/ln10 * sqrt(2/num_averages) dB (None where the reading is None).
-    An estimate may hold the whole grid or only the bin nearest f0.
+    Each channel is an array or a series.BlockSeries sampled at
+    sample_rate.  Its Welch estimate (dsp.welch_psd with the config's
+    analyzer settings) is made at the bin nearest f0 alone, in
+    TRACE_CHANNELS order.  Returns amplitude_db, phase_db and enl_db, each
+    in dB relative to the snl estimate, and that estimate's num_averages.
+    enl_db is None when the electronics floor reads zero power (chain.enl
+    0): there is no floor to correct for.  Each reading's standard error,
+    *_db_stderr, is that of a ratio of two independent estimates of
+    num_averages averages each, 10/ln10 * sqrt(2/num_averages) dB (None
+    where the reading is None).  Raises DomainError if the snl channel, or
+    a signal channel, reads zero power at f0: its reading would be -inf.
     """
+    f0 = run_config.analysis_frequency
+    # dsp.welch_psd is looked up at each call, so a wrapper set on dsp sees every estimate
+    estimates = {name: dsp.welch_psd(channels[name], sample_rate, run_config.analyzer, f0)
+                 for name in TRACE_CHANNELS}
     reference = estimates["snl"]
-    amplitude_db = dsp.band_power_rel_snl(estimates["amp_signal"], reference, f0)
-    # The reading above accepted the grid and the reference, so a DomainError
-    # here can only be the floor's zero power.
-    try:
-        enl_db = dsp.band_power_rel_snl(estimates["enl"], reference, f0)
-    except DomainError:
-        enl_db = None
+    where = f"{reference.frequencies[0]:.6g} Hz"
+    if reference.psd[0] <= 0:
+        raise DomainError(f"reference power is zero at {where}")
+
+    def db(name):
+        measured = estimates[name].psd[0]
+        if measured <= 0:
+            raise DomainError(f"measured power is zero at {where}")
+        return 10.0 * math.log10(measured / reference.psd[0])
+
+    enl_db = None if estimates["enl"].psd[0] <= 0 else db("enl")
     stderr = 10.0 / math.log(10.0) * math.sqrt(2.0 / reference.num_averages)
     return {
-        "amplitude_db": amplitude_db,
+        "amplitude_db": db("amp_signal"),
         "amplitude_db_stderr": stderr,
-        "phase_db": dsp.band_power_rel_snl(estimates["phase_signal"], reference, f0),
+        "phase_db": db("phase_signal"),
         "phase_db_stderr": stderr,
         "enl_db": enl_db,
         "enl_db_stderr": None if enl_db is None else stderr,

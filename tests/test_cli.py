@@ -399,6 +399,19 @@ class TestSpectraCommand:
         assert captured.err == f"twinbeam: infeasible: {printed or message}\n"
         assert captured.out == "" and os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("num_points", [2 ** 60, 2 ** 62, 10 ** 20, 2 ** 63 - 1],
+                             ids=["2^60", "2^62", "10^20", "2^63-1"])
+    def test_points_past_the_largest_array_are_infeasible(self, config_path, tmp_path, capsys,
+                                                          num_points):
+        # numpy refuses these arrays with ValueError or IndexError, not MemoryError
+        out = tmp_path / "o.csv"
+        assert main(["spectra", "--config", config_path, "--num-points", str(num_points),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: infeasible: ")
+        assert f"{num_points} frequency points" in captured.err
+        assert captured.out == "" and os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("bounds", [("0", "nan"), ("0", "inf"), ("nan", "1e6"),
                                         ("-inf", "1e6")])
     def test_non_finite_range_is_usage_error(self, config_path, tmp_path, capsys, bounds):
@@ -628,6 +641,35 @@ class TestAnalyzeCertifyPipeline:
             expected = pipeline.expected_readings(parse_config(json.load(handle)))
         sigma_db = 10 / math.log(10) * math.sqrt(2.0 / reading["num_averages"])
         assert abs(reading["amplitude_db"] - expected["amplitude_db"]) < 5 * sigma_db
+
+    @pytest.mark.parametrize("rbw_hz", [1.5e6, 150e3, 15e3])
+    def test_readings_equal_the_library_reading_step(self, tmp_path, capsys, rbw_hz):
+        path = write_config(tmp_path, lambda d: (d["synth"].update(num_samples=2 ** 18),
+                                                 d["analyzer"].update(rbw_hz=rbw_hz)))
+        trace, out = tmp_path / "t.twbm", tmp_path / "a.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 0
+        analysis = json.loads(out.read_text())
+        sample_rate, channels = fileio.read_trace(trace)
+        readings = pipeline.readings(channels, sample_rate, config.load_config(path))
+        assert {key: analysis[key] for key in readings} == readings
+
+    @pytest.mark.parametrize("silent, message", [
+        ("snl", "reference power is zero at 2e+07 Hz"),
+        ("amp_signal", "measured power is zero at 2e+07 Hz")], ids=["snl", "amp_signal"])
+    def test_zero_power_channel_is_infeasible(self, tmp_path, capsys, silent, message):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        trace, out = tmp_path / "t.twbm", tmp_path / "a.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        rate, channels = fileio.read_trace(trace)
+        channels = {name: series.array() for name, series in channels.items()}
+        channels[silent] = np.zeros(2 ** 16)
+        fileio.write_trace(trace, rate, channels)
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"twinbeam: infeasible: {message}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_f0_outside_nyquist_is_usage_error(self, config_path, tmp_path, capsys):
         # a trace at 4 MS/s, read with the 100 MS/s config: its 20 MHz f0 is
@@ -1308,6 +1350,10 @@ def _long_value_argv(tmp_path, case):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"amplitude_db": "x" * 100_000, "phase_db": -0.6}))
         return ["certify", str(path)], 1, "analysis JSON amplitude_db"
+    if case == "negative-point-count":  # 4000 digits, within int's default limit of 4300
+        path = config(lambda d: None)
+        return (config_argv("spectra", path, tmp_path) + ["--num-points", "-" + "9" * 4000], 1,
+                "invalid frequency range")
     if case == "unknown-key":
         path = config(lambda d: d["nopo"].update({"typo_" + "k" * 100_000: 1.0}))
         return config_argv("spectra", path, tmp_path), 1, "unknown key(s) ['typo_"
@@ -1320,7 +1366,8 @@ def _long_value_argv(tmp_path, case):
 @pytest.mark.parametrize("case", ["repeated-channel-name", "channel-truncated",
                                   "channel-not-finite", "csv-cell", "csv-cell-past-the-field-limit",
                                   "csv-header-past-the-field-limit", "analysis-reading",
-                                  "unknown-key", "long-version", "nested-version"])
+                                  "negative-point-count", "unknown-key", "long-version",
+                                  "nested-version"])
 def test_a_long_outside_value_prints_cut_short(tmp_path, capsys, case):
     # each message names the value through reprlib, so a 10^5-character one
     # does not fill the terminal, and still says where the fault is

@@ -1,13 +1,16 @@
 import copy
 import pathlib
+import re
 import types
 
 import numpy as np
 import pytest
 
+from seed_sweep import mean_bound, sd_bounds, sweep
 from test_acceptance import REFERENCE_CONFIG
-from twinbeam import dsp, model, pipeline, synth
+from twinbeam import model, pipeline, synth
 from twinbeam.config import parse_config
+from twinbeam.errors import DomainError
 
 ORACLE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 PERTURBED_CHAINS = [
@@ -76,25 +79,48 @@ def test_shaped_psd_error_below_six_tenths_of_nyquist(name):
     assert np.abs(response ** 2 - psd(freqs)).max() <= 1e-5
 
 
+def test_readings_read_the_reference_amplitude_chain():
+    # amplitude chain with the reference electronics floor: -1.33 dB
+    doc = copy.deepcopy(REFERENCE_CONFIG)
+    doc["synth"]["seed"] = 30
+    cfg = parse_config(doc)
+    readings = pipeline.readings(dict(pipeline.trace_channels(cfg)), cfg.synth.sample_rate, cfg)
+    assert readings["amplitude_db"] == pytest.approx(-1.33, abs=0.2)
+
+
+@pytest.mark.parametrize("silent, message", [
+    ("snl", "reference power is zero at 2e+07 Hz"),
+    ("amp_signal", "measured power is zero at 2e+07 Hz"),
+    ("phase_signal", "measured power is zero at 2e+07 Hz"),
+], ids=["snl", "amp_signal", "phase_signal"])
+def test_zero_power_is_domain_error(silent, message):
+    doc = copy.deepcopy(REFERENCE_CONFIG)
+    doc["synth"]["num_samples"] = 2 ** 16
+    cfg = parse_config(doc)
+    channels = dict(pipeline.trace_channels(cfg))
+    channels[silent] = np.zeros(2 ** 16)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        pipeline.readings(channels, cfg.synth.sample_rate, cfg)
+
+
+def test_seed_sweep_bounds_are_the_printed_ones():
+    # the scatter test below applies 0.60 and [0.59, 1.45]; at n = 30 and
+    # alpha = 0.001 the kit gives 0.6008, 0.5938 and 1.4472
+    low, high = sd_bounds(30, 0.001)
+    assert (mean_bound(30, 0.001), low, high) == pytest.approx((0.6008, 0.5938, 1.4472),
+                                                              abs=5e-5)
+    assert (round(mean_bound(30, 0.001), 2), round(low, 2), round(high, 2)) == (0.60, 0.59, 1.45)
+
+
 def test_readings_scatter_as_their_standard_error():
     # 30 seeds at 2^18 samples: z = (reading - expected) / sigma_dB with
     # sigma_dB the reported *_db_stderr, 10/ln10 * sqrt(2 / num_averages),
     # the error of a ratio of two independent Welch estimates; the bounds
     # are the 0.1% two-sided limits of the mean and of chi^2(29) for the
-    # standard deviation
-    doc = copy.deepcopy(REFERENCE_CONFIG)
-    doc["synth"]["num_samples"] = 2 ** 18
-    keys = ("amplitude_db", "phase_db", "enl_db")
-    z = {key: [] for key in keys}
-    for seed in range(100, 130):
-        doc["synth"]["seed"] = seed
-        cfg = parse_config(doc)
-        estimates = {name: dsp.welch_psd(series.array(), cfg.synth.sample_rate, cfg.analyzer)
-                     for name, series in pipeline.trace_channels(cfg)}
-        readings = pipeline.readings(estimates, cfg.analysis_frequency)
-        expected = pipeline.expected_readings(cfg)
-        for key in keys:
-            z[key].append((readings[key] - expected[key]) / readings[f"{key}_stderr"])
-    for key in keys:
-        assert abs(np.mean(z[key])) <= 0.60, key
-        assert 0.59 <= np.std(z[key], ddof=1) <= 1.45, key
+    # standard deviation, as the seed-sweep kit gives them to two digits
+    expected = pipeline.expected_readings(parse_config(REFERENCE_CONFIG))
+    swept = sweep(REFERENCE_CONFIG, range(100, 130), 2 ** 18)
+    for key in ("amplitude_db", "phase_db", "enl_db"):
+        z = [(readings[key] - expected[key]) / readings[f"{key}_stderr"] for readings in swept]
+        assert abs(np.mean(z)) <= 0.60, key
+        assert 0.59 <= np.std(z, ddof=1) <= 1.45, key

@@ -11,7 +11,7 @@ import pytest
 from twinbeam import fileio, model, pipeline, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
-from twinbeam.dsp import AnalyzerSettings, band_power_rel_snl, welch_psd
+from twinbeam.dsp import AnalyzerSettings, welch_psd
 from twinbeam.errors import DomainError
 
 FS = 1e8
@@ -201,9 +201,7 @@ class TestMzMeasure:
         # (0.90 * S_P + 0.10 + 0.04) through the electronics floor: -0.606 dB
         cfg = run_config(n=2 ** 21, seed=9, enl=0.4074,
                          phase={"mode_match": 0.90, "excess_noise": 0.04})
-        traces = channels(cfg)
-        reading = band_power_rel_snl(
-            estimate(traces["phase_signal"]), estimate(traces["snl"]), 20e6)
+        reading = pipeline.readings(channels(cfg), FS, cfg)["phase_db"]
         expected = 10 * math.log10(
             (0.90 * S_P_20M + 0.10 + 0.04) * (1 - 0.4074) + 0.4074)
         assert reading == pytest.approx(expected, abs=0.3)
@@ -212,9 +210,7 @@ class TestMzMeasure:
     def test_amplitude_chain_reading(self):
         cfg = run_config(n=2 ** 21, seed=9, enl=0.4074,
                          amplitude={"mode_match": 1.0, "excess_noise": 0.0})
-        traces = channels(cfg)
-        reading = band_power_rel_snl(
-            estimate(traces["amp_signal"]), estimate(traces["snl"]), 20e6)
+        reading = pipeline.readings(channels(cfg), FS, cfg)["amplitude_db"]
         assert reading == pytest.approx(-1.334, abs=0.3)
 
     def test_snl_channel_is_unity(self):
@@ -242,7 +238,7 @@ STREAM_CONSUMERS = {
     "iteration": lambda series: list(series.blocks()),
     "array": synth.BlockSeries.array,
     "welch-full-grid": lambda series: welch_psd(series, FS, SETTINGS),
-    "welch-f0": lambda series: welch_psd(series, FS, SETTINGS, (20e6,)),
+    "welch-f0": lambda series: welch_psd(series, FS, SETTINGS, 20e6),
     "write-trace": _write_trace,
 }
 
