@@ -47,7 +47,7 @@ print(f"arm length difference = {model.arm_length_difference(run.analysis_freque
 #      plus the shot-noise reference and the electronics floor
 # 3.   spectrum-analyzer emulation: 150 kHz RBW, 2 Hz VBW, Hann window
 #      at the f0 bin alone, the one bin read, as `twinbeam analyze` does
-readings = pipeline.readings(dict(pipeline.trace_channels(run)), run.synth.sample_rate, run)
+readings = pipeline.readings(pipeline.trace_channels(run), run.synth.sample_rate, run)
 print(f"averaged segments     = {readings['num_averages']}")
 for name, key in (("amplitude", "amplitude_db"), ("phase", "phase_db"),
                   ("electronics", "enl_db")):

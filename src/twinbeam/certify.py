@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from reprlib import repr as _brief  # a long outside value prints cut short
 
-from .errors import DomainError, InfeasibleMeasurementError, SchemaError
+from .errors import DomainError, SchemaError
 
 SNL_BOUND = 2.0  # the Duan sum of two SNL-limited (separable) variances
 
@@ -35,8 +35,7 @@ def correct_for_electronic_noise(measured, enl):
     if not 0 < enl < 1:
         raise DomainError(f"electronics noise level must be in (0, 1), got {enl}")
     if measured <= enl:
-        raise InfeasibleMeasurementError(
-            f"measured power {measured} at or below the electronics floor {enl}")
+        raise DomainError(f"measured power {measured} at or below the electronics floor {enl}")
     return (measured - enl) / (1.0 - enl)
 
 
@@ -46,7 +45,7 @@ def remove_mode_match_penalty(value, mode_match):
         raise DomainError(f"mode-matching efficiency must be in (0, 1], got {mode_match}")
     corrected = (value - (1.0 - mode_match)) / mode_match
     if corrected <= 0:
-        raise InfeasibleMeasurementError(
+        raise DomainError(
             f"reading {value} below the vacuum admixture floor for overlap {mode_match}")
     return corrected
 
@@ -73,12 +72,12 @@ class DuanVerdict:
 def duan_certify(pair):
     """Inseparability test: variance sum strictly below 2 certifies entanglement.
 
-    Raises InfeasibleMeasurementError if the sum overflows a float.
+    Raises DomainError if the sum overflows a float.
     """
     total = pair.amplitude_diff_variance + pair.phase_sum_variance
     if not math.isfinite(total):
-        raise InfeasibleMeasurementError(f"variance sum {pair.amplitude_diff_variance} + "
-                                         f"{pair.phase_sum_variance} overflows a float")
+        raise DomainError(f"variance sum {pair.amplitude_diff_variance} + "
+                          f"{pair.phase_sum_variance} overflows a float")
     return DuanVerdict(total=total, entangled=total < SNL_BOUND)
 
 

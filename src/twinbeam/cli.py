@@ -31,16 +31,21 @@ arithmetic (twinbeam.certify) and its atomic writes (twinbeam.atomic),
 imported with this module, need only the standard library.
 
 Every command that takes --config checks the whole config before any
-work: its analyzer settings, and that the analysis frequency lies between
-0 and the Nyquist frequency.  The seed and f0 come only from the config.
+work: its analyzer settings, that synth.num_samples holds the two
+half-overlapping segments the analyzer reads, and that the analysis
+frequency lies between 0 and the Nyquist frequency.  The seed and f0 come
+only from the config.
 certify reads either an analysis JSON, which alone gives the electronics
 floor, or the already-corrected --vx/--vy, never both; certify.report, the
 one path from readings to verdict, makes the report, as in the demo.
 
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
-an error), 1 usage/validation problems, 2 data or configuration
-infeasibility, a trace too large for the free disk space of its directory,
-or a run too large for memory.
+an error); 1 usage or schema problems; 2 data or configuration
+infeasibility (a pump not above threshold, a reading at or below the
+electronics floor, a series or a config too short for the analyzer, a fit
+its data cannot identify), a corrupt trace or spectrum CSV (with its byte
+offset where known), a trace too large for the free disk space of its
+directory, or a run too large for memory.
 """
 
 import argparse
@@ -151,8 +156,7 @@ def _cmd_synth(args):
     from .config import load_config
 
     cfg = load_config(args.config)
-    sha256 = fileio.write_trace(args.out, cfg.synth.sample_rate,
-                                dict(pipeline.trace_channels(cfg)))
+    sha256 = fileio.write_trace(args.out, cfg.synth.sample_rate, pipeline.trace_channels(cfg))
     summary = {"out": args.out, "seed": cfg.synth.seed, "sha256": sha256,
                "channels": list(pipeline.TRACE_CHANNELS), "num_samples": cfg.synth.num_samples,
                "config_hash": cfg.hash}

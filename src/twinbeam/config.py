@@ -143,7 +143,11 @@ def parse_config(document):
 
     ana = document["analyzer"]
     analyzer = AnalyzerSettings(rbw=ana["rbw_hz"], vbw=ana["vbw_hz"])
-    segment_length(synth_cfg.sample_rate, analyzer)  # raises unless the RBW gives a usable segment
+    length = segment_length(synth_cfg.sample_rate, analyzer)  # raises unless it is usable
+    if synth_cfg.num_samples < length + length // 2:  # as dsp.welch_psd would refuse the trace
+        raise DomainError(f"synth.num_samples {synth_cfg.num_samples} too short for two "
+                          f"{length}-sample analyzer segments at 50% overlap; need at least "
+                          f"{length + length // 2}")
 
     f0 = document["interferometer"]["analysis_frequency_hz"]
     if f0 >= synth_cfg.sample_rate / 2:

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all twinbeam modules."""
+"""Exception hierarchy shared by all twinbeam modules.
+
+cli.main maps each class to an exit code: SchemaError (and cli.UsageError)
+to 1; DomainError, TraceFormatError and any other TwinbeamError to 2.  A
+TraceFormatError's message is followed by the byte offset it carries.
+"""
 
 
 class TwinbeamError(Exception):
@@ -6,35 +11,12 @@ class TwinbeamError(Exception):
 
 
 class DomainError(TwinbeamError, ValueError):
-    """An argument or config value is outside the domain of an operation; maps to exit code 2."""
-
-
-class BelowThresholdError(DomainError):
-    """Pump power below oscillation threshold; the above-threshold model is invalid there."""
-
-
-class InfeasibleMeasurementError(TwinbeamError):
-    """A measured value is physically inconsistent (e.g. below the electronics floor)."""
+    """A value outside an operation's domain, or an infeasible measurement (below threshold
+    or the electronics floor, too short to estimate, unidentifiable); maps to exit code 2."""
 
 
 class SchemaError(TwinbeamError):
     """A config or analysis document violates its strict schema; maps to exit code 1."""
-
-
-class IdentifiabilityError(TwinbeamError):
-    """The fit Jacobian is rank deficient along a named parameter direction."""
-
-    def __init__(self, message, direction=None):
-        super().__init__(message)
-        self.direction = direction
-
-
-class InsufficientDataError(TwinbeamError):
-    """A series is too short for the requested estimate."""
-
-    def __init__(self, message, required_length=None):
-        super().__init__(message)
-        self.required_length = required_length
 
 
 class TraceFormatError(TwinbeamError):

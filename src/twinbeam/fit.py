@@ -27,12 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IdentifiabilityError
+from .errors import DomainError
 from .model import dip_terms
 
 _MAX_ITER = 200
 _GRAD_TOL = 1e-10
 _STEP_TOL = 1e-12
+_COST_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -173,16 +174,19 @@ def _start_grid(problem, fit_pump):
             yield np.array([math.log(b)] + ([math.log(s - 1.0)] if fit_pump else []))
 
 
-def _levenberg_marquardt(x, residuals, jacobian, max_nfev, xtol, gtol, ftol=1e-14):
+def _levenberg_marquardt(x, residuals, jacobian):
     """Levenberg-Marquardt from x; returns (x, residuals, evaluations, converged).
 
     Each step solves (J^T J + lam D) h = -J^T r, D the running maximum of
     diag(J^T J) (Marquardt 1963; More 1978), and updates lam by the gain
     ratio (Madsen, Nielsen & Tingleff 2004, section 3.2); a damped system
     too singular to solve counts as a failed step.  The gradient,
-    step and cost-reduction tests are MINPACK's gtol, xtol and ftol.
+    step and cost-reduction tests are MINPACK's gtol, xtol and ftol, here
+    _GRAD_TOL, _STEP_TOL and _COST_TOL, and the budget is
+    _MAX_ITER * (len(x) + 2) evaluations of the residual.
     `residuals` and `jacobian` are functions of x alone.
     """
+    max_nfev = _MAX_ITER * (len(x) + 2)
     r = residuals(x)
     cost, nfev, jac, d = r @ r, 1, None, None
     if not math.isfinite(cost):  # a residual, or the sum of their squares, overflowed
@@ -194,7 +198,7 @@ def _levenberg_marquardt(x, residuals, jacobian, max_nfev, xtol, gtol, ftol=1e-1
             a, g = jac.T @ jac, jac.T @ r
             diag = a.diagonal()
             d = np.where(diag > 0, diag, 1.0) if d is None else np.maximum(d, diag)
-            if cost == 0 or np.max(np.abs(g) / np.sqrt(d)) <= gtol * math.sqrt(cost):
+            if cost == 0 or np.max(np.abs(g) / np.sqrt(d)) <= _GRAD_TOL * math.sqrt(cost):
                 return x, r, nfev, True
         if nfev >= max_nfev or not math.isfinite(lam):
             return x, r, nfev, False
@@ -203,14 +207,14 @@ def _levenberg_marquardt(x, residuals, jacobian, max_nfev, xtol, gtol, ftol=1e-1
         except np.linalg.LinAlgError:  # damped too little for a singular J^T J: damp more
             lam, nu = lam * nu, 2.0 * nu
             continue
-        if math.sqrt(h @ (d * h)) <= xtol * math.sqrt(x @ (d * x)):
+        if math.sqrt(h @ (d * h)) <= _STEP_TOL * math.sqrt(x @ (d * x)):
             return x, r, nfev, True
         r_new = residuals(x + h)
         nfev += 1
         cost_new = r_new @ r_new if np.all(np.isfinite(r_new)) else math.inf
         predicted = h @ (lam * d * h - g)  # the fall of ||r + J h||^2 from ||r||^2
         rho = (cost - cost_new) / predicted
-        stalled = abs(cost - cost_new) <= ftol * cost and predicted <= ftol * cost
+        stalled = abs(cost - cost_new) <= _COST_TOL * cost and predicted <= _COST_TOL * cost
         if rho > 0:
             x, r, cost, jac = x + h, r_new, cost_new, None
             lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
@@ -250,9 +254,7 @@ def fit_spectra(problem):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for theta in _start_grid(problem, fit_pump):
             try:
-                theta, r, nfev, converged = _levenberg_marquardt(
-                    theta, residuals, jacobian, _MAX_ITER * (len(theta) + 2),
-                    xtol=_STEP_TOL, gtol=_GRAD_TOL)
+                theta, r, nfev, converged = _levenberg_marquardt(theta, residuals, jacobian)
             except FloatingPointError:
                 continue
             fits.append((theta, r @ r, nfev, converged))  # every start's r would set the peak
@@ -281,7 +283,7 @@ def fit_spectra(problem):
 def _packed_covariance(jac, residuals):
     """Rank check and covariance in the packed coordinates, from one thin SVD of jac.
 
-    Fewer rows than parameters raise IdentifiabilityError: the rank is at
+    Fewer rows than parameters raise DomainError: the rank is at
     most m < p, and the thin SVD's m singular values cannot show it.  So
     does a singular value below 1e-10 of the largest (or an all-zero
     Jacobian), naming the parameter that dominates the weakest right
@@ -290,15 +292,14 @@ def _packed_covariance(jac, residuals):
     """
     m, p = jac.shape
     if m < p:
-        raise IdentifiabilityError(f"residual count {m} below the parameter count {p}: "
-                                   "the parameters cannot all be identified")
+        raise DomainError(f"residual count {m} below the parameter count {p}: "
+                          "the parameters cannot all be identified")
     names = ("efficiency_product", "bandwidth", "pump_ratio")[:p]
     _, singular, vt = np.linalg.svd(jac, full_matrices=False)
     if singular[0] == 0 or singular[-1] < 1e-10 * singular[0]:
         direction = names[int(np.argmax(np.abs(vt[-1])))]
-        raise IdentifiabilityError(
-            f"Jacobian is rank deficient along the {direction} direction "
-            f"(singular values {singular})", direction=direction)
+        raise DomainError(f"Jacobian is rank deficient along the {direction} direction "
+                          f"(singular values {singular})")
     if m == p:
         return np.full((p, p), np.nan)
     return (vt.T / singular ** 2) @ vt * (residuals @ residuals / (m - p))

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (DuanVerdict, QuadratureVariancePair, correct_for_electronic_noise,
-                      duan_certify, from_db, remove_mode_match_penalty)
-from .errors import BelowThresholdError, DomainError
+from .certify import QuadratureVariancePair, correct_for_electronic_noise, duan_certify, from_db
+from .errors import DomainError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
 
@@ -58,7 +57,7 @@ class NopoParams:
         if not self.threshold_power > 0:
             raise DomainError("threshold power must be positive")
         if not self.pump_power > self.threshold_power:
-            raise BelowThresholdError(
+            raise DomainError(
                 f"pump power {self.pump_power} not above threshold {self.threshold_power}")
         if not self.pump_power < math.inf:
             raise DomainError("pump power must be finite")
@@ -145,7 +144,7 @@ def phase_sum_spectrum(params, f):
         raise DomainError("analysis frequency must be nonnegative")
     ratio = params.pump_ratio
     if ratio <= 1:
-        raise BelowThresholdError("phase-sum spectrum defined above threshold only")
+        raise DomainError("phase-sum spectrum defined above threshold only")
     product = params.detection_efficiency * params.output_coupling
     return phase_sum_psd(f, product, params.cavity_bandwidth, ratio)
 

@@ -64,16 +64,16 @@ def channel_psds(run_config):
 
 
 def trace_channels(run_config):
-    """Yield (name, synth.BlockSeries) for each of TRACE_CHANNELS, in that order.
+    """{name: synth.BlockSeries} for each of TRACE_CHANNELS, in that order.
 
     Each channel is shaped from its own (seed, name) stream as its blocks
     are read, so the channels can be read at once on separate threads.
     """
     psds = channel_psds(run_config)
     cfg = run_config.synth
-    for name in TRACE_CHANNELS:
-        yield name, synth.colored_gaussian_series(psds[name], cfg.sample_rate,
-                                                  cfg.num_samples, cfg.seed, source=name)
+    return {name: synth.colored_gaussian_series(psds[name], cfg.sample_rate, cfg.num_samples,
+                                                cfg.seed, source=name)
+            for name in TRACE_CHANNELS}
 
 
 def readings(channels, sample_rate, run_config):

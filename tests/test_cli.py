@@ -182,6 +182,33 @@ class TestConfigSchema:
         assert "num_samples must be positive" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mut.json"]
 
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    @pytest.mark.parametrize("num_samples", [1000, 1499])
+    def test_length_too_short_for_the_analyzer_is_infeasible_at_load(self, tmp_path, capsys,
+                                                                      num_samples, command):
+        # 150 kHz RBW at 100 MS/s gives 1000-sample segments, and two at 50%
+        # overlap take 1500 samples: synth would write a trace analyze refuses
+        if command == "analyze":  # a trace the analyzer could otherwise read
+            good = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 12),
+                                name="good.json")
+            assert main(["synth", "--config", good, "--out", str(tmp_path / "t.twbm")]) == 0
+            capsys.readouterr()
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=num_samples))
+        before = sorted(os.listdir(tmp_path))
+        assert main(config_argv(command, path, tmp_path) + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"twinbeam: infeasible: synth.num_samples {num_samples} too "
+                                "short for two 1000-sample analyzer segments at 50% overlap; "
+                                "need at least 1500\n")
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
+
+    def test_shortest_length_the_analyzer_reads_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=1500))
+        trace, out = tmp_path / "t.twbm", tmp_path / "a.json"
+        assert main(["synth", "--config", path, "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["num_averages"] == 2
+
     def test_negative_seed_is_infeasible(self, tmp_path, capsys):
         path = write_config(tmp_path, lambda d: d["synth"].update(seed=-1))
         assert main(["synth", "--config", path, "--out", str(tmp_path / "t.twbm")]) == 2
@@ -447,7 +474,7 @@ class TestSynthCommand:
 
         with open(path) as handle:
             cfg = parse_config(json.load(handle))
-        library = {name: series.array() for name, series in pipeline.trace_channels(cfg)}
+        library = {name: series.array() for name, series in pipeline.trace_channels(cfg).items()}
         assert list(channels) == list(library)
         for name, series in library.items():
             np.testing.assert_array_equal(channels[name].array(), series.astype(np.float32))
@@ -703,6 +730,22 @@ class TestAnalyzeCertifyPipeline:
         assert main(["analyze", str(trace), "--config", fast, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "Hann segments of 10 samples" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_trace_too_short_for_the_analyzer_is_infeasible(self, tmp_path, capsys):
+        # a 2^12-sample trace, read with a config whose 15 kHz RBW gives
+        # 10000-sample segments: welch_psd refuses it, naming the length needed
+        short = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 12),
+                             name="short.json")
+        narrow = write_config(tmp_path, lambda d: d["analyzer"].update(rbw_hz=15e3),
+                              name="narrow.json")
+        trace, out = tmp_path / "t.twbm", tmp_path / "a.json"
+        assert main(["synth", "--config", short, "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(trace), "--config", narrow, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: infeasible: series of 4096 samples too short")
+        assert captured.err.endswith("need at least 15000\n")
         assert captured.out == "" and not out.exists()
 
     def test_missing_channel_is_usage_error(self, tmp_path, capsys):
@@ -1502,6 +1545,30 @@ def test_certify_runs_without_numpy(argv, status, tmp_path, capsys):
     assert outputs[0][0] == status
     assert (outputs[0][2] == "") == (status == 0), outputs[0][2]  # no traceback either
     assert (outputs[0][3] is not None) == ("--out" in argv)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifacts_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # the mode open(path, "w") gives, not mkstemp's 0o600; the umask is read
+    # when twinbeam.atomic is imported, so the commands run in a child started
+    # under it.  The last, a Duan sum that overflows, exits 2 and writes nothing.
+    path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 12))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = ("import sys; from twinbeam.cli import main; config, out = sys.argv[1:]; "
+            "print([main(argv) for argv in ("
+            "['synth', '--config', config, '--out', out + '/run.twbm'], "
+            "['analyze', out + '/run.twbm', '--config', config, '--out', out + '/analysis.json'], "
+            "['certify', out + '/analysis.json', '--out', out + '/report.json'], "
+            "['spectra', '--config', config, '--out', out + '/spectra.csv'], "
+            "['certify', '--vx', '1e308', '--vy', '1e308', '--out', out + '/failed.json'])])")
+    result = subprocess.run([sys.executable, "-c", code, path, str(out)], env=_src_env(),
+                            umask=umask, capture_output=True, text=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 2]", result.stderr
+    assert {entry.name: entry.stat().st_mode & 0o777 for entry in out.iterdir()} == {
+        name: mode for name in ("run.twbm", "analysis.json", "report.json", "spectra.csv")}
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twinbeam import dsp, model, synth
-from twinbeam.errors import DomainError, InsufficientDataError
+from twinbeam.errors import DomainError
 from twinbeam.series import BlockSeries
 
 FS = 1e8
@@ -146,10 +146,9 @@ class TestWelchPsd:
         # 10 kHz RBW with a Hann window (ENBW 1.5 bins) at 100 MHz sampling
         assert dsp.segment_length(FS, NARROW_SETTINGS) == 15000
 
-    def test_insufficient_data_reports_required_length(self):
-        with pytest.raises(InsufficientDataError) as err:
+    def test_insufficient_data_names_the_length_needed(self):
+        with pytest.raises(DomainError, match="need at least 22500$"):
             dsp.welch_psd(np.zeros(2 ** 10), FS, NARROW_SETTINGS)
-        assert err.value.required_length == 22500
 
     @RBW_SCALES
     @pytest.mark.parametrize("rbw, vbw", [
@@ -332,16 +331,3 @@ class TestWelchPsd:
         fast = dsp.welch_psd(series, FS, dsp.AnalyzerSettings(rbw=150e3, vbw=100e3))
         assert slow.num_averages > 10 * fast.num_averages
 
-
-class TestSpectrumEstimateInvariants:
-    def test_grid_must_increase(self):
-        with pytest.raises(DomainError):
-            dsp.SpectrumEstimate(frequencies=np.array([1.0, 1.0]),
-                                 psd=np.array([1.0, 1.0]),
-                                 num_averages=1)
-
-    def test_negative_psd_rejected(self):
-        with pytest.raises(DomainError):
-            dsp.SpectrumEstimate(frequencies=np.array([1.0, 2.0]),
-                                 psd=np.array([1.0, -1.0]),
-                                 num_averages=1)

@@ -6,9 +6,9 @@ import types
 import numpy as np
 import pytest
 
-from seed_sweep import mean_bound, sd_bounds, sweep
+from seed_sweep import independent_bins, mean_bound, sd_bounds, sweep
 from test_acceptance import REFERENCE_CONFIG
-from twinbeam import model, pipeline, synth
+from twinbeam import dsp, model, pipeline, synth
 from twinbeam.config import parse_config
 from twinbeam.errors import DomainError
 
@@ -84,7 +84,7 @@ def test_readings_read_the_reference_amplitude_chain():
     doc = copy.deepcopy(REFERENCE_CONFIG)
     doc["synth"]["seed"] = 30
     cfg = parse_config(doc)
-    readings = pipeline.readings(dict(pipeline.trace_channels(cfg)), cfg.synth.sample_rate, cfg)
+    readings = pipeline.readings(pipeline.trace_channels(cfg), cfg.synth.sample_rate, cfg)
     assert readings["amplitude_db"] == pytest.approx(-1.33, abs=0.2)
 
 
@@ -97,7 +97,7 @@ def test_zero_power_is_domain_error(silent, message):
     doc = copy.deepcopy(REFERENCE_CONFIG)
     doc["synth"]["num_samples"] = 2 ** 16
     cfg = parse_config(doc)
-    channels = dict(pipeline.trace_channels(cfg))
+    channels = pipeline.trace_channels(cfg)
     channels[silent] = np.zeros(2 ** 16)
     with pytest.raises(DomainError, match=re.escape(message)):
         pipeline.readings(channels, cfg.synth.sample_rate, cfg)
@@ -124,3 +124,31 @@ def test_readings_scatter_as_their_standard_error():
         z = [(readings[key] - expected[key]) / readings[f"{key}_stderr"] for readings in swept]
         assert abs(np.mean(z)) <= 0.60, key
         assert 0.59 <= np.std(z, ddof=1) <= 1.45, key
+
+
+def test_independent_bins_of_a_hann_welch_estimate():
+    # one bin varies by Welch's overlap factor for Hann at 50%, sd 1.027; the
+    # 290 bins of the closure test below, which correlate 0.46 at lag 1 and
+    # 0.04 at lag 2, are worth 137.6 independent ones
+    assert 1.0 / independent_bins(1, 1000) == pytest.approx(1.027 ** 2, abs=1e-3)
+    assert independent_bins(290, 1000) == pytest.approx(137.6, abs=0.05)
+
+
+def test_full_spectrum_closes_on_the_chain_forward_model():
+    # REFERENCE_CONFIG at its own seed: each shaped channel's full-grid Welch
+    # estimate against its chain PSD, z = (estimate / psd - 1) sqrt(num_averages)
+    # pooled over the 290 bins in [1 MHz, 0.6 Nyquist], where the shaped PSD is
+    # within 1e-5 of its target.  The mean's bound counts the bins as the
+    # independent z-scores they are worth; a 1% power error in a channel moves
+    # the mean by about 0.9, more than three times the bound
+    cfg = parse_config(REFERENCE_CONFIG)
+    fs, psds = cfg.synth.sample_rate, pipeline.channel_psds(cfg)
+    channels = pipeline.trace_channels(cfg)
+    bound = mean_bound(independent_bins(290, dsp.segment_length(fs, cfg.analyzer)), 0.001)
+    for name in ("amp_signal", "phase_signal", "snl"):
+        estimate = dsp.welch_psd(channels[name], fs, cfg.analyzer)
+        f = estimate.frequencies
+        band = (f >= 1e6) & (f <= 0.6 * fs / 2.0)
+        assert band.sum() == 290
+        z = (estimate.psd[band] / psds[name](f[band]) - 1.0) * np.sqrt(estimate.num_averages)
+        assert abs(z.mean()) <= bound, name

@@ -57,7 +57,7 @@ def estimate(series, settings=SETTINGS):
 
 
 def channels(cfg):
-    return {name: series.array() for name, series in pipeline.trace_channels(cfg)}
+    return {name: series.array() for name, series in pipeline.trace_channels(cfg).items()}
 
 
 class TestColoredGaussianSeries:
