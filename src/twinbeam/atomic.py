@@ -2,31 +2,27 @@
 
 Plain standard library, so `twinbeam certify --out` writes its report
 without loading numpy; fileio writes its traces and CSVs through it too.
+Importing it changes no process-wide state.
 """
 
 import contextlib
 import json
 import os
-import tempfile
-
-# The umask is read only by setting it, for the whole process, so it is read
-# once here, at import, where no worker thread of this program can race it.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
 
 
 @contextlib.contextmanager
 def atomic_file(path):
-    """A sibling temp file, opened for reading and writing, that is renamed
-    onto path if the block succeeds and removed if it does not, so readers
-    never see partial output.  The file gets the mode open(path, "w") would
-    give it, 0o666 less the umask, not mkstemp's 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twinbeam-")
+    """A new sibling temp file, .twinbeam-<16 hex digits>, opened for reading
+    and writing, that is renamed onto path if the block succeeds and removed
+    if it does not, so readers never see partial output.  Mode "x+b" creates
+    it or fails, so no other file is opened or removed, and gives it the
+    mode open(path, "w") would: 0o666 less the umask.  The yielded handle's
+    name is the temp file's path."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".twinbeam-{os.urandom(8).hex()}")
+    handle = open(tmp, "x+b")
     try:
-        with os.fdopen(fd, "w+b") as handle:
+        with handle:
             yield handle
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

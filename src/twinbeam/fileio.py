@@ -9,13 +9,15 @@ The format takes any ordered set of named channels.  The CLI writes the four
 measured channels analyze reads (pipeline.TRACE_CHANNELS); the combinations
 behind them and per-beam series are not stored.
 Each channel sits at a fixed offset, so write_trace fills the payload as
-the channels' BlockSeries are produced, block by block on two workers
-(on_two_workers), then hashes the finished file and renames it into place.
-read_trace mirrors it: it checks the header and the file size, then hands
-out each channel as a BlockSeries that reads and checks float32 blocks from
-the channel's offset as they are taken, so no whole channel is held and
-channels can be read from more than one thread.  file_sha256 hashes a file
-in fixed-size chunks, apart from the channel reads.
+the channels' BlockSeries are produced, on two workers (on_two_workers),
+each channel through a handle of its own that starts at the channel's
+offset and writes its blocks in order; it then hashes the finished file and
+renames it into place.  read_trace mirrors it: it checks the header and the
+file size, then hands out each channel as a BlockSeries that reads and
+checks float32 blocks from the channel's offset, through a handle of its
+own, as they are taken, so no whole channel is held and channels can be
+read from more than one thread.  file_sha256 hashes a file in fixed-size
+chunks, apart from the channel reads.
 """
 
 import csv
@@ -26,7 +28,6 @@ import os
 import re
 import shutil
 import struct
-import threading
 from reprlib import repr as _brief  # a long outside value prints cut short
 
 import numpy as np
@@ -71,10 +72,11 @@ def write_trace(path, sample_rate, channels):
     bytes would pass the largest file offset, 2^63 - 1, and a trace larger
     than the free space of path's directory are refused with DomainError
     before anything is written.  The channels are then written on two
-    workers, each block at its channel's fixed offset as blocks() yields
-    it, which refuses a series of another length (RuntimeError).  A sample
-    that is not finite as a float32 raises DomainError, naming it, so no
-    trace holds one.  The file appears at path only once every channel is
+    workers, each through a handle of its own on the temp file that starts
+    at the channel's fixed offset and writes the blocks in order as
+    blocks() yields them; blocks() refuses a series of another length
+    (RuntimeError).  A sample that is not finite as a float32 raises
+    DomainError, naming it, so no trace holds one.  The file appears at path only once every channel is
     written, and no file is left behind on failure.  Returns the hex sha256
     of its bytes, read back from the temp file before the rename.
     """
@@ -96,22 +98,21 @@ def write_trace(path, sample_rate, channels):
     free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
     if size > free:
         raise DomainError(f"a trace of {size} bytes does not fit in the {free} bytes free for it")
-    lock = threading.Lock()
 
     def write_channel(name, offset, series):
-        count = 0
-        for block in series.blocks():
-            with np.errstate(over="ignore"):  # an overflow is reported below
-                data = np.ascontiguousarray(block, dtype="<f4")
-            finite = np.isfinite(data)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                raise DomainError(f"channel {name!r} sample {count + bad} is {block[bad]}, "
-                                  "not finite as a float32")
-            with lock:
-                handle.seek(offset + 4 * count)
-                handle.write(data)
-            count += len(data)
+        with open(handle.name, "r+b") as out:
+            out.seek(offset)
+            count = 0
+            for block in series.blocks():
+                with np.errstate(over="ignore"):  # an overflow is reported below
+                    data = np.ascontiguousarray(block, dtype="<f4")
+                finite = np.isfinite(data)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise DomainError(f"channel {name!r} sample {count + bad} is {block[bad]}, "
+                                      "not finite as a float32")
+                out.write(data)
+                count += len(data)
 
     with atomic_file(path) as handle:
         handle.write(TRACE_MAGIC)

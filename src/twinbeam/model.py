@@ -36,7 +36,9 @@ class NopoParams:
 
     Powers may be in any consistent unit (only their ratio matters);
     cavity_bandwidth is in Hz.  The two quantities the spectra depend on
-    are derived from these: output_coupling and pump_ratio.
+    are derived from these: output_coupling and pump_ratio.  A pump whose
+    pump_ratio is not above 1 is refused, so both spectra are defined for
+    every params value.
     """
     transmission: float
     intracavity_loss: float
@@ -56,7 +58,8 @@ class NopoParams:
                 f"detection efficiency must be in (0, 1], got {self.detection_efficiency}")
         if not self.threshold_power > 0:
             raise DomainError("threshold power must be positive")
-        if not self.pump_power > self.threshold_power:
+        # the ratio too: just above threshold, sqrt(P / P_th) can round to 1
+        if not (self.pump_power > self.threshold_power and self.pump_ratio > 1):
             raise DomainError(
                 f"pump power {self.pump_power} not above threshold {self.threshold_power}")
         if not self.pump_power < math.inf:
@@ -142,11 +145,8 @@ def phase_sum_spectrum(params, f):
     """Phase-sum noise power at analysis frequency f, relative to SNL=1."""
     if np.any(np.asarray(f) < 0):
         raise DomainError("analysis frequency must be nonnegative")
-    ratio = params.pump_ratio
-    if ratio <= 1:
-        raise DomainError("phase-sum spectrum defined above threshold only")
     product = params.detection_efficiency * params.output_coupling
-    return phase_sum_psd(f, product, params.cavity_bandwidth, ratio)
+    return phase_sum_psd(f, product, params.cavity_bandwidth, params.pump_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ The chain's noise sources (the quadrature combination, the mode-match
 vacuum, excess noise, the electronics) are independent stationary
 Gaussians, so each channel is itself a stationary Gaussian series with
 that PSD, and trace_channels shapes it as one from its own stream.
+trace_channels, the one function that samples the PSDs, warns when the
+sample rate truncates the cavity's spectra; channel_psds and
+expected_readings, which evaluate them at given frequencies, do not.
 readings is the one reading step: it makes each channel's Welch
 estimate at the analysis frequency f0 and reads it relative to the
 shot-noise reference, as a spectrum analyzer does, and expected_readings
@@ -15,7 +18,6 @@ these functions.
 """
 
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -34,20 +36,11 @@ def channel_psds(run_config):
     excess noise and the electronics floor.  The interferometer, locked at
     the analysis frequency, is taken to pass the phase quadrature whole at
     every frequency.  snl is the shot-noise reference through the same
-    electronics (1), enl the floor alone.  Warns, naming the caller's line,
-    when the sample rate truncates the cavity's spectra.
+    electronics (1), enl the floor alone.  A psd takes any frequency, so
+    no sample rate is checked here: trace_channels, which samples the
+    psds, warns of one that truncates the cavity's spectra.
     """
     params, enl = run_config.nopo, run_config.enl
-    nyquist = run_config.synth.sample_rate / 2.0
-    if nyquist < 2.0 * params.cavity_bandwidth:
-        # the first line outside this module, also when trace_channels called here
-        level, frame = 2, sys._getframe(1)
-        while frame.f_globals["__name__"] == __name__:
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
-            f"Nyquist {nyquist:.3g} Hz below twice the cavity bandwidth "
-            f"{params.cavity_bandwidth:.3g} Hz; spectra will be truncated",
-            stacklevel=level)
 
     def signal(spectrum, chain):
         def psd(f):
@@ -68,9 +61,14 @@ def trace_channels(run_config):
 
     Each channel is shaped from its own (seed, name) stream as its blocks
     are read, so the channels can be read at once on separate threads.
+    Warns, naming the caller's line, when the sample rate truncates the
+    cavity's spectra.
     """
     psds = channel_psds(run_config)
-    cfg = run_config.synth
+    cfg, bandwidth = run_config.synth, run_config.nopo.cavity_bandwidth
+    if cfg.sample_rate / 2.0 < 2.0 * bandwidth:
+        warnings.warn(f"Nyquist {cfg.sample_rate / 2.0:.3g} Hz below twice the cavity "
+                      f"bandwidth {bandwidth:.3g} Hz; spectra will be truncated", stacklevel=2)
     return {name: synth.colored_gaussian_series(psds[name], cfg.sample_rate, cfg.num_samples,
                                                 cfg.seed, source=name)
             for name in TRACE_CHANNELS}

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinbeam
-from twinbeam import config, dsp, fileio, model, pipeline, synth
+from twinbeam import cli, config, dsp, fileio, model, pipeline, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
 from twinbeam.errors import DomainError
@@ -111,6 +111,13 @@ MALFORMED_CONFIGS = {
     "infinity-literal": (_GOOD_TEXT.replace('"pump_power": 1.9044', '"pump_power": Infinity'),
                          "nopo.pump_power must be finite"),
     "not-json": ("{not json", "config is not valid JSON"),
+    "section-not-an-object": (json.dumps({**BASE_CONFIG, "nopo": []}),
+                              "nopo must be a JSON object"),
+    "float-for-an-integer": (_GOOD_TEXT.replace('"num_samples": 1048576',
+                                                '"num_samples": 65536.0'),
+                             "synth.num_samples must be an integer, got float"),
+    "bool-for-an-integer": (_GOOD_TEXT.replace('"seed": 11', '"seed": true'),
+                            "synth.seed must be an integer, got bool"),
 }
 
 # {case: (section, key, value, message)}: values outside the physics (exit 2)
@@ -319,6 +326,26 @@ class TestConfigSchema:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
         assert os.listdir(tmp_path) == ["mut.json"]
+
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    def test_pump_whose_ratio_rounds_to_one_is_infeasible_at_load(self, tmp_path, capsys,
+                                                                  command):
+        # P = 1 + 2^-52 passes P > P_th, but sqrt(P / P_th) rounds to 1, where
+        # the phase-sum dip is not defined: every command refuses it at load,
+        # analyze of a valid trace too, and writes nothing
+        good = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 12),
+                            name="good.json")
+        trace = tmp_path / "t.twbm"
+        assert main(["synth", "--config", good, "--out", str(trace)]) == 0
+        before = trace.read_bytes()
+        capsys.readouterr()
+        path = write_config(tmp_path, lambda d: d["nopo"].update(pump_power=1.0000000000000002))
+        assert main(config_argv(command, path, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("twinbeam: infeasible: pump power 1.0000000000000002 "
+                                "not above threshold 1.0\n")
+        assert captured.out == "" and trace.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["good.json", "mut.json", "t.twbm"]
 
     @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
     def test_float_key_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, command):
@@ -858,6 +885,32 @@ class TestAnalyzeCertifyPipeline:
         assert main(["analyze", str(trace), "--config", path, "--out", str(out)]) == 2
         assert f"byte offset {offset}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_finite_unused_channel_is_read_through(self, tmp_path, capsys, monkeypatch):
+        # aux is read to its end, and the readings are those of the trace without it
+        path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+        plain, extended = tmp_path / "plain.twbm", tmp_path / "aux.twbm"
+        assert main(["synth", "--config", path, "--out", str(plain)]) == 0
+        rate, channels = fileio.read_trace(plain)
+        channels = {name: series.array() for name, series in channels.items()}
+        channels["aux"] = np.linspace(-1.0, 1.0, 2 ** 16)
+        fileio.write_trace(extended, rate, channels)
+        read_through, read = cli._read_through, []
+
+        def recording_read_through(series):
+            read_through(series)
+            read.append(series.length)
+
+        monkeypatch.setattr(cli, "_read_through", recording_read_through)
+        readings = []
+        for trace in (plain, extended):
+            capsys.readouterr()
+            assert main(["analyze", str(trace), "--config", path, "--json"]) == 0
+            analysis = json.loads(capsys.readouterr().out)
+            del analysis["trace_sha256"]
+            readings.append(analysis)
+        assert read == [2 ** 16]
+        assert readings[0] == readings[1]
 
 
 class TestCertifyCommand:
@@ -1569,6 +1622,21 @@ def test_artifacts_take_the_mode_the_umask_gives(tmp_path, umask, mode):
     assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 2]", result.stderr
     assert {entry.name: entry.stat().st_mode & 0o777 for entry in out.iterdir()} == {
         name: mode for name in ("run.twbm", "analysis.json", "report.json", "spectra.csv")}
+
+
+def test_importing_the_package_leaves_the_umask_alone(tmp_path):
+    # a child whose os.umask raises imports the CLI and writes a report
+    code = ("import os, sys\n"
+            "def refuse(mask): raise AssertionError('os.umask called')\n"
+            "os.umask = refuse\n"
+            "from twinbeam.cli import main\n"
+            "sys.exit(main(['certify', '--vx', '0.552', '--vy', '0.785', '--out', sys.argv[1]]))")
+    out = tmp_path / "report.json"
+    result = subprocess.run([sys.executable, "-c", code, str(out)], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(out.read_text())["entangled"]
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

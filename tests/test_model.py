@@ -85,6 +85,36 @@ def test_library_dataclass_refuses_a_nonfinite_field(valid, field, name, value):
         replace(valid, **{field: value})
 
 
+# {case: (call, message)}: arguments outside each model function's domain
+MODEL_REFUSALS = {
+    "intensity-diff-negative-f": (lambda: model.intensity_diff_spectrum(REF_PARAMS, -1.0),
+                                  "analysis frequency must be nonnegative"),
+    "phase-sum-negative-f": (lambda: model.phase_sum_spectrum(REF_PARAMS, np.array([1e6, -1.0])),
+                             "analysis frequency must be nonnegative"),
+    "enl-at-one": (lambda: model.with_electronic_noise(0.5, 1.0),
+                   r"electronics noise level must be in \[0, 1\), got 1.0"),
+    "enl-negative": (lambda: model.with_electronic_noise(0.5, -0.1),
+                     r"electronics noise level must be in \[0, 1\), got -0.1"),
+    "mode-match-zero": (lambda: model.mode_match_penalty(0.5, 0.0),
+                        r"mode-matching efficiency must be in \(0, 1\], got 0.0"),
+    "mode-match-above-one": (lambda: model.mode_match_penalty(0.5, 1.5),
+                             r"mode-matching efficiency must be in \(0, 1\], got 1.5"),
+    "arm-length-at-zero-f": (lambda: model.arm_length_difference(0),
+                             "analysis frequency must be positive, got 0"),
+    "rf-phase-zero-length": (lambda: model.rf_phase(0.0, 20e6),
+                             "arm-length difference and frequency must be positive"),
+    "rf-phase-negative-f": (lambda: model.rf_phase(7.5, -20e6),
+                            "arm-length difference and frequency must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_REFUSALS)
+def test_model_refuses_arguments_outside_its_domain(case):
+    call, message = MODEL_REFUSALS[case]
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 class TestSpectra:
     def test_intensity_dip_at_20mhz(self):
         assert model.intensity_diff_spectrum(REF_PARAMS, 20e6) == pytest.approx(0.5535, abs=5e-4)

@@ -2,6 +2,7 @@ import copy
 import pathlib
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,24 @@ def test_expected_readings_at_zero_floor_and_off_f0():
     far = pipeline.expected_readings(cfg)
     assert far["amplitude_db"] == pytest.approx(
         model.db_rel_snl(model.intensity_diff_spectrum(cfg.nopo, 49e6)), abs=1e-12)
+
+
+def test_only_trace_channels_warns_of_a_truncating_sample_rate():
+    # at 4 MS/s, Nyquist lies below twice the 24.7 MHz cavity bandwidth; the
+    # psds are only evaluated at given frequencies until trace_channels
+    # samples them, and its warning names the caller's file
+    doc = copy.deepcopy(REFERENCE_CONFIG)
+    doc["synth"]["sample_rate_hz"] = 4e6
+    doc["interferometer"]["analysis_frequency_hz"] = 1e6
+    cfg = parse_config(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline.channel_psds(cfg)
+        pipeline.expected_readings(cfg)
+    with pytest.warns(UserWarning, match="Nyquist 2e\\+06 Hz below twice the cavity bandwidth "
+                                         "2.47e\\+07 Hz; spectra will be truncated") as record:
+        pipeline.trace_channels(cfg)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_channel_psds_are_the_chain_forward_model():

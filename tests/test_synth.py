@@ -179,12 +179,12 @@ class TestSynthesizeTwinBeams:
         assert abs(np.corrcoef(combinations["xminus"], combinations["yplus"])[0, 1]) < 0.01
 
     def test_undersampled_bandwidth_warns_at_the_call(self):
-        # channel_psds checks at once, and the warning names the caller's
+        # trace_channels checks at once, and the warning names the caller's
         # line, not pipeline.py
         cfg = run_config(synth={"sample_rate_hz": 4e6},
                          interferometer={"analysis_frequency_hz": 1e6})
         with pytest.warns(UserWarning, match="Nyquist") as record:
-            pipeline.channel_psds(cfg)
+            pipeline.trace_channels(cfg)
         assert [w.filename for w in record] == [__file__]
 
 
