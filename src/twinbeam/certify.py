@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from reprlib import repr as _brief  # a long outside value prints cut short
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, UsageError
 
 SNL_BOUND = 2.0  # the Duan sum of two SNL-limited (separable) variances
 
@@ -86,19 +86,19 @@ def analysis_readings(analysis):
 
     amplitude_db and phase_db are required; each of them and enl_db must be
     a float or None, as json.load(..., parse_int=float) reads them, or
-    SchemaError is raised.  A None signal reading gives a NaN variance,
+    UsageError is raised.  A None signal reading gives a NaN variance,
     which report rejects; a None or absent enl_db means no floor.
     """
     if not isinstance(analysis, dict):
-        raise SchemaError("analysis JSON must be an object")
+        raise UsageError("analysis JSON must be an object")
     for key in ("amplitude_db", "phase_db"):
         if key not in analysis:
-            raise SchemaError(f"analysis JSON lacks {key!r}")
+            raise UsageError(f"analysis JSON lacks {key!r}")
     keys = ("amplitude_db", "phase_db", "enl_db")
     for key in keys:
         value = analysis.get(key)
         if value is not None and not isinstance(value, float):
-            raise SchemaError(f"analysis JSON {key} must be a number or null, got {_brief(value)}")
+            raise UsageError(f"analysis JSON {key} must be a number or null, got {_brief(value)}")
     amplitude, phase, enl = (analysis.get(key) for key in keys)
     return (math.nan if amplitude is None else from_db(amplitude),
             math.nan if phase is None else from_db(phase),

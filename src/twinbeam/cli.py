@@ -56,11 +56,7 @@ from reprlib import repr as _brief  # a long outside value prints cut short
 
 from . import certify
 from .atomic import write_json
-from .errors import DomainError, SchemaError, TwinbeamError
-
-
-class UsageError(TwinbeamError):
-    """Bad command-line arguments or value ranges; maps to exit code 1."""
+from .errors import DomainError, TwinbeamError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,8 +132,8 @@ def _cmd_spectra(args):
     else:  # only the last point can overflow, and linspace then sets it to f_max
         with np.errstate(over="ignore"):
             freqs = np.linspace(args.f_min, args.f_max, args.num_points)
-    s_i = np.atleast_1d(model.intensity_diff_spectrum(cfg.nopo, freqs))
-    s_p = np.atleast_1d(model.phase_sum_spectrum(cfg.nopo, freqs))
+    s_i = model.intensity_diff_spectrum(cfg.nopo, freqs)
+    s_p = model.phase_sum_spectrum(cfg.nopo, freqs)
     fileio.write_spectrum_csv(args.out, freqs, amplitude=s_i, phase=s_p)
     if args.json:
         print(json.dumps({"out": args.out, "num_points": len(freqs),
@@ -258,7 +254,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, SchemaError) as exc:
+    except UsageError as exc:
         print(f"twinbeam: error: {exc}", file=sys.stderr)
         return 1
     except TwinbeamError as exc:

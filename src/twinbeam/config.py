@@ -2,8 +2,10 @@
 
 The config is a versioned JSON document; unknown keys are rejected so a
 typo can never silently fall back to a default.  Schema problems raise
-SchemaError (usage-class failure); values that describe an impossible
-chain raise DomainError (infeasibility-class).
+UsageError (exit 1); values that describe an impossible chain raise
+DomainError (exit 2).  The keys of the nopo, synth, analyzer and chain
+channel sections name the fields of the dataclass each builds, less a
+unit suffix _hz.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from reprlib import repr as _brief  # a long outside value prints cut short
 
 from .dsp import AnalyzerSettings, segment_length
-from .errors import DomainError, SchemaError
+from .errors import DomainError, UsageError
 from .model import NopoParams
 from .synth import DetectionChain, SynthConfig
 
@@ -54,29 +56,34 @@ _SCHEMA = {
 
 def _check_node(node, schema, path):
     if not isinstance(node, dict):
-        raise SchemaError(f"{path or 'config'} must be a JSON object")
+        raise UsageError(f"{path} must be a JSON object")
     unknown = sorted(set(node) - set(schema))
     if unknown:
-        raise SchemaError(f"unknown key(s) {_brief(unknown)} under {path or 'config root'}")
+        raise UsageError(f"unknown key(s) {_brief(unknown)} under {path or 'config root'}")
     for key, expected in schema.items():
         where = f"{path}.{key}" if path else key
         if node.get(key) is None:
-            raise SchemaError(f"missing required key {where}")
+            raise UsageError(f"missing required key {where}")
         value = node[key]
         if isinstance(expected, dict):
             _check_node(value, expected, where)
         elif expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{where} must be a number, got {type(value).__name__}")
+                raise UsageError(f"{where} must be a number, got {type(value).__name__}")
             try:
                 finite = math.isfinite(value)
             except OverflowError:  # an integer too large for a float
-                raise SchemaError(f"{where} is too large for a float") from None
+                raise UsageError(f"{where} is too large for a float") from None
             if not finite:
-                raise SchemaError(f"{where} must be finite")
+                raise UsageError(f"{where} must be finite")
         elif expected is int:
             if isinstance(value, bool) or not isinstance(value, int):
-                raise SchemaError(f"{where} must be an integer, got {type(value).__name__}")
+                raise UsageError(f"{where} must be an integer, got {type(value).__name__}")
+
+
+def _fields(section):
+    """A section's checked keys as the keyword arguments of its dataclass."""
+    return {key.removesuffix("_hz"): value for key, value in section.items()}
 
 
 def config_hash(document):
@@ -103,44 +110,26 @@ class RunConfig:
 
 def parse_config(document):
     if not isinstance(document, dict):
-        raise SchemaError("config root must be a JSON object")
+        raise UsageError("config root must be a JSON object")
     if document.get("version") == "twinbeam-config/1":
-        raise SchemaError(
+        raise UsageError(
             "config version 'twinbeam-config/1' is retired: delete synth.conjugate_mode, "
             "synth.conjugate_excess and interferometer.winding_integer (they changed no "
             f"output) and set version to {CONFIG_VERSION!r}")
     if document.get("version") != CONFIG_VERSION:
-        raise SchemaError(
+        raise UsageError(
             f"config version must be {CONFIG_VERSION!r}, got {_brief(document.get('version'))}")
     _check_node(document, _SCHEMA, "")
 
-    nopo = document["nopo"]
-    params = NopoParams(
-        transmission=nopo["transmission"],
-        intracavity_loss=nopo["intracavity_loss"],
-        cavity_bandwidth=nopo["cavity_bandwidth_hz"],
-        pump_power=nopo["pump_power"],
-        threshold_power=nopo["threshold_power"],
-        detection_efficiency=nopo["detection_efficiency"],
-    )
-
-    synth_doc = document["synth"]
-    synth_cfg = SynthConfig(
-        sample_rate=synth_doc["sample_rate_hz"],
-        num_samples=synth_doc["num_samples"],
-        seed=synth_doc["seed"],
-    )
+    params = NopoParams(**_fields(document["nopo"]))
+    synth_cfg = SynthConfig(**_fields(document["synth"]))
 
     chain_doc = document["chain"]
     enl = chain_doc["enl"]
     if not 0 <= enl < 1:
         raise DomainError(f"chain.enl must be in [0, 1), got {enl}")
 
-    def channel_chain(doc):
-        return DetectionChain(mode_match=doc["mode_match"], excess_noise=doc["excess_noise"])
-
-    ana = document["analyzer"]
-    analyzer = AnalyzerSettings(rbw=ana["rbw_hz"], vbw=ana["vbw_hz"])
+    analyzer = AnalyzerSettings(**_fields(document["analyzer"]))
     length = segment_length(synth_cfg.sample_rate, analyzer)  # raises unless it is usable
     if synth_cfg.num_samples < length + length // 2:  # as dsp.welch_psd would refuse the trace
         raise DomainError(f"synth.num_samples {synth_cfg.num_samples} too short for two "
@@ -149,8 +138,8 @@ def parse_config(document):
 
     f0 = document["interferometer"]["analysis_frequency_hz"]
     if f0 >= synth_cfg.sample_rate / 2:
-        raise SchemaError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is not below "
-                          f"the Nyquist frequency {synth_cfg.sample_rate / 2:.6g} Hz")
+        raise UsageError(f"interferometer.analysis_frequency_hz {f0:.6g} Hz is not below "
+                         f"the Nyquist frequency {synth_cfg.sample_rate / 2:.6g} Hz")
     if f0 <= 0:
         raise DomainError(f"analysis frequency must be positive, got {f0}")
 
@@ -158,8 +147,8 @@ def parse_config(document):
         nopo=params,
         synth=synth_cfg,
         enl=enl,
-        amplitude_chain=channel_chain(chain_doc["amplitude"]),
-        phase_chain=channel_chain(chain_doc["phase"]),
+        amplitude_chain=DetectionChain(**chain_doc["amplitude"]),
+        phase_chain=DetectionChain(**chain_doc["phase"]),
         analyzer=analyzer,
         analysis_frequency=f0,
         hash=config_hash(document),
@@ -171,5 +160,5 @@ def load_config(path):
         try:
             document = json.load(handle)
         except (ValueError, RecursionError) as exc:  # not UTF-8 text, not JSON, or nested too deep
-            raise SchemaError(f"config is not valid JSON: {exc}") from exc
+            raise UsageError(f"config is not valid JSON: {exc}") from exc
     return parse_config(document)

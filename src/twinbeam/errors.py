@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all twinbeam modules.
 
-cli.main maps each class to an exit code: SchemaError (and cli.UsageError)
-to 1; DomainError, TraceFormatError and any other TwinbeamError to 2.  A
-TraceFormatError's message is followed by the byte offset it carries.
+There is one class per exit code of cli.main: UsageError exits 1 and
+DomainError exits 2.  TraceFormatError exits 2 as well; it stays apart
+because it carries the byte offset that cli.main prints after its message.
 """
 
 
@@ -15,8 +15,9 @@ class DomainError(TwinbeamError, ValueError):
     or the electronics floor, too short to estimate, unidentifiable); maps to exit code 2."""
 
 
-class SchemaError(TwinbeamError):
-    """A config or analysis document violates its strict schema; maps to exit code 1."""
+class UsageError(TwinbeamError):
+    """A bad command-line flag, or a config or analysis document that breaks its strict
+    schema; maps to exit code 1."""
 
 
 class TraceFormatError(TwinbeamError):

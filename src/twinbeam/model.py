@@ -37,8 +37,9 @@ class NopoParams:
     Powers may be in any consistent unit (only their ratio matters);
     cavity_bandwidth is in Hz.  The two quantities the spectra depend on
     are derived from these: output_coupling and pump_ratio.  A pump whose
-    pump_ratio is not above 1 is refused, so both spectra are defined for
-    every params value.
+    pump_ratio is not above 1 is refused, and so are finite values from
+    which either derived quantity would overflow a float, so both spectra
+    are defined for every params value.
     """
     transmission: float
     intracavity_loss: float
@@ -48,8 +49,10 @@ class NopoParams:
     detection_efficiency: float
 
     def __post_init__(self):  # each test is false for nan, so nan is refused too
-        if not (0 < self.transmission < math.inf and 0 <= self.intracavity_loss < math.inf):
-            raise DomainError("need transmission > 0 and intracavity_loss >= 0, both finite")
+        # their sum too: past the float range output_coupling would read 0
+        if not (0 < self.transmission and 0 <= self.intracavity_loss
+                and self.transmission + self.intracavity_loss < math.inf):
+            raise DomainError("need transmission > 0 and intracavity_loss >= 0 with a finite sum")
         if not 0 < self.cavity_bandwidth < math.inf:
             raise DomainError(
                 f"cavity bandwidth must be positive and finite, got {self.cavity_bandwidth}")
@@ -62,8 +65,9 @@ class NopoParams:
         if not (self.pump_power > self.threshold_power and self.pump_ratio > 1):
             raise DomainError(
                 f"pump power {self.pump_power} not above threshold {self.threshold_power}")
-        if not self.pump_power < math.inf:
-            raise DomainError("pump power must be finite")
+        if not self.pump_ratio < math.inf:  # a finite pump over a tiny threshold overflows too
+            raise DomainError(f"pump power {self.pump_power:.6g} over threshold "
+                              f"{self.threshold_power:.6g} must be finite")
 
     @property
     def output_coupling(self):

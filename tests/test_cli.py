@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import functools
 import hashlib
 import io
@@ -348,12 +349,48 @@ class TestConfigSchema:
         assert sorted(os.listdir(tmp_path)) == ["good.json", "mut.json", "t.twbm"]
 
     @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    @pytest.mark.parametrize("nopo, message", [
+        ({"transmission": 1e308, "intracavity_loss": 1e308},
+         "need transmission > 0 and intracavity_loss >= 0 with a finite sum"),
+        ({"pump_power": 1e308, "threshold_power": 1e-308},
+         "pump power 1e+308 over threshold 1e-308 must be finite"),
+    ], ids=["coupling-sum-overflows", "pump-ratio-overflows"])
+    def test_finite_values_whose_derived_value_overflows_are_infeasible_at_load(
+            self, tmp_path, capsys, command, nopo, message):
+        # each field is finite, but T + loss or P / P_th overflows: the output
+        # coupling then read 0 and the pump ratio inf, and both spectra read 1
+        good = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 12),
+                            name="good.json")
+        trace = tmp_path / "t.twbm"
+        assert main(["synth", "--config", good, "--out", str(trace)]) == 0
+        before = trace.read_bytes()
+        capsys.readouterr()
+        path = write_config(tmp_path, lambda d: d["nopo"].update(nopo))
+        assert main(config_argv(command, path, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"twinbeam: infeasible: {message}\n"
+        assert captured.out == "" and trace.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["good.json", "mut.json", "t.twbm"]
+
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
     def test_float_key_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, command):
         # an integer of 401 digits is valid JSON, but no float holds it
         path = write_config(tmp_path, lambda d: d["analyzer"].update(rbw_hz=10 ** 400))
         assert main(config_argv(command, path, tmp_path)) == 1
         assert "analyzer.rbw_hz is too large for a float" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mut.json"]
+
+
+    @pytest.mark.parametrize("section, cls", [
+        (("nopo",), model.NopoParams), (("synth",), synth.SynthConfig),
+        (("analyzer",), dsp.AnalyzerSettings), (("chain", "amplitude"), synth.DetectionChain),
+        (("chain", "phase"), synth.DetectionChain),
+    ], ids=["nopo", "synth", "analyzer", "chain.amplitude", "chain.phase"])
+    def test_schema_keys_name_the_dataclass_fields(self, section, cls):
+        # parse_config builds each section's dataclass from its keys, so a key
+        # and a field that drift apart would fail there with a TypeError
+        schema = functools.reduce(dict.__getitem__, section, config._SCHEMA)
+        assert set(config._fields(schema)) == {field.name for field in dataclasses.fields(cls)}
 
 
 class TestSpectraCommand:
@@ -1604,9 +1641,9 @@ def test_certify_runs_without_numpy(argv, status, tmp_path, capsys):
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask-022", "umask-077"])
 def test_artifacts_take_the_mode_the_umask_gives(tmp_path, umask, mode):
-    # the mode open(path, "w") gives, not mkstemp's 0o600; the umask is read
-    # when twinbeam.atomic is imported, so the commands run in a child started
-    # under it.  The last, a Duan sum that overflows, exits 2 and writes nothing.
+    # the mode open(path, "w") gives, not mkstemp's 0o600; the commands run in
+    # a child so that the umask can be set for it alone.  The last, a Duan sum
+    # that overflows, exits 2 and writes nothing.
     path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 12))
     out = tmp_path / "out"
     out.mkdir()

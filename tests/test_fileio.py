@@ -141,6 +141,23 @@ class TestTraceFormat:
         payload_start = path.stat().st_size - 3 * 4 * 64
         assert err.value.byte_offset == payload_start + 4 * (2 * 64 + 40)
 
+    def test_file_cut_short_after_the_header_check(self, tmp_path, monkeypatch):
+        # read_trace checked the size, then the file lost half of channel ch1:
+        # the block that comes back short raises at its own offset
+        monkeypatch.setattr(fileio, "_READ_SAMPLES", 7)
+        data = encode_trace(1e8, sample_channels(count=2))
+        path = tmp_path / "t.twbm"
+        path.write_bytes(data)
+        _, back = fileio.read_trace(path)
+        path.write_bytes(data[:-4 * 32])
+        blocks = back["ch1"].blocks()
+        for _ in range(32 // 7):
+            assert len(next(blocks)) == 7
+        with pytest.raises(TraceFormatError, match="truncated while reading samples of "
+                                                   "channel 'ch1'") as err:
+            next(blocks)
+        assert err.value.byte_offset == len(data) - 4 * 64 + 4 * (32 // 7 * 7)
+
     def test_concurrent_channel_reads_see_their_own_samples(self, tmp_path, monkeypatch):
         # more reader threads than cores, switching as often as possible:
         # each channel must come back whole from its own offset
@@ -182,8 +199,8 @@ class TestWriteTrace:
         assert digest == hashlib.sha256(data).hexdigest()
 
     def test_concurrent_channel_writes_lose_nothing(self, tmp_path):
-        # both workers switching as often as possible: an unlocked
-        # seek-then-write would put blocks at the other worker's offset
+        # both workers switching as often as possible: a block written at the
+        # wrong offset, or a worker's write lost, would change the bytes
         channels = sample_channels(n=5000, count=6, seed=3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

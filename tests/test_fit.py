@@ -267,6 +267,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             FitProblem(f, S_I, S_P)
 
+    def test_negative_weight_rejected(self):
+        weights = np.ones(FREQS.size)
+        weights[5] = -0.5
+        with pytest.raises(DomainError, match="weights must be nonnegative"):
+            FitProblem(FREQS, S_I, S_P, weights=weights)
+
     def test_weights_without_a_positive_entry_rejected(self):
         # such a fit sees no data: it would report its first start as converged
         with pytest.raises(DomainError, match="positive entry"):
