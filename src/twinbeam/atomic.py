@@ -37,5 +37,10 @@ def atomic_write_text(path, text):
         handle.write(text.encode("utf-8"))
 
 
+def json_text(payload):
+    """payload as strict JSON (no NaN or Infinity), indented, with sorted keys."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    atomic_write_text(path, json_text(payload) + "\n")

@@ -6,6 +6,12 @@ report corrects them and certifies.  `twinbeam certify` and
 demos/synthetic_experiment.py both run these two.  Every reading is one
 float, so the module needs no numpy, and `twinbeam certify` starts without
 loading it.  model imports the scalar steps back, beside the spectra.
+
+ARTIFACT names the kind and format version every JSON artifact of the cli
+carries under "artifact", such as "twinbeam-analysis/1".  analysis_readings
+refuses (UsageError, exit 1) an analysis whose tag names another kind or
+version or is not a string; an analysis with no tag, such as one written by
+hand, is read as before.
 """
 
 import math
@@ -15,6 +21,7 @@ from reprlib import repr as _brief  # a long outside value prints cut short
 from .errors import DomainError, UsageError
 
 SNL_BOUND = 2.0  # the Duan sum of two SNL-limited (separable) variances
+ARTIFACT = "twinbeam-{}/1"  # the tag of an artifact of the kind in {}
 
 
 def from_db(db):
@@ -85,12 +92,17 @@ def analysis_readings(analysis):
     """Linear (amplitude, phase, enl or None) from a parsed analysis object.
 
     amplitude_db and phase_db are required; each of them and enl_db must be
-    a float or None, as json.load(..., parse_int=float) reads them, or
-    UsageError is raised.  A None signal reading gives a NaN variance,
-    which report rejects; a None or absent enl_db means no floor.
+    a float or None, as json.load(..., parse_int=float) reads them, and an
+    artifact tag, if present, must be the analysis tag, or UsageError is
+    raised.  A None signal reading gives a NaN variance, which report
+    rejects; a None or absent enl_db means no floor.
     """
     if not isinstance(analysis, dict):
         raise UsageError("analysis JSON must be an object")
+    tag = ARTIFACT.format("analysis")
+    if analysis.get("artifact", tag) != tag:
+        raise UsageError(f"analysis JSON artifact must be {tag!r}, "
+                         f"got {_brief(analysis['artifact'])}")
     for key in ("amplitude_db", "phase_db"):
         if key not in analysis:
             raise UsageError(f"analysis JSON lacks {key!r}")

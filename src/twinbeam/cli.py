@@ -39,6 +39,16 @@ certify reads either an analysis JSON, which alone gives the electronics
 floor, or the already-corrected --vx/--vy, never both; certify.report, the
 one path from readings to verdict, makes the report, as in the demo.
 
+Every JSON a command writes, to --out or to stdout, is built by _artifact
+and written as atomic.json_text gives it.  Its "artifact" key names its
+kind and format version (certify.ARTIFACT): twinbeam-spectra/1,
+twinbeam-synth/1, twinbeam-analysis/1, twinbeam-certify/1 or
+twinbeam-fit/1.  spectra, synth and analyze, which load a config, also
+record the config's hash; the body's keys sit beside these two at the top
+level.  certify refuses (exit 1) an analysis whose tag names another kind
+or version, or is not a string; an analysis without a tag, such as one
+written by hand, is read as before.
+
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
 an error); 1 usage or schema problems; 2 data or configuration
 infeasibility (a pump not above threshold, a reading at or below the
@@ -55,7 +65,7 @@ import sys
 from reprlib import repr as _brief  # a long outside value prints cut short
 
 from . import certify
-from .atomic import write_json
+from .atomic import json_text, write_json
 from .errors import DomainError, TwinbeamError, UsageError
 
 
@@ -106,11 +116,18 @@ def _build_parser():
     return parser
 
 
+def _artifact(kind, body, cfg=None):
+    """The payload of a kind artifact: its tag, the hash of cfg if a config
+    was loaded, then body's keys, all at the top level."""
+    hashed = {} if cfg is None else {"config_hash": cfg.hash}
+    return {"artifact": certify.ARTIFACT.format(kind), **hashed, **body}
+
+
 def _emit(payload, out_path, as_json):
     if out_path:
         write_json(out_path, payload)
     if as_json or not out_path:
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        print(json_text(payload))
 
 
 def _cmd_spectra(args):
@@ -136,8 +153,7 @@ def _cmd_spectra(args):
     s_p = model.phase_sum_spectrum(cfg.nopo, freqs)
     fileio.write_spectrum_csv(args.out, freqs, amplitude=s_i, phase=s_p)
     if args.json:
-        print(json.dumps({"out": args.out, "num_points": len(freqs),
-                          "config_hash": cfg.hash}, sort_keys=True, allow_nan=False))
+        print(json_text(_artifact("spectra", {"out": args.out, "num_points": len(freqs)}, cfg)))
     return 0
 
 
@@ -153,11 +169,11 @@ def _cmd_synth(args):
 
     cfg = load_config(args.config)
     sha256 = fileio.write_trace(args.out, cfg.synth.sample_rate, pipeline.trace_channels(cfg))
-    summary = {"out": args.out, "seed": cfg.synth.seed, "sha256": sha256,
-               "channels": list(pipeline.TRACE_CHANNELS), "num_samples": cfg.synth.num_samples,
-               "config_hash": cfg.hash}
     if args.json:
-        print(json.dumps(summary, sort_keys=True, allow_nan=False))
+        print(json_text(_artifact("synth", {
+            "out": args.out, "seed": cfg.synth.seed, "sha256": sha256,
+            "channels": list(pipeline.TRACE_CHANNELS), "num_samples": cfg.synth.num_samples},
+            cfg)))
     else:
         print(f"seed {cfg.synth.seed}")
         print(f"sha256 {sha256}")
@@ -182,15 +198,9 @@ def _cmd_analyze(args):
     digest, readings, *_ = fileio.on_two_workers(
         [(fileio.file_sha256, args.trace), (pipeline.readings, channels, sample_rate, cfg)]
         + [(_read_through, channels[name]) for name in channels if name not in TRACE_CHANNELS])
-    payload = {
-        "f0_hz": f0,
-        **readings,
-        "rbw_hz": cfg.analyzer.rbw,
-        "vbw_hz": cfg.analyzer.vbw,
-        "config_hash": cfg.hash,
-        "trace_sha256": digest,
-    }
-    _emit(payload, args.out, args.json)
+    _emit(_artifact("analysis", {"f0_hz": f0, **readings, "rbw_hz": cfg.analyzer.rbw,
+                                 "vbw_hz": cfg.analyzer.vbw, "trace_sha256": digest}, cfg),
+          args.out, args.json)
     return 0
 
 
@@ -211,7 +221,8 @@ def _cmd_certify(args):
             except (ValueError, RecursionError) as exc:  # not UTF-8 text, not JSON, too deep
                 raise UsageError(f"analysis JSON cannot be read: {exc}") from exc
         readings = certify.analysis_readings(analysis)
-    _emit(certify.report(*readings, mode_match=args.mode_match), args.out, args.json)
+    _emit(_artifact("certify", certify.report(*readings, mode_match=args.mode_match)),
+          args.out, args.json)
     return 0
 
 
@@ -225,7 +236,7 @@ def _cmd_fit(args):
     problem = FitProblem(frequencies=freqs, amplitude_observed=amplitude,
                          phase_observed=phase)
     result = fit_spectra(problem)
-    payload = {
+    _emit(_artifact("fit", {
         "efficiency_product": result.efficiency_product,
         "bandwidth_hz": result.bandwidth,
         "pump_ratio": result.pump_ratio,
@@ -235,8 +246,7 @@ def _cmd_fit(args):
         "converged": result.converged,
         "iterations": result.iterations,
         "unidentifiable": list(result.unidentifiable),
-    }
-    _emit(payload, args.out, args.json)
+    }), args.out, args.json)
     return 0
 
 

@@ -1066,6 +1066,39 @@ class TestCertifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["phase_sum_variance"] == pytest.approx(0.7113, rel=1e-9)
 
+    def test_tagged_and_untagged_analyses_give_one_report(self, tmp_path):
+        readings = {"amplitude_db": -1.25, "phase_db": -0.60, "enl_db": -3.9}
+        reports = []
+        for name, tag in (("untagged", {}), ("tagged", {"artifact": "twinbeam-analysis/1"})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**tag, **readings}))
+            assert main(["certify", str(path), "--out", str(tmp_path / f"{name}-report.json")]) == 0
+            reports.append((tmp_path / f"{name}-report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["artifact"] == "twinbeam-certify/1"
+
+    @pytest.mark.parametrize("case", ["fit-json", "later-version", "not-a-string"])
+    def test_analysis_of_another_kind_or_version_is_usage_error(self, case, tmp_path, capsys):
+        # the tag is checked before the readings, so a fit JSON is refused for
+        # its kind and not for a missing reading; the message names the tag
+        path = tmp_path / "a.json"
+        if case == "fit-json":
+            assert main(["fit", _clean_spectrum_csv(tmp_path), "--out", str(path)]) == 0
+            tag = "twinbeam-fit/1"
+        else:
+            tag = {"later-version": "twinbeam-analysis/2",
+                   "not-a-string": ["twinbeam-analysis/1"]}[case]
+            path.write_text(json.dumps({"artifact": tag, "amplitude_db": -1.25,
+                                        "phase_db": -0.60, "enl_db": -3.9}))
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert main(["certify", str(path), "--out", str(out), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("twinbeam: error: analysis JSON artifact must be "
+                                       "'twinbeam-analysis/1', got ")
+        assert repr(tag) in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 # JSON texts of an analysis reading: ordinary dB values, ±0, subnormals, the
 # extremes, the non-standard NaN/Infinity literals, integers too large for a
@@ -1079,8 +1112,14 @@ _READINGS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10 ** 30, 10 ** 30).map(str))
 _KEYS = ("amplitude_db", "phase_db", "enl_db")
+# JSON texts of an artifact tag: the analysis tag, another kind, another
+# version, and values that are not a string
+_RIGHT_TAG = '"twinbeam-analysis/1"'
+_TAGS = st.sampled_from([_RIGHT_TAG, '"twinbeam-fit/1"', '"twinbeam-analysis/2"', "1", "null",
+                         f"[{_RIGHT_TAG}]"])
 _ANALYSIS = st.one_of(
-    st.fixed_dictionaries(dict.fromkeys(_KEYS[:2], _READINGS), optional={"enl_db": _READINGS}),
+    st.fixed_dictionaries(dict.fromkeys(_KEYS[:2], _READINGS),
+                          optional={"enl_db": _READINGS, "artifact": _TAGS}),
     st.dictionaries(st.sampled_from(_KEYS), _READINGS),  # keys may be missing
     st.sampled_from(["[]", "-1.2", "null", "{not json", ""]),
 ).map(lambda doc: doc if isinstance(doc, str) else
@@ -1102,7 +1141,8 @@ _INPUTS = st.one_of(st.tuples(_ANALYSIS, st.none(), st.none()),
 @given(inputs=_INPUTS, mode_match=st.one_of(st.none(), _FLAGS))
 def test_certify_inputs_exit_cleanly(inputs, mode_match):
     # every input exits 0, 1 or 2 without a traceback; a report is strict
-    # JSON, and a failure writes no report
+    # JSON, and a failure writes no report.  A tag other than the analysis
+    # tag exits 1.
     analysis, vx, vy = inputs
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
@@ -1119,6 +1159,8 @@ def test_certify_inputs_exit_cleanly(inputs, mode_match):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             status = main(argv)
         assert status in (0, 1, 2)
+        if '"artifact"' in (analysis or "") and f'"artifact": {_RIGHT_TAG}' not in analysis:
+            assert status == 1
         if status == 0:
             report = json.loads(stdout.getvalue(), parse_constant=pytest.fail)
             with open(out) as handle:
@@ -1483,6 +1525,11 @@ def _long_value_argv(tmp_path, case):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"amplitude_db": "x" * 100_000, "phase_db": -0.6}))
         return ["certify", str(path)], 1, "analysis JSON amplitude_db"
+    if case == "artifact-tag":
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"artifact": "x" * 100_000, "amplitude_db": -1.25,
+                                    "phase_db": -0.6}))
+        return ["certify", str(path)], 1, "analysis JSON artifact"
     if case == "negative-point-count":  # 4000 digits, within int's default limit of 4300
         path = config(lambda d: None)
         return (config_argv("spectra", path, tmp_path) + ["--num-points", "-" + "9" * 4000], 1,
@@ -1499,8 +1546,8 @@ def _long_value_argv(tmp_path, case):
 @pytest.mark.parametrize("case", ["repeated-channel-name", "channel-truncated",
                                   "channel-not-finite", "csv-cell", "csv-cell-past-the-field-limit",
                                   "csv-header-past-the-field-limit", "analysis-reading",
-                                  "negative-point-count", "unknown-key", "long-version",
-                                  "nested-version"])
+                                  "artifact-tag", "negative-point-count", "unknown-key",
+                                  "long-version", "nested-version"])
 def test_a_long_outside_value_prints_cut_short(tmp_path, capsys, case):
     # each message names the value through reprlib, so a 10^5-character one
     # does not fill the terminal, and still says where the fault is
@@ -1509,6 +1556,37 @@ def test_a_long_outside_value_prints_cut_short(tmp_path, capsys, case):
     assert main(argv) == status
     err = capsys.readouterr().err
     assert named in err and len(err) < 300, err[:300]
+
+
+@pytest.mark.parametrize("command", ["spectra", "synth", "analyze", "certify", "fit"])
+def test_every_json_output_carries_its_tag(tmp_path, capsys, command):
+    # the tag names the kind and format version; the commands that load a
+    # config record its hash, and a JSON written to --out is the one printed
+    path = write_config(tmp_path, lambda d: d["synth"].update(num_samples=2 ** 16))
+    trace, csv, analysis = (str(tmp_path / name) for name in ("t.twbm", "s.csv", "a.json"))
+    for argv in (["synth", "--config", path, "--out", trace],
+                 ["spectra", "--config", path, "--out", csv],
+                 ["analyze", trace, "--config", path, "--out", analysis]):
+        assert main(argv) == 0
+    out = tmp_path / "out.json"
+    argv = {"spectra": ["spectra", "--config", path, "--out", csv],
+            "synth": ["synth", "--config", path, "--out", trace],
+            "analyze": ["analyze", trace, "--config", path, "--out", str(out)],
+            "certify": ["certify", analysis, "--out", str(out)],
+            "fit": ["fit", csv, "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    kind = "analysis" if command == "analyze" else command
+    assert printed["artifact"] == f"twinbeam-{kind}/1"
+    if command in ("spectra", "synth", "analyze"):
+        with open(path) as handle:
+            assert printed["config_hash"] == parse_config(json.load(handle)).hash
+    else:
+        assert "config_hash" not in printed
+    assert out.exists() == (command not in ("spectra", "synth"))
+    if out.exists():
+        assert json.loads(out.read_text()) == printed
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
