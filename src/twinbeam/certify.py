@@ -5,7 +5,9 @@ analysis_readings checks an analysis object and gives its linear readings;
 report corrects them and certifies.  `twinbeam certify` and
 demos/synthetic_experiment.py both run these two.  Every reading is one
 float, so the module needs no numpy, and `twinbeam certify` starts without
-loading it.  model imports the scalar steps back, beside the spectra.
+loading it.  Its two value types, QuadratureVariancePair and DuanVerdict,
+are named tuples, so it loads no dataclasses, nor inspect through it.
+model imports the scalar steps back, beside the spectra.
 
 ARTIFACT names the kind and format version every JSON artifact of the cli
 carries under "artifact", such as "twinbeam-analysis/1".  analysis_readings
@@ -15,7 +17,7 @@ hand, is read as before.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from reprlib import repr as _brief  # a long outside value prints cut short
 
 from .errors import DomainError, UsageError
@@ -57,23 +59,20 @@ def remove_mode_match_penalty(value, mode_match):
     return corrected
 
 
-@dataclass(frozen=True)
-class QuadratureVariancePair:
+class QuadratureVariancePair(namedtuple("QuadratureVariancePair",
+                                         "amplitude_diff_variance phase_sum_variance")):
     """Joint-combination variances, each relative to its own SNL of 1."""
-    amplitude_diff_variance: float
-    phase_sum_variance: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for value in (self.amplitude_diff_variance, self.phase_sum_variance):
+    def __new__(cls, amplitude_diff_variance, phase_sum_variance):
+        for value in (amplitude_diff_variance, phase_sum_variance):
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"variances must be finite and positive, got {value}")
+        return super().__new__(cls, amplitude_diff_variance, phase_sum_variance)
 
 
-@dataclass(frozen=True)
-class DuanVerdict:
-    """Outcome of the inseparability test: total < 2 certifies entanglement."""
-    total: float
-    entangled: bool
+DuanVerdict = namedtuple("DuanVerdict", "total entangled")
+DuanVerdict.__doc__ = "Outcome of the inseparability test: total < 2 certifies entanglement."
 
 
 def duan_certify(pair):

@@ -28,7 +28,9 @@ error.
 Each subcommand imports the numpy-backed modules it runs when it starts,
 so spectra, synth, analyze and fit load numpy and certify does not: its
 arithmetic (twinbeam.certify) and its atomic writes (twinbeam.atomic),
-imported with this module, need only the standard library.
+imported with this module, need only the standard library, and certify's
+value types are named tuples, so it loads no dataclasses or inspect
+either.  fit, which reads no config and no trace, loads no hashlib.
 
 Every command that takes --config checks the whole config before any
 work: its analyzer settings, that synth.num_samples holds the two

@@ -17,11 +17,12 @@ file size, then hands out each channel as a BlockSeries that reads and
 checks float32 blocks from the channel's offset, through a handle of its
 own, as they are taken, so no whole channel is held and channels can be
 read from more than one thread.  file_sha256 hashes a file in fixed-size
-chunks, apart from the channel reads.
+chunks, apart from the channel reads.  hashlib and concurrent.futures are
+imported by the one function that uses each, so `twinbeam fit`, which reads
+only a spectrum CSV here, loads neither.
 """
 
 import csv
-import hashlib
 import io
 import math
 import os
@@ -218,6 +219,8 @@ def read_trace(path):
 
 def _sha256(handle):
     """The hex sha256 of handle's bytes, read from its start in _HASH_CHUNK pieces."""
+    import hashlib  # here: fit imports fileio and hashes nothing
+
     handle.seek(0)
     digest = hashlib.sha256()
     chunk = bytearray(_HASH_CHUNK)

@@ -137,20 +137,22 @@ def phase_sum_psd(f, efficiency_product, bandwidth, pump_ratio):
     return _dip_psd(f, efficiency_product, bandwidth, pump_ratio)
 
 
-def intensity_diff_spectrum(params, f):
-    """Amplitude-difference noise power at analysis frequency f, relative to SNL=1."""
+def _spectrum(params, f, pump_ratio):
+    """A dip of params at analysis frequencies f, with floor pump_ratio^2."""
     if np.any(np.asarray(f) < 0):
         raise DomainError("analysis frequency must be nonnegative")
     product = params.detection_efficiency * params.output_coupling
-    return intensity_diff_psd(f, product, params.cavity_bandwidth)
+    return _dip_psd(f, product, params.cavity_bandwidth, pump_ratio)
+
+
+def intensity_diff_spectrum(params, f):
+    """Amplitude-difference noise power at analysis frequency f, relative to SNL=1."""
+    return _spectrum(params, f, 1.0)
 
 
 def phase_sum_spectrum(params, f):
     """Phase-sum noise power at analysis frequency f, relative to SNL=1."""
-    if np.any(np.asarray(f) < 0):
-        raise DomainError("analysis frequency must be nonnegative")
-    product = params.detection_efficiency * params.output_coupling
-    return phase_sum_psd(f, product, params.cavity_bandwidth, params.pump_ratio)
+    return _spectrum(params, f, params.pump_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -1642,11 +1642,17 @@ def test_package_import_leaves_numpy_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # nothing needs scipy, and only synth and analyze start a thread pool;
-    # every other subcommand starts and runs without either
-    code = ("import sys, twinbeam.cli; "
+    # nothing needs scipy, only synth and analyze start a thread pool, and
+    # fit hashes nothing; every other subcommand starts and runs without
+    # them.  hashlib is compared with what numpy loads in the same child, as
+    # numpy 1.x imports numpy.random, which can load it
+    code = ("import sys, numpy; "
+            "hashing = lambda: {m for m in sys.modules if m in ('hashlib', '_hashlib')}; "
+            "numpy_hashing = hashing(); "
+            "import twinbeam.cli; "
             "loaded = lambda: sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')); "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')) "
+            "+ sorted(hashing() - numpy_hashing); "
             "print(loaded()); "
             "status = twinbeam.cli.main(['fit', sys.argv[1], '--out', sys.argv[2]]); "
             "print(status, loaded())")
@@ -1687,9 +1693,11 @@ def test_fit_runs_without_scipy(tmp_path):
     (["--vx", "0.5", "--vy", "nan", "--json"], 2),
     (["--vx", "1e308", "--vy", "1e308", "--json"], 2),
 ], ids=["variances", "analysis", "malformed-analysis", "nan-variance", "overflowing-sum"])
-def test_certify_runs_without_numpy(argv, status, tmp_path, capsys):
-    # with every numpy import made to fail, the same exit code, stdout, stderr
-    # and report as in process, where numpy is loaded
+@pytest.mark.parametrize("package", ["numpy", "dataclasses", "inspect"])
+def test_certify_runs_without_numpy(package, argv, status, tmp_path, capsys):
+    # with every import of numpy, dataclasses or inspect made to fail, the
+    # same exit code, stdout, stderr and report as in process, where all
+    # three are loaded
     analysis = tmp_path / "analysis.json"
     analysis.write_text('{"amplitude_db": -1.25, "phase_db": -0.60, "enl_db": -3.9}')
     malformed = tmp_path / "malformed.json"
@@ -1700,7 +1708,7 @@ def test_certify_runs_without_numpy(argv, status, tmp_path, capsys):
         args = ["certify"] + [a.format(analysis=analysis, malformed=malformed, out=out)
                               for a in argv]
         if where == "child":
-            result = subprocess.run([sys.executable, "-c", _cli_without("numpy"), *args],
+            result = subprocess.run([sys.executable, "-c", _cli_without(package), *args],
                                     env=_src_env(), capture_output=True, text=True,
                                     timeout=60)
             code, stdout, stderr = result.returncode, result.stdout, result.stderr
