@@ -2,12 +2,17 @@
 
 Plain standard library, so `twinbeam certify --out` writes its report
 without loading numpy; fileio writes its traces and CSVs through it too.
-Importing it changes no process-wide state.
+Importing it changes no process-wide state.  json_text gives every JSON
+artifact its text, and every JSON document the cli reads, the config and
+certify's analysis, is parsed with unique_keys as its object_pairs_hook.
 """
 
 import contextlib
 import json
 import os
+from reprlib import repr as _brief  # a long outside value prints cut short
+
+from .errors import UsageError
 
 
 @contextlib.contextmanager
@@ -40,6 +45,17 @@ def atomic_write_text(path, text):
 def json_text(payload):
     """payload as strict JSON (no NaN or Infinity), indented, with sorted keys."""
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def unique_keys(pairs):
+    """json.load's object_pairs_hook: the object as a dict, or UsageError if
+    a key repeats, where json.load would keep its last value alone."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise UsageError(f"JSON object repeats key {_brief(key)}")
+        document[key] = value
+    return document
 
 
 def write_json(path, payload):

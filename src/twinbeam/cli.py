@@ -52,12 +52,14 @@ or version, or is not a string; an analysis without a tag, such as one
 written by hand, is read as before.
 
 Exit codes: 0 success (an entanglement verdict of "separable" is data, not
-an error); 1 usage or schema problems; 2 data or configuration
-infeasibility (a pump not above threshold, a reading at or below the
-electronics floor, a series or a config too short for the analyzer, a fit
-its data cannot identify), a corrupt trace or spectrum CSV (with its byte
-offset where known), a trace too large for the free disk space of its
-directory, or a run too large for memory.
+an error); 1 usage or schema problems, such as a config or analysis JSON
+that gives a key twice; 2 data or configuration infeasibility (a pump not
+above threshold, a reading at or below the electronics floor, a series or
+a config too short for the analyzer, a fit its data cannot identify), a
+corrupt trace or spectrum CSV (with its byte offset where known; a CSV
+header that names a column it reads twice is corrupt too), a trace too
+large for the free disk space of its directory, or a run too large for
+memory.
 """
 
 import argparse
@@ -67,7 +69,7 @@ import sys
 from reprlib import repr as _brief  # a long outside value prints cut short
 
 from . import certify
-from .atomic import json_text, write_json
+from .atomic import json_text, unique_keys, write_json
 from .errors import DomainError, TwinbeamError, UsageError
 
 
@@ -77,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(prog="twinbeam", description=__doc__)
+    parser = _Parser(prog="twinbeam", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     spectra = sub.add_parser("spectra", help="evaluate the analytic noise spectra to CSV")
@@ -219,7 +221,7 @@ def _cmd_certify(args):
         with open(args.analysis, encoding="utf-8") as handle:
             try:
                 # integers read as floats, so one too large for a float reads as inf
-                analysis = json.load(handle, parse_int=float)
+                analysis = json.load(handle, parse_int=float, object_pairs_hook=unique_keys)
             except (ValueError, RecursionError) as exc:  # not UTF-8 text, not JSON, too deep
                 raise UsageError(f"analysis JSON cannot be read: {exc}") from exc
         readings = certify.analysis_readings(analysis)

@@ -3,17 +3,21 @@
 The config is a versioned JSON document; unknown keys are rejected so a
 typo can never silently fall back to a default.  Schema problems raise
 UsageError (exit 1); values that describe an impossible chain raise
-DomainError (exit 2).  The keys of the nopo, synth, analyzer and chain
-channel sections name the fields of the dataclass each builds, less a
-unit suffix _hz.
+DomainError (exit 2).  The nopo, synth, analyzer and chain channel
+sections follow the dataclass each builds (NopoParams, SynthConfig,
+AnalyzerSettings, DetectionChain): a key for each field, in field order,
+of the field's annotated type.  The four fields in Hz (_HZ_FIELDS) take
+the suffix _hz in their keys.  chain.enl and the interferometer section
+set no dataclass field.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from reprlib import repr as _brief  # a long outside value prints cut short
 
+from .atomic import unique_keys
 from .dsp import AnalyzerSettings, segment_length
 from .errors import DomainError, UsageError
 from .model import NopoParams
@@ -22,35 +26,23 @@ from .synth import DetectionChain, SynthConfig
 CONFIG_VERSION = "twinbeam-config/2"
 
 
-_CHANNEL_KEYS = {"mode_match": float, "excess_noise": float}
+_HZ_FIELDS = {"cavity_bandwidth", "sample_rate", "rbw", "vbw"}  # in Hz, so their keys end _hz
+
+
+def _section(cls):
+    """The schema of the section that builds cls: its fields, in order, with their types."""
+    return {(f"{field.name}_hz" if field.name in _HZ_FIELDS else field.name): field.type
+            for field in fields(cls)}
+
 
 _SCHEMA = {
     "version": str,  # parse_config compares it with CONFIG_VERSION before the schema check
-    "nopo": {
-        "transmission": float,
-        "intracavity_loss": float,
-        "cavity_bandwidth_hz": float,
-        "pump_power": float,
-        "threshold_power": float,
-        "detection_efficiency": float,
-    },
-    "synth": {
-        "sample_rate_hz": float,
-        "num_samples": int,
-        "seed": int,
-    },
-    "chain": {
-        "enl": float,
-        "amplitude": _CHANNEL_KEYS,
-        "phase": _CHANNEL_KEYS,
-    },
-    "analyzer": {
-        "rbw_hz": float,
-        "vbw_hz": float,
-    },
-    "interferometer": {
-        "analysis_frequency_hz": float,
-    },
+    "nopo": _section(NopoParams),
+    "synth": _section(SynthConfig),
+    "chain": {"enl": float, "amplitude": _section(DetectionChain),
+              "phase": _section(DetectionChain)},
+    "analyzer": _section(AnalyzerSettings),
+    "interferometer": {"analysis_frequency_hz": float},
 }
 
 
@@ -158,7 +150,7 @@ def parse_config(document):
 def load_config(path):
     with open(path, encoding="utf-8") as handle:
         try:
-            document = json.load(handle)
+            document = json.load(handle, object_pairs_hook=unique_keys)
         except (ValueError, RecursionError) as exc:  # not UTF-8 text, not JSON, or nested too deep
             raise UsageError(f"config is not valid JSON: {exc}") from exc
     return parse_config(document)

@@ -279,11 +279,13 @@ def _number(cell):
 def read_spectrum_csv(path):
     """Read the spectrum CSV back into (frequencies, amplitude|None, phase|None).
 
-    Text that is not UTF-8, a cell that is not a number (see _number) or a
-    field past the csv module's size limit raises TraceFormatError, naming
-    the byte offset or the line; nan and inf are numbers here, for the
-    reader's caller to refuse.  A leading UTF-8 byte-order mark, as
-    spreadsheets write, is skipped.
+    Text that is not UTF-8, a header that names a column it reads twice, a
+    cell that is not a number (see _number) or a field past the csv
+    module's size limit raises TraceFormatError, naming the byte offset, the
+    column or the line; nan and inf are numbers here, for the reader's
+    caller to refuse.  Other columns may repeat, such as the empty names of
+    the trailing cells a spreadsheet can write.  A leading UTF-8 byte-order
+    mark, as spreadsheets write, is skipped.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -294,7 +296,11 @@ def read_spectrum_csv(path):
     reader = csv.DictReader(io.StringIO(text, newline=""))
     freqs, s_i, s_p = [], [], []
     try:
-        missing = set(SPECTRUM_COLUMNS[:3]) - set(reader.fieldnames or ())
+        header = reader.fieldnames or []
+        for name in SPECTRUM_COLUMNS[:3]:  # DictReader would read the last copy alone
+            if header.count(name) > 1:
+                raise TraceFormatError(f"spectrum CSV header repeats column {name!r}")
+        missing = set(SPECTRUM_COLUMNS[:3]) - set(header)
         if missing:
             raise TraceFormatError(f"spectrum CSV missing columns {sorted(missing)}")
         for row in reader:

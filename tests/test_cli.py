@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinbeam
+from test_acceptance import REFERENCE_CONFIG
 from twinbeam import cli, config, dsp, fileio, model, pipeline, synth
 from twinbeam.cli import main
 from twinbeam.config import parse_config
@@ -119,6 +120,14 @@ MALFORMED_CONFIGS = {
                              "synth.num_samples must be an integer, got float"),
     "bool-for-an-integer": (_GOOD_TEXT.replace('"seed": 11', '"seed": true'),
                             "synth.seed must be an integer, got bool"),
+}
+
+# {case: (document text, key)}: a key given twice, whose last value json.load
+# alone would keep; the top-level repeat moves f0 to 10 MHz
+REPEATED_KEYS = {
+    "top-level": (_GOOD_TEXT[:-1] + ', "interferometer": {"analysis_frequency_hz": 1e7}}',
+                  "interferometer"),
+    "nested": (_GOOD_TEXT.replace('"seed": 11', '"seed": 11, "seed": 99'), "seed"),
 }
 
 # {case: (section, key, value, message)}: values outside the physics (exit 2)
@@ -310,6 +319,17 @@ class TestConfigSchema:
         assert message in captured.err and captured.out == ""
         assert os.listdir(tmp_path) == ["mut.json"]
 
+    @pytest.mark.parametrize("case", REPEATED_KEYS)
+    @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys, command, case):
+        text, key = REPEATED_KEYS[case]
+        path = tmp_path / "mut.json"
+        path.write_text(text)
+        assert main(config_argv(command, str(path), tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"twinbeam: error: JSON object repeats key {key!r}\n"
+        assert captured.out == "" and os.listdir(tmp_path) == ["mut.json"]
+
     @pytest.mark.parametrize("command", ["synth", "spectra", "analyze"])
     def test_config_not_utf8_is_usage_error(self, tmp_path, capsys, command):
         path = tmp_path / "mut.json"
@@ -391,6 +411,20 @@ class TestConfigSchema:
         # and a field that drift apart would fail there with a TypeError
         schema = functools.reduce(dict.__getitem__, section, config._SCHEMA)
         assert set(config._fields(schema)) == {field.name for field in dataclasses.fields(cls)}
+
+    def test_schema_types_and_order_follow_the_reference_config(self):
+        # the dataclass sections take their types from annotations; one that
+        # reads as a string (a postponed annotation) is checked by nothing
+        def leaves(node, path=()):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, path + (key,))
+                else:
+                    yield path + (key,), value
+        schema = dict(leaves(config._SCHEMA))
+        assert list(schema) == [path for path, _ in leaves(REFERENCE_CONFIG)]
+        assert schema.pop(("version",)) is str
+        assert set(schema.values()) <= {int, float}
 
 
 class TestSpectraCommand:
@@ -1023,6 +1057,16 @@ class TestCertifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("twinbeam: error: analysis JSON")
         assert captured.out == ""
+
+    def test_repeated_reading_is_usage_error(self, tmp_path, capsys):
+        # json.load alone would keep the last amplitude_db and certify "separable"
+        path = tmp_path / "repeated.json"
+        path.write_text('{"amplitude_db": -1.39, "phase_db": -0.64, "amplitude_db": 5.0}')
+        out = tmp_path / "report.json"
+        assert main(["certify", str(path), "--out", str(out), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "twinbeam: error: JSON object repeats key 'amplitude_db'\n"
+        assert captured.out == "" and not out.exists()
 
     def test_nonfinite_reading_is_infeasible(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
@@ -1686,13 +1730,24 @@ def test_fit_runs_without_scipy(tmp_path):
     assert fitted["pump_ratio"] == pytest.approx(CRITERION_7_TRUTH[2], rel=1e-6)
 
 
+def test_help_is_short_and_names_every_subcommand():
+    result = subprocess.run([sys.executable, "-m", "twinbeam.cli", "--help"], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0 and result.stderr == ""
+    assert len(result.stdout.splitlines()) < 20
+    for command in ("spectra", "synth", "analyze", "certify", "fit"):
+        assert command in result.stdout
+
+
 @pytest.mark.parametrize("argv, status", [
     (["--vx", "0.552", "--vy", "0.785", "--json"], 0),
     (["{analysis}", "--mode-match", "0.9", "--out", "{out}", "--json"], 0),
     (["{malformed}", "--json"], 1),
+    (["{repeated}", "--json"], 1),
     (["--vx", "0.5", "--vy", "nan", "--json"], 2),
     (["--vx", "1e308", "--vy", "1e308", "--json"], 2),
-], ids=["variances", "analysis", "malformed-analysis", "nan-variance", "overflowing-sum"])
+], ids=["variances", "analysis", "malformed-analysis", "repeated-key", "nan-variance",
+        "overflowing-sum"])
 @pytest.mark.parametrize("package", ["numpy", "dataclasses", "inspect"])
 def test_certify_runs_without_numpy(package, argv, status, tmp_path, capsys):
     # with every import of numpy, dataclasses or inspect made to fail, the
@@ -1702,11 +1757,13 @@ def test_certify_runs_without_numpy(package, argv, status, tmp_path, capsys):
     analysis.write_text('{"amplitude_db": -1.25, "phase_db": -0.60, "enl_db": -3.9}')
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"amplitude_db": -1.39, "phase_db": -0.64, "amplitude_db": 5.0}')
     outputs = []
     for where in ("child", "in-process"):
         out = tmp_path / f"{where}.json"
-        args = ["certify"] + [a.format(analysis=analysis, malformed=malformed, out=out)
-                              for a in argv]
+        args = ["certify"] + [a.format(analysis=analysis, malformed=malformed,
+                                       repeated=repeated, out=out) for a in argv]
         if where == "child":
             result = subprocess.run([sys.executable, "-c", _cli_without(package), *args],
                                     env=_src_env(), capture_output=True, text=True,

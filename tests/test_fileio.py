@@ -361,6 +361,20 @@ class TestSpectrumCsv:
         with pytest.raises(TraceFormatError):
             fileio.read_spectrum_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        # DictReader would read s_i from its last copy, the fourth column
+        path = tmp_path / "s.csv"
+        path.write_text("f_hz,s_i,s_p,s_i\n1.0,0.5,0.7,0.9\n2.0,0.6,0.8,0.95\n")
+        with pytest.raises(TraceFormatError, match="spectrum CSV header repeats column 's_i'"):
+            fileio.read_spectrum_csv(path)
+
+    def test_repeated_unread_column_accepted(self, tmp_path):
+        # a spreadsheet can pad the header with empty names
+        path = tmp_path / "s.csv"
+        path.write_text("f_hz,s_i,s_p,,\n1.0,0.5,0.7,,\n")
+        freqs, s_i, s_p = fileio.read_spectrum_csv(path)
+        assert (freqs.tolist(), s_i.tolist(), s_p.tolist()) == ([1.0], [0.5], [0.7])
+
     def test_line_endings_and_header(self, tmp_path):
         path = tmp_path / "s.csv"
         fileio.write_spectrum_csv(path, [1e6], amplitude=[0.5])
